@@ -21,37 +21,14 @@
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
-/// The trailing chunk/locality block of ServingReport::serialize_bits
-/// (prefill_chunk + three int64 counters + kv_locality byte +
-/// kv_locality_skips) — the only block that may differ between a
-/// chunk-off and a single-chunk serve of the same trace.
-constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
-
-/// @p bits minus the trailing chunk/locality block.
+/// @p bits minus the trailing chunk/locality block — the only block
+/// that may differ between a chunk-off and a single-chunk serve of the
+/// same trace.
 std::string
 strip_chunk_block(const std::string& bits)
 {
-    EXPECT_GE(bits.size(), kChunkBlock);
-    return bits.substr(0, bits.size() - kChunkBlock);
+    EXPECT_GE(bits.size(), testing::kChunkBlock);
+    return bits.substr(0, bits.size() - testing::kChunkBlock);
 }
 
 class ChunkedServingTest : public ::testing::Test {
@@ -71,7 +48,7 @@ class ChunkedServingTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          /*jobs=*/1, sopts);
     }
 
@@ -440,7 +417,7 @@ TEST_F(ChunkedDeathTest, ChunkPlanRejectsBadArgs)
 
 TEST_F(ChunkedDeathTest, RejectsBadChunkOptions)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
 
     runtime::ServerOptions negative = plain_options();
     negative.prefill_chunk = -1;
@@ -468,7 +445,7 @@ TEST_F(ChunkedDeathTest, RejectsBadChunkOptions)
 
 TEST_F(ChunkedDeathTest, RejectsLocalityWithoutKvModeling)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     runtime::ServerOptions sopts = plain_options();
     sopts.kv_locality = true;
     EXPECT_DEATH(runtime::Server(machine, sopts),

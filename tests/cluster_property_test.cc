@@ -28,25 +28,6 @@
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
 class ClusterPropertyTest : public ::testing::Test {
   protected:
     static constexpr int kSeq = 128;
@@ -64,7 +45,7 @@ class ClusterPropertyTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          /*jobs=*/1, sopts);
     }
 
@@ -124,7 +105,7 @@ class ClusterPropertyTest : public ::testing::Test {
 // family, several seeds and replica counts.
 TEST_F(ClusterPropertyTest, RoutingPartitionsEveryTrace)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     for (uint64_t seed : {3u, 17u, 91u}) {
         for (auto& trace : traces(seed)) {
             for (auto policy :
@@ -206,7 +187,7 @@ TEST_F(ClusterPropertyTest, ServeConservesRequestsAndTokens)
 // (prefill requests that decode), and conservation still holds.
 TEST_F(ClusterPropertyTest, TierSplitConservesRequests)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     for (auto& trace : traces(41)) {
         int splits = 0;
         for (const auto& r : trace) {

@@ -25,25 +25,6 @@
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
 // ---------------------------------------------------------------------------
 // hw::Interconnect: the chip-to-chip cost model
 
@@ -126,7 +107,7 @@ class ClusterServingTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          /*jobs=*/1, sopts);
     }
 
@@ -232,7 +213,7 @@ TEST_F(ClusterServingTest, OneReplicaRoundRobinIsBitIdenticalAcrossModes)
 
 TEST_F(ClusterServingTest, RoundRobinCyclesArrivalOrder)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     runtime::ClusterOptions copts;
     copts.replicas = 3;
     copts.server = plain_options();
@@ -245,7 +226,7 @@ TEST_F(ClusterServingTest, RoundRobinCyclesArrivalOrder)
 
 TEST_F(ClusterServingTest, LeastLoadedBalancesAssignedWork)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     runtime::ClusterOptions copts;
     copts.replicas = 2;
     copts.router = runtime::RouterPolicy::kLeastLoaded;
@@ -271,7 +252,7 @@ TEST_F(ClusterServingTest, LeastLoadedBalancesAssignedWork)
 
 TEST_F(ClusterServingTest, LeastLoadedVirtualClockDrainsBacklog)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     runtime::ClusterOptions copts;
     copts.replicas = 2;
     copts.router = runtime::RouterPolicy::kLeastLoaded;
@@ -297,7 +278,7 @@ TEST_F(ClusterServingTest, LeastLoadedVirtualClockDrainsBacklog)
 
 TEST_F(ClusterServingTest, SessionAffinityPinsPrefixesToHomes)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     runtime::ClusterOptions copts;
     copts.replicas = 4;
     copts.router = runtime::RouterPolicy::kSessionAffinity;
@@ -532,7 +513,7 @@ TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
 
 TEST_F(ClusterServingTest, DeathOnMisconfiguration)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     {
         runtime::ClusterOptions copts;
         copts.replicas = 0;

@@ -36,24 +36,6 @@ constexpr int kSeq = 128;
 constexpr int kRequests = 12;
 constexpr int kTokens = 3;
 
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
 const std::vector<compiler::Mode> kModes = {
     compiler::Mode::kBasic, compiler::Mode::kStatic,
     compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
@@ -70,7 +52,7 @@ serve_workload(Workload workload, compiler::Mode mode, int jobs,
                compiler::PlanCache* cache)
 {
     graph::ModelConfig model = testing::tiny_llm();
-    hw::ChipConfig chip = tiny_chip();
+    hw::ChipConfig chip = testing::tiny_chip();
     compiler::CompileOptions copts;
     copts.mode = mode;
     copts.max_orders = 6;
@@ -155,7 +137,7 @@ TEST(PerfInvarianceTest, WarmCacheAndRepeatRunsBitIdentical)
 
 TEST(PerfInvarianceTest, KvPoolMatchesExternalLedgerUnderSeededChurn)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
     sim::EngineState::Options opts;
     opts.kv_budget = 96 * 1024;
     sim::EngineState state(machine, opts);

@@ -25,25 +25,6 @@
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
 /// A synthetic op with an HBM preload and a fixed execute time.
 sim::SimOp
 make_op(int id, double dram, double exec_time, uint64_t preload_space,
@@ -371,7 +352,7 @@ class DisaggTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), 128,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          jobs, sopts);
     }
 

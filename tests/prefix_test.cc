@@ -25,27 +25,8 @@
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
-/// serialize_bits() without the trailing prefix block (u8 flag +
-/// 4 x 8-byte counters), the empty SLO block behind it (both reports
+/// serialize_bits() without the trailing prefix block, the empty SLO
+/// block behind it (both reports
 /// compared here have slo off, so that tail is fixed-size too), and
 /// the chunk/locality block behind that (both have chunking off):
 /// what the sharing-disabled anchor compares.
@@ -55,10 +36,9 @@ bits_before_prefix_block(const runtime::ServingReport& rep)
     std::string bits = rep.serialize_bits();
     EXPECT_FALSE(rep.slo);
     EXPECT_EQ(rep.prefill_chunk, 0);
-    constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
-    constexpr size_t kSloBlock = 1 + 3 * 4 + 3 * 8 + 4 + 8 + 4;
-    constexpr size_t kPrefixBlock = 1 + 4 * 8;
-    constexpr size_t kTail = kPrefixBlock + kSloBlock + kChunkBlock;
+    constexpr size_t kTail = testing::kPrefixBlock +
+                             testing::kSloBlockEmpty +
+                             testing::kChunkBlock;
     EXPECT_GE(bits.size(), kTail);
     return bits.substr(0, bits.size() - kTail);
 }
@@ -319,7 +299,7 @@ class PrefixServingTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          /*jobs=*/1, sopts);
     }
 

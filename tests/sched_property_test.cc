@@ -5,11 +5,12 @@
  * x residency policy x locality) over random traces, each serve
  * checked against conservation invariants (every request completes
  * exactly once, prompt tokens partition into ingested + prefix-hit,
- * per-tenant roll-ups partition the totals) and against itself:
- * serve-twice bit-identity and --jobs 1 vs --jobs 4 compiler
- * bit-identity. Failures print the offending config seed. Plus
- * backfill units for tag_deadlines(), tag_tenants() and pick_bucket()
- * on residual chunk lengths.
+ * per-tenant roll-ups partition the totals), against a committed
+ * golden digest per config (the scheduler's results may not drift
+ * under a refactor), and against itself: serve-twice bit-identity and
+ * --jobs 1 vs --jobs 4 compiler bit-identity. Failures print the
+ * offending config seed. Plus backfill units for tag_deadlines(),
+ * tag_tenants() and pick_bucket() on residual chunk lengths.
  */
 #include <gtest/gtest.h>
 
@@ -23,28 +24,86 @@
 #include "graph/model_builder.h"
 #include "runtime/server.h"
 #include "test_helpers.h"
+#include "util/bits.h"
 
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
+constexpr int kConfigs = 200;
+
+/// FNV-1a digest of ServingReport::serialize_bits() for config i of
+/// RandomConfigsConserveAndReproduce (Mode::kStatic / kElkFull
+/// programs from the tiny chip). Regenerate only for an intended change
+/// of scheduling results, never to make a refactor pass.
+constexpr uint64_t kGoldenDigests[kConfigs] = {
+    0x6d0780338b829908ull, 0xebf7aebb275a4895ull, 0x97ab7efeb5b60266ull,
+    0x3bea64ff8c5031a3ull, 0x2627a66a0a221231ull, 0x84f649cd4b520354ull,
+    0x36327995c0819061ull, 0xaccae135d3fdd07eull, 0x315e20081c1db2a5ull,
+    0x4ddedeb208f73dc3ull, 0xb32a985c83051185ull, 0x3129aa54f87f098cull,
+    0x8d30eda5da39f3c1ull, 0xc305098b599d6584ull, 0x2c1ab28122ee1a26ull,
+    0xfecd3676eea2f56dull, 0x9e040968f701491cull, 0xcc68d3b61bf472bfull,
+    0x3003a0b02b24fe93ull, 0x60ec4b45bff25402ull, 0x80343b14df6793fdull,
+    0xf9e90443fe6cd666ull, 0xd9e60d77e66ebb15ull, 0xad1c85240faddb63ull,
+    0x8072656c86e926e4ull, 0x0a69c7a94d206d43ull, 0xc0b468c98d366e5eull,
+    0x32d9f22bda0af387ull, 0x5ac9858cc75a3b45ull, 0xf29d1f5748242ba5ull,
+    0x27d49f47efb93362ull, 0x8c3b8c22e465f5bcull, 0x26763ad37da420afull,
+    0x35bc81b5e421d484ull, 0x5b7baf41126da6abull, 0xcb5aeb668f50a695ull,
+    0xe5c06a43a584840aull, 0x0237e68bc6379057ull, 0x808c7e55131f4c8dull,
+    0xb862b6e1c75ba745ull, 0x022d353951fe7a52ull, 0xe69801f800f8809cull,
+    0xf7852c2053d64600ull, 0x8e0824392f0a6bb0ull, 0xb26681a7567e9e4dull,
+    0x84740ba4ec943dc8ull, 0x9dfac9edf980cf04ull, 0x1dc28b7a0a8136baull,
+    0x623f9544fff8e7b3ull, 0x7deeae67ee51c380ull, 0xdd1ff552a9ff664dull,
+    0x29f6a0a016819429ull, 0xf058d5a532bbe820ull, 0xce5493acb3c8859aull,
+    0xa52d4ed038db5763ull, 0xe3330e6becd6779dull, 0x58228b8a1da36281ull,
+    0x515b2aaeff29d8bdull, 0x6206816264209398ull, 0xca6bcffdda76fc7dull,
+    0xfe958e15466ea8a9ull, 0xd63c01b8791b1ef3ull, 0xc92afb7d5f282081ull,
+    0xc0b5cf3db75fb2d8ull, 0xfa434d302a36aa3cull, 0x64e5159407a530b4ull,
+    0x0f18c1f00bc64509ull, 0x259c6f66201dfdb9ull, 0xe9c14fb00a4c5e28ull,
+    0xef41ee143752a4a1ull, 0xf2bf5cc894bb2705ull, 0xb1486fd7b47066f3ull,
+    0x4f8c1ffae6315c9full, 0x076c0a20eb485180ull, 0x841ceb2b2ad67f48ull,
+    0xa81c54e5741af663ull, 0xf6467cde33cfc005ull, 0xbac3ba141252c7beull,
+    0x47b03db981f96647ull, 0x532716a28904c8edull, 0xbc48e36028f4befcull,
+    0xb39f5b9240c589a1ull, 0x69a97c77b9d17e92ull, 0x379aef13a81e90a6ull,
+    0x6b3c30ca44711721ull, 0x6e474173b65a34bfull, 0x6729914833123bdfull,
+    0x61fabc49e9e34a44ull, 0x9f8c899e61cda108ull, 0xacab4dfc4fdc7311ull,
+    0x7e2b82a79b43cefdull, 0x4dcb4ad5ec089e31ull, 0x8556669c4b5cac1bull,
+    0x58b1db8c9e14ebb5ull, 0xe5d37754f0d162b8ull, 0xd33a4b14cec23f97ull,
+    0x279982ff221b71dcull, 0x3915a361fd7b5a05ull, 0x229e4bdd918b6e3eull,
+    0xf61972092a7c9f63ull, 0xbc7206a86d72882full, 0x0b1041b1ea5aea7aull,
+    0x00ff056b5b9a6905ull, 0xa5eee322f5c08993ull, 0x83268e36f82d12edull,
+    0xa45ffce96e7a9209ull, 0x23941f90422983ceull, 0x3752a6fa98b22e72ull,
+    0xae1f834ee10e4800ull, 0x79c0ce8317c388a9ull, 0x26ae073749dfdd1bull,
+    0x65dc0c35e4645afcull, 0x1484183bc2129c64ull, 0xb6ac418d46671341ull,
+    0x99231c911864d5c6ull, 0xa4418424bff5a95eull, 0x82eeb78fb74bfda1ull,
+    0x08ea41c352c3e835ull, 0x99f083634be397cbull, 0xd7934ff64a5cd941ull,
+    0xa9fd84323392ea12ull, 0x495d0e6342903b1aull, 0x3b463456ae6f0f20ull,
+    0xf709aa0eae9672efull, 0xbe71c99e8e88adb2ull, 0x86cf65d20128b1f9ull,
+    0x3339e4e4135ea004ull, 0xf0a44aa0ccad9db3ull, 0x6628fb844a227478ull,
+    0xe799f052431b62a6ull, 0xacf6b2d9f4b75a05ull, 0x0627a60eb67a8cd7ull,
+    0x2dd072ad9d57e9dbull, 0xdc8bc520ba95631aull, 0x23899b4167d04f17ull,
+    0x89caa1e85a9b2abfull, 0x5ac722a038a0789aull, 0xaa75e0e25e269c95ull,
+    0x84195a53834a8652ull, 0x1bb5543d8de0e9cfull, 0x6fcb67101116fd05ull,
+    0xb40f3d4f3fdd5785ull, 0x1a4f0f385bff43acull, 0x17149c561aba16dbull,
+    0xd79a81444460ffbdull, 0x8e919eac3d388595ull, 0x89372e23e08f899eull,
+    0xbddd0bb12d69e43aull, 0x4f92bc0fb14a4851ull, 0xb4c2c3b05a41ffe0ull,
+    0x61384f4f8b14737cull, 0x73c04ba87efc83f2ull, 0x59166baacc454069ull,
+    0x29fb92e921493f82ull, 0x94d0445efe87a091ull, 0xdfaab76f99fd382eull,
+    0xf6c5065d894fb363ull, 0x2aa58a1c19fc06b5ull, 0xc01487f2b20bb9d0ull,
+    0xa433f2dfe8dcbeccull, 0x857a4213ebc358e1ull, 0xa3952a566c38aa32ull,
+    0x61aa43b0f018b65full, 0x4f400e83cb9f3882ull, 0xe657235da2554332ull,
+    0xdb0d65214edfc756ull, 0xca91a9743516fb5aull, 0xe1baa4b3cd390de1ull,
+    0x52c3759871b002dbull, 0x7aa7d13298b81d0bull, 0x617eccfa74ac3fddull,
+    0x6042a1ae96a1e23aull, 0x0c949de4572e568dull, 0xc2195f145ee356b9ull,
+    0x862684fbaea6a436ull, 0xda6f3db2a7527d9aull, 0x159051e5d065e9d6ull,
+    0x23a66a145c73f1c2ull, 0xd2e8f53791ecb418ull, 0x73e581bd7dadf7b9ull,
+    0x8abf336dfbe22380ull, 0x382a59f9694f4e83ull, 0x3418c046f0036f25ull,
+    0xbeb3d9216802278full, 0x5894dcbb1609e4abull, 0x81d4e27c0315853dull,
+    0x0cd4eb7ef39c33c6ull, 0x5bdd0ceb2a647874ull, 0x9713492e89821169ull,
+    0x95bc52fe94c5a614ull, 0xd41fe466b2df0ba4ull, 0x4bb6e22b8cee74cfull,
+    0x3a77621cffb7b9e6ull, 0x554e31ee3872348full, 0xf9907cd9a7541909ull,
+    0xcad74207f1e0becaull, 0x0d8f7963fff0acdfull, 0x27e4b05f3e7d77edull,
+    0x968721390e10c923ull, 0xe90b3c7667eb1f5cull,
+};
 
 /// One drawn scheduler configuration + trace, fully determined by its
 /// seed (the failure-reproduction handle).
@@ -90,7 +149,7 @@ class SchedPropertyTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         tiny_chip(), copts, cache,
+                                         testing::tiny_chip(), copts, cache,
                                          jobs, sopts);
     }
 
@@ -185,56 +244,35 @@ class SchedPropertyTest : public ::testing::Test {
         return cfg;
     }
 
-    compiler::PlanCache cache1_;  ///< --jobs 1 compilers.
-    compiler::PlanCache cache4_;  ///< --jobs 4 compilers.
-};
+    /// Serves @p cfg through freshly built programs from @p dc / @p pc.
+    static runtime::ServingReport
+    serve(const Config& cfg, compiler::ServingCompiler& dc,
+          compiler::ServingCompiler& pc)
+    {
+        runtime::Server s(dc.machine(), cfg.opts);
+        return s.serve(
+            cfg.trace, [&](int b, int len) { return pc.program(b, len); },
+            [&](int b) { return dc.program(b); });
+    }
 
-// The harness: every drawn config must (a) conserve its trace — each
-// request completes exactly once, decode tokens match the trace sum,
-// ingested + prefix-covered prompt tokens partition the prompt sum,
-// tenant roll-ups partition both totals; (b) reproduce itself —
-// serving the same trace twice through the same programs is
-// bit-identical; (c) be compiler-parallelism-blind — programs built
-// with --jobs 4 serve bit-identically to --jobs 1.
-TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
-{
-    constexpr int kConfigs = 200;
-    for (int i = 0; i < kConfigs; ++i) {
-        Config cfg = draw_config(i);
-        SCOPED_TRACE(cfg.describe());
-
-        auto dc1 = make_compiler(compiler::GraphKind::kDecode,
-                                 cfg.mode, /*jobs=*/1, &cache1_);
-        auto pc1 = make_compiler(compiler::GraphKind::kPrefill,
-                                 cfg.mode, /*jobs=*/1, &cache1_);
-        auto dc4 = make_compiler(compiler::GraphKind::kDecode,
-                                 cfg.mode, /*jobs=*/4, &cache4_);
-        auto pc4 = make_compiler(compiler::GraphKind::kPrefill,
-                                 cfg.mode, /*jobs=*/4, &cache4_);
-        auto serve = [&](compiler::ServingCompiler& dc,
-                         compiler::ServingCompiler& pc) {
-            runtime::Server s(dc.machine(), cfg.opts);
-            return s.serve(
-                cfg.trace,
-                [&](int b, int len) { return pc.program(b, len); },
-                [&](int b) { return dc.program(b); });
-        };
-        auto rep = serve(dc1, pc1);
-
-        // (a) conservation.
+    /// Conservation: each request completes exactly once, decode
+    /// tokens match the trace sum, ingested + prefix-covered prompt
+    /// tokens partition the prompt sum, tenant roll-ups partition both
+    /// totals, and disabled features leave their counters at zero.
+    static void
+    expect_conserves(const Config& cfg, const runtime::ServingReport& rep)
+    {
         ASSERT_EQ(rep.requests, static_cast<int>(cfg.trace.size()));
         int64_t decode_sum = 0;
         int64_t prompt_sum = 0;
         for (const auto& r : cfg.trace) {
             decode_sum += r.decode_tokens;
             if (r.phase == runtime::Phase::kPrefill) {
-                prompt_sum +=
-                    r.prompt_len > 0 ? r.prompt_len : kSeq;
+                prompt_sum += r.prompt_len > 0 ? r.prompt_len : kSeq;
             }
         }
         EXPECT_EQ(rep.tokens, decode_sum);
-        EXPECT_EQ(rep.prompt_tokens + rep.prefix_hit_tokens,
-                  prompt_sum);
+        EXPECT_EQ(rep.prompt_tokens + rep.prefix_hit_tokens, prompt_sum);
         if (cfg.opts.slo) {
             ASSERT_EQ(rep.tenant_shares.size(),
                       static_cast<size_t>(cfg.opts.tenants));
@@ -253,8 +291,8 @@ TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
             EXPECT_TRUE(rep.tenant_shares.empty());
         }
         // The KV ledger balances: the engine panics on any unmatched
-        // alloc/pin/free, so a completed serve with a sane peak is
-        // the balance check.
+        // alloc/pin/free, so a completed serve with a sane peak is the
+        // balance check.
         if (cfg.opts.kv_budget > 0) {
             EXPECT_LE(rep.mean_kv_bytes,
                       static_cast<double>(rep.kv_bytes_peak) + 1.0);
@@ -267,14 +305,49 @@ TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
             EXPECT_EQ(rep.chunked_prompts, 0);
             EXPECT_EQ(rep.chunk_decode_interleaves, 0);
         }
+    }
 
-        // (b) serve-twice bit-identity.
-        auto again = serve(dc1, pc1);
-        EXPECT_EQ(rep.serialize_bits(), again.serialize_bits());
+    compiler::PlanCache cache1_;  ///< --jobs 1 compilers.
+    compiler::PlanCache cache4_;  ///< --jobs 4 compilers.
+};
 
-        // (c) --jobs 1 vs --jobs 4 bit-identity.
-        auto parallel = serve(dc4, pc4);
-        EXPECT_EQ(rep.serialize_bits(), parallel.serialize_bits());
+// The harness: every drawn config must (a) conserve its trace (see
+// expect_conserves); (b) serve exactly the committed golden digest;
+// (c) reproduce itself — serving the same trace twice through the same
+// programs is bit-identical; (d) be compiler-parallelism-blind —
+// programs built with --jobs 4 serve bit-identically to --jobs 1.
+TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
+{
+    for (int i = 0; i < kConfigs; ++i) {
+        Config cfg = draw_config(i);
+        SCOPED_TRACE(cfg.describe());
+
+        auto dc1 = make_compiler(compiler::GraphKind::kDecode,
+                                 cfg.mode, /*jobs=*/1, &cache1_);
+        auto pc1 = make_compiler(compiler::GraphKind::kPrefill,
+                                 cfg.mode, /*jobs=*/1, &cache1_);
+        auto dc4 = make_compiler(compiler::GraphKind::kDecode,
+                                 cfg.mode, /*jobs=*/4, &cache4_);
+        auto pc4 = make_compiler(compiler::GraphKind::kPrefill,
+                                 cfg.mode, /*jobs=*/4, &cache4_);
+        auto rep = serve(cfg, dc1, pc1);
+        const std::string bits = rep.serialize_bits();
+
+        // (a) conservation.
+        expect_conserves(cfg, rep);
+
+        // (b) the golden corpus.
+        util::Fnv1a digest;
+        digest.mix(bits.data(), bits.size());
+        EXPECT_EQ(digest.value(), kGoldenDigests[i])
+            << "config " << i << " seed " << cfg.seed
+            << " digest 0x" << digest.hex();
+
+        // (c) serve-twice bit-identity.
+        EXPECT_EQ(bits, serve(cfg, dc1, pc1).serialize_bits());
+
+        // (d) --jobs 1 vs --jobs 4 bit-identity.
+        EXPECT_EQ(bits, serve(cfg, dc4, pc4).serialize_bits());
 
         if (::testing::Test::HasFailure()) {
             FAIL() << "stopping at first failing " << cfg.describe();

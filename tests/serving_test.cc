@@ -22,25 +22,6 @@
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
 /// A synthetic op with an HBM preload and a fixed execute time.
 sim::SimOp
 make_op(int id, double dram, double exec_time, uint64_t preload_space,
@@ -297,7 +278,7 @@ class ServerTest : public ::testing::Test {
         copts.mode = compiler::Mode::kElkFull;
         copts.max_orders = 6;
         return compiler::ServingCompiler(testing::tiny_llm(), 512,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          jobs);
     }
 
@@ -371,7 +352,7 @@ TEST_F(ServerTest, PoissonReportBitIdenticalAcrossCompilerJobs)
     copts.mode = compiler::Mode::kElkFull;
     copts.max_orders = 6;
     compiler::ServingCompiler parallel_sc(testing::tiny_llm(), 512,
-                                          tiny_chip(), copts,
+                                          testing::tiny_chip(), copts,
                                           &fresh_cache, 4);
     auto parallel = serve(parallel_sc, sopts, arrivals);
     EXPECT_EQ(serial.serialize_bits(), parallel.serialize_bits());
@@ -398,7 +379,7 @@ TEST(PlanCacheTest, SecondCompileHitsAndMatchesBitExactly)
 {
     auto harness_graph = graph::build_decode_graph(testing::tiny_llm(),
                                                    8, 512);
-    hw::ChipConfig cfg = tiny_chip();
+    hw::ChipConfig cfg = testing::tiny_chip();
     compiler::PlanCache cache;
     compiler::Compiler comp(harness_graph, cfg);
     comp.set_plan_cache(&cache);
@@ -452,8 +433,8 @@ TEST(PlanCacheTest, KeyDistinguishesModelChipModeAndKnobs)
 {
     auto g1 = graph::build_decode_graph(testing::tiny_llm(), 8, 512);
     auto g2 = graph::build_decode_graph(testing::tiny_llm(), 16, 512);
-    hw::ChipConfig c1 = tiny_chip();
-    hw::ChipConfig c2 = tiny_chip();
+    hw::ChipConfig c1 = testing::tiny_chip();
+    hw::ChipConfig c2 = testing::tiny_chip();
     c2.hbm_total_bw *= 2;
     compiler::CompileOptions opts;
 
@@ -476,9 +457,9 @@ TEST(ServingCompilerTest, SharedCacheAmortizesAcrossInstances)
     compiler::PlanCache cache;
     compiler::CompileOptions copts;
     copts.mode = compiler::Mode::kElkDyn;
-    compiler::ServingCompiler a(testing::tiny_llm(), 512, tiny_chip(),
+    compiler::ServingCompiler a(testing::tiny_llm(), 512, testing::tiny_chip(),
                                 copts, &cache);
-    compiler::ServingCompiler b(testing::tiny_llm(), 512, tiny_chip(),
+    compiler::ServingCompiler b(testing::tiny_llm(), 512, testing::tiny_chip(),
                                 copts, &cache);
     auto pa = a.program(4);
     EXPECT_EQ(cache.stats().hits, 0);
@@ -501,7 +482,7 @@ TEST(ServingCompilerTest, ConcurrentProgramCallsShareTheWarmGrid)
     copts.mode = compiler::Mode::kElkDyn;
     copts.max_orders = 6;
     compiler::ServingCompiler pc(
-        testing::tiny_llm(), 128, tiny_chip(), copts, &cache,
+        testing::tiny_llm(), 128, testing::tiny_chip(), copts, &cache,
         /*jobs=*/1, compiler::ServingCompiler::Options::prefill());
     util::ThreadPool pool(4);
     constexpr int kTasks = 36;

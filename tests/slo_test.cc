@@ -20,41 +20,15 @@
 namespace elk {
 namespace {
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
-/// Trailing serialize_bits() block sizes (see ServingReport::
-/// serialize_bits — the prefix, SLO and chunk blocks are the fixed
-/// suffix, chunk last). The anchor strips the SLO block and the
-/// chunk/locality block behind it (chunking is off on both sides) to
-/// compare everything in front.
-constexpr size_t kSloBlockEmpty = 1 + 3 * 4 + 3 * 8 + 4 + 8 + 4;
-constexpr size_t kTenantEntry = 4 + 4 + 8 + 8 + 4 + 4 + 8;
-constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
-
 /// @p bits minus the trailing SLO block carrying @p tenants entries
-/// (and the chunk/locality block behind it).
+/// and the chunk/locality block behind it (chunking is off on both
+/// sides of the anchor), leaving everything in front to compare.
 std::string
 strip_slo_block(const std::string& bits, int tenants)
 {
-    const size_t tail =
-        kSloBlockEmpty + tenants * kTenantEntry + kChunkBlock;
+    const size_t tail = testing::kSloBlockEmpty +
+                        tenants * testing::kTenantEntry +
+                        testing::kChunkBlock;
     EXPECT_GE(bits.size(), tail);
     return bits.substr(0, bits.size() - tail);
 }
@@ -76,7 +50,7 @@ class SloServingTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          /*jobs=*/1, sopts);
     }
 
@@ -422,7 +396,7 @@ TEST_F(SloDeathTest, RejectsBadTenantAndDeadlineTags)
 
 TEST_F(SloDeathTest, RejectsBadOptionCombinations)
 {
-    sim::Machine machine(tiny_chip());
+    sim::Machine machine(testing::tiny_chip());
 
     runtime::ServerOptions no_slo = plain_options();
     no_slo.tenants = 2;

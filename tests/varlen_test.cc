@@ -24,25 +24,6 @@ namespace {
 
 constexpr int kSeq = 128;  ///< model sequence length of the fixture.
 
-/// The CompilerHarness::tiny() chip, for fast serving-stack tests.
-hw::ChipConfig
-tiny_chip()
-{
-    hw::ChipConfig chip;
-    chip.cores_per_chip = 64;
-    chip.num_chips = 1;
-    chip.sram_per_core = 256ull * 1024;
-    chip.transfer_buffer_per_core = 8ull * 1024;
-    chip.core_matmul_flops = 50e9;
-    chip.core_vector_flops = 5e9;
-    chip.inter_core_link_bw = 4e9;
-    chip.hbm_total_bw = 200e9;
-    chip.hbm_channels_per_chip = 2;
-    chip.mesh_width = 8;
-    chip.mesh_height = 8;
-    return chip;
-}
-
 // ---------------------------------------------------------------------------
 // Bucket selection and the prompt-length distribution
 
@@ -110,7 +91,7 @@ class VarlenTest : public ::testing::Test {
                 ? compiler::ServingCompiler::kPrefillIdOffset
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         tiny_chip(), copts, &cache_,
+                                         testing::tiny_chip(), copts, &cache_,
                                          /*jobs=*/1, sopts);
     }
 
@@ -315,8 +296,8 @@ TEST_F(VarlenTest, MakePlanKeySeparatesSequenceLengths)
     auto g16 = graph::build_forward_graph(testing::tiny_llm(), 2, 16);
     auto g64 = graph::build_forward_graph(testing::tiny_llm(), 2, 64);
     compiler::CompileOptions opts;
-    auto k16 = compiler::make_plan_key(g16, tiny_chip(), opts);
-    auto k64 = compiler::make_plan_key(g64, tiny_chip(), opts);
+    auto k16 = compiler::make_plan_key(g16, testing::tiny_chip(), opts);
+    auto k64 = compiler::make_plan_key(g64, testing::tiny_chip(), opts);
     EXPECT_EQ(k16.seq, 16);
     EXPECT_EQ(k64.seq, 64);
     EXPECT_TRUE(k16 < k64 || k64 < k16);
