@@ -81,30 +81,33 @@ engine_options(const ServerOptions& opts)
  * four queues — (prefill | decode) x (high | normal) — and every
  * iteration serves one class: prefill-first (a waiting prompt blocks
  * nothing longer than one iteration and unlocks its decode work),
- * high before normal within a class. The decode batch itself is
- * iteration-level: members persist across decode iterations until
- * their tokens are done. High-priority arrivals preempt a running
- * all-normal iteration at the next step() boundary via
- * EngineState::park(): one iteration serving only already-queued
- * high-priority work runs on the same state, then the victim resumes
- * where it stopped. On a degenerate trace (decode-only, all normal)
- * this loop performs exactly the PR 2 sequence of engine and
- * accumulator operations, so its report is bit-identical to the plain
- * serve() overload — asserted in tests/preempt_test.cc.
+ * high before normal within a class. Queue order is claim order:
+ * arrival order, EDF with slo, and the length/KV-aware order under
+ * chunking.
  *
- * With ServerOptions::slo the same queues order earliest-deadline-
- * first (ties on request id — queue_insert keeps them sorted, so
- * every claim site below reads EDF order for free), claims consult a
- * per-tenant deficit-round-robin token budget (replenish() opens a
- * fairness window whenever work waits but nothing is claimable, so
- * the scheduler stays work-conserving), and an urgent deadline
- * arrival can trigger the same park/resume preemption as a
- * high-priority one, bounded by the triggering request's
- * preempt_budget. Every slo branch is guarded by slo_on_, and with
- * slo on over a single-tenant no-deadline trace the EDF order
- * degenerates to FIFO and the replenish loop always fills the batch —
- * the same claims, the same engine ops, bit-identical to slo off
- * (asserted in tests/slo_test.cc).
+ * Every iteration fills its batch through one claim walk, claim():
+ * queue order, the slo mode and deficit gates, fairness windows while
+ * slots stay free, the cap — plus a per-member admission step the
+ * caller supplies. Decode admits everyone. Prefill admits a prompt
+ * when the KV ledger fits it (or it is oversized, or force-admitted),
+ * and on admission runs the one per-member ingest step, ingest_prompt()
+ * (prefix hit / migrate / miss, tail KV growth and pinning, the chunk
+ * advance); with KV modeling off the same step runs with the ledger
+ * off. A prompt that does not fit ends the claim. If that leaves the
+ * claim empty, no program runs: the loop falls back to decode work,
+ * or force-admits when there is none, exactly as when the head prompt
+ * does not fit.
+ *
+ * The decode batch is iteration-level: members persist across decode
+ * iterations until their tokens are done. High-priority arrivals (and,
+ * with slo, urgent deadline carriers within their preempt_budget)
+ * preempt a running iteration at the next step() boundary via
+ * EngineState::park(): one nested iteration of the same two routines
+ * serves the urgent work on the same state, then the victim resumes
+ * where it stopped. On a decode-only all-normal trace this loop
+ * performs exactly the sequence of engine and accumulator operations
+ * of the plain serve() overload, so the reports are bit-identical
+ * (asserted in tests/preempt_test.cc).
  */
 class DisaggRun {
   public:
@@ -172,9 +175,10 @@ class DisaggRun {
         const double db = effective_deadline(b);
         return da != db ? da < db : a < b;
     }
-    /// Appends @p r to @p q (slo off) or insert-sorts it EDF (slo on),
-    /// so queue order IS claim order in both schedulers.
-    void queue_insert(std::deque<int>& q, int r);
+    /// Appends @p r to its priority class's prefill (@p prefill) or
+    /// decode queue (slo off) or insert-sorts it EDF (slo on), so
+    /// queue order IS claim order in both schedulers.
+    void enqueue(int r, bool prefill);
     /// Whether @p mode lets @p r into the claimed batch.
     bool claim_eligible(int r, ClaimMode mode) const;
     /// Opens one fairness window: every tenant's deficit gains its
@@ -182,13 +186,17 @@ class DisaggRun {
     /// tenant cannot hoard windows; a tenant in debt climbs out one
     /// window at a time).
     void replenish();
-    /// Claims up to @p cap members from @p hi (then @p lo, unless
-    /// kHighOnly) in queue order, appending to @p members. With slo
-    /// the queue order is EDF and a member's tenant must hold positive
+    /// The claim walk: fills @p members up to @p cap from @p hi (then
+    /// @p lo, unless kHighOnly) in queue order. With slo a member must
+    /// be eligible under @p mode and its tenant must hold positive
     /// deficit; windows replenish while slots stay unfilled and
-    /// eligible work waits, so the claim is work-conserving.
+    /// eligible work waits, so the claim is work-conserving. Each
+    /// candidate that passes those gates goes to @p admit(r): true
+    /// takes it (the step has done its per-member bookkeeping), false
+    /// ends the whole claim — no later member, no fairness window.
+    template <typename Admit>
     void claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
-               ClaimMode mode, std::vector<int>& members);
+               ClaimMode mode, std::vector<int>& members, Admit&& admit);
     /// Most urgent queued deadline carrier (EDF order) that beats
     /// @p thresh and still holds trigger budget; -1 when none.
     /// @p prefill reports whether it waits in a prefill queue.
@@ -214,13 +222,35 @@ class DisaggRun {
     /// a preemption iteration, which must not size the residency
     /// budget — its working set (a mini batch) is not representative.
     void account(const IterOutcome& o, bool decode, bool nested);
-    void run_prefill_iteration(ClaimMode mode, bool interruptible,
+
+    /// One prefill claim: the members in claim order and, parallel to
+    /// them, the prompt tokens each ingests this iteration (the full
+    /// prompt, its residual past a cached prefix, or one chunk) and the
+    /// tokens it would have ingested with no prefix cached (what
+    /// prefill_tokens_saved compares against); plus the stalls the
+    /// claimed members' KV charges before the program runs.
+    struct PrefillClaim {
+        std::vector<int> members;
+        std::vector<int> residuals;
+        std::vector<int> fulls;
+        int64_t prefix_stream = 0;  ///< spilled-prefix tokens fetched back.
+        double migrate_stall = 0.0;  ///< router-priced interconnect stalls.
+    };
+    /// The per-member ingest step of a prefill claim: resolves the
+    /// prefix ledger on a prompt's first claim, advances the chunk,
+    /// grows and pins the private-tail KV, and records the member's
+    /// token counts in @p c.
+    void ingest_prompt(int r, PrefillClaim& c);
+    /// Claims and runs one prefill iteration. Returns false — having
+    /// run nothing — when a KV deferral ended the claim before it took
+    /// anyone (the deferral is counted); never with @p force_admit.
+    bool run_prefill_iteration(ClaimMode mode, bool interruptible,
                                bool force_admit = false);
-    void run_decode_iteration(bool interruptible);
-    /// Nested decode iteration while the preempted victim is parked:
-    /// high-priority members only (kHighOnly), or also deadline
-    /// carriers beating the victim's bar (kUrgent).
-    void run_decode_mini(ClaimMode mode);
+    /// One decode iteration. kAll fills the persistent running batch
+    /// and is preemptible; a nested preemption iteration (kHighOnly,
+    /// kUrgent) claims a mini batch of its own while the victim is
+    /// parked, and its survivors go back to their queues.
+    void run_decode_iteration(ClaimMode mode);
     void finalize();
 
     /// A request's prompt length with the 0 = "full model sequence
@@ -242,11 +272,48 @@ class DisaggRun {
         return (tokens * opts_.kv_bytes_per_token + cores - 1) / cores;
     }
 
-    /// Whether the next waiting prompt's KV can be admitted right now:
-    /// it fits the budget next to the resident segments, or it could
-    /// never fit at all (oversized segments are born spilled instead
-    /// of deferred forever).
+    /// Whether prompt @p r's KV can be admitted right now: it fits the
+    /// budget next to the resident segments, or it could never fit at
+    /// all (oversized segments are born spilled instead of deferred
+    /// forever).
+    bool kv_admits(int r) const
+    {
+        const uint64_t bytes = prompt_kv_need(r);
+        return state_.kv_would_fit(bytes) || bytes > opts_.kv_budget;
+    }
+
+    /// kv_admits() for the head of the prefill queues (true when none
+    /// waits) — the head-of-queue backpressure check.
     bool prefill_admissible() const;
+
+    /// Prompt tokens the next claim of a prompt with @p remaining
+    /// tokens left ingests: one chunk under chunking, else all of them.
+    int chunk_of(int remaining) const
+    {
+        return chunk_on_ ? std::min(opts_.prefill_chunk, remaining)
+                         : remaining;
+    }
+
+    /// Pins segment @p seg for the coming iteration on behalf of
+    /// request @p r when it is resident and @p pinned (kv_pinned_ or
+    /// prefix_pinned_) says @p r holds no pin on it yet.
+    void pin_resident(int64_t seg, std::vector<bool>& pinned, int r)
+    {
+        if (!pinned[r] && state_.kv_resident(seg)) {
+            state_.kv_pin(seg);
+            pinned[r] = true;
+        }
+    }
+
+    /// Releases the iteration pins @p r holds on its private tail and
+    /// on its shared prefix.
+    void kv_release_pins(int r);
+
+    /// Appends @p tokens tokens to @p r's private-tail segment,
+    /// allocating it on first use. Growth uses the cumulative per-core
+    /// rounding, so the footprint never drifts from kv_per_core(tokens)
+    /// however the tokens arrive.
+    void kv_append(int r, int64_t tokens);
 
     /// Ensures every member of @p members has a resident, pinned KV
     /// segment where possible, allocating decode-phase arrivals'
@@ -255,18 +322,11 @@ class DisaggRun {
     /// idle-clock stall before the iteration.
     void kv_prepare(const std::vector<int>& members);
 
-    /// Charges @p stream_tokens tokens of KV streamed from HBM as an
-    /// idle-clock stall before an iteration (no-op for 0). The window
-    /// enters every time-weighted mean: HBM saturated for the
-    /// transfer, fabric quiet.
-    void kv_charge_stream(int64_t stream_tokens);
-
-    /// Charges @p dt seconds of cross-chip KV migration (the
-    /// router-priced interconnect transfer a Request carries) as an
-    /// idle-clock stall before an iteration (no-op for 0). Unlike
-    /// kv_charge_stream the data crosses the chip-to-chip wire, so
-    /// the window enters the means with local HBM and fabric quiet.
-    void kv_charge_migration(double dt);
+    /// Charges @p stream_tokens tokens of KV streamed from HBM, then
+    /// @p migrate_stall seconds of cross-chip KV migration (the
+    /// router-priced interconnect transfer a Request carries), as
+    /// idle-clock stalls before an iteration (each a no-op for 0).
+    void kv_charge(int64_t stream_tokens, double migrate_stall);
 
     /// Post-iteration bookkeeping for one member: releases its pin
     /// and either grows the segment by the decoded token or frees it
@@ -298,11 +358,10 @@ class DisaggRun {
                         prefix_tokens_[pid]);
     }
 
-    /// KV bytes the head prompt @p r must newly admit: its private
-    /// tail, plus its prefix segment when that is spilled (hit) or
-    /// not yet seeded (miss). The single source of truth for both
-    /// prefill_admissible() and the claim loop, so backpressure and
-    /// claiming can never disagree.
+    /// KV bytes prompt @p r must newly admit: its private tail, plus
+    /// its prefix segment when that is spilled (hit) or not yet seeded
+    /// (miss). The single source of truth behind kv_admits(), so
+    /// backpressure and claiming can never disagree.
     uint64_t prompt_kv_need(int r) const;
 
     /// Length/KV-aware prefill order under chunking: starved prompts
@@ -439,15 +498,8 @@ DisaggRun::admit()
     const int n = total_requests();
     while (next_arrival_ < n &&
            requests_[next_arrival_].arrival <= now_) {
-        int r = next_arrival_++;
-        const Request& req = requests_[r];
-        if (req.phase == Phase::kPrefill) {
-            queue_insert(
-                req.priority == Priority::kHigh ? pre_hi_ : pre_lo_, r);
-        } else {
-            queue_insert(
-                req.priority == Priority::kHigh ? dec_hi_ : dec_lo_, r);
-        }
+        const int r = next_arrival_++;
+        enqueue(r, requests_[r].phase == Phase::kPrefill);
     }
     refresh_next_high();
 }
@@ -472,8 +524,11 @@ DisaggRun::refresh_next_high()
 }
 
 void
-DisaggRun::queue_insert(std::deque<int>& q, int r)
+DisaggRun::enqueue(int r, bool prefill)
 {
+    const bool high = requests_[r].priority == Priority::kHigh;
+    std::deque<int>& q =
+        prefill ? (high ? pre_hi_ : pre_lo_) : (high ? dec_hi_ : dec_lo_);
     if (!slo_on_) {
         q.push_back(r);
         return;
@@ -511,40 +566,49 @@ DisaggRun::replenish()
     }
 }
 
+template <typename Admit>
 void
 DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
-                 ClaimMode mode, std::vector<int>& members)
+                 ClaimMode mode, std::vector<int>& members, Admit&& admit)
 {
+    bool stopped = false;
+    auto full = [&] { return static_cast<int>(members.size()) >= cap; };
     if (!slo_on_) {
-        while (!hi.empty() && static_cast<int>(members.size()) < cap) {
-            members.push_back(hi.front());
-            hi.pop_front();
-        }
-        if (mode != ClaimMode::kHighOnly) {
-            while (!lo.empty() &&
-                   static_cast<int>(members.size()) < cap) {
-                members.push_back(lo.front());
-                lo.pop_front();
+        auto pop = [&](std::deque<int>& q) {
+            while (!stopped && !q.empty() && !full()) {
+                if (!admit(q.front())) {
+                    stopped = true;
+                    return;
+                }
+                members.push_back(q.front());
+                q.pop_front();
             }
+        };
+        pop(hi);
+        if (mode != ClaimMode::kHighOnly) {
+            pop(lo);
         }
         return;
     }
     // EDF + deficit-round-robin. A pass walks a queue in EDF order
     // claiming eligible members whose tenant holds positive deficit;
-    // when slots remain and eligible work waits but nothing was
-    // claimable, a fairness window replenishes every deficit and the
-    // pass repeats — work-conserving: shares decide claim ORDER under
-    // contention, they never idle the chip.
+    // when slots remain and eligible work waits, a fairness window
+    // replenishes every deficit and the pass repeats — work-conserving:
+    // shares decide claim ORDER under contention, they never idle the
+    // chip. (A pass takes every claimable member, and deficits only
+    // change at execution, so repeating a pass without a window would
+    // take nobody.)
     auto pass = [&](std::deque<int>& q) {
-        for (auto it = q.begin();
-             it != q.end() && static_cast<int>(members.size()) < cap;) {
+        for (auto it = q.begin(); !stopped && it != q.end() && !full();) {
             const int r = *it;
-            if (claim_eligible(r, mode) &&
-                deficit_[requests_[r].tenant] > 0.0) {
+            if (!claim_eligible(r, mode) ||
+                deficit_[requests_[r].tenant] <= 0.0) {
+                ++it;
+            } else if (!admit(r)) {
+                stopped = true;
+            } else {
                 members.push_back(r);
                 it = q.erase(it);
-            } else {
-                ++it;
             }
         }
     };
@@ -557,12 +621,11 @@ DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
         return false;
     };
     for (;;) {
-        const size_t before = members.size();
         pass(hi);
         if (mode != ClaimMode::kHighOnly) {
             pass(lo);
         }
-        if (static_cast<int>(members.size()) >= cap) {
+        if (stopped || full()) {
             break;
         }
         const bool waiting =
@@ -572,12 +635,10 @@ DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
             break;
         }
         // Slots free, eligible work blocked on deficit alone: open a
-        // window. Progress is guaranteed — a window with no claim
-        // means every eligible tenant sits at a full (positive)
-        // quantum, so the next pass claims at least one.
-        if (members.size() == before) {
-            replenish();
-        }
+        // window. Progress is guaranteed — every window lifts each
+        // blocked tenant's deficit by its quantum, so within finitely
+        // many windows the next pass claims at least one.
+        replenish();
     }
 }
 
@@ -702,11 +763,11 @@ DisaggRun::release_scratch(std::vector<int>&& v)
 uint64_t
 DisaggRun::prompt_kv_need(int r) const
 {
-    if (chunk_on_ && pre_left_[r] >= 0) {
+    if (pre_left_[r] >= 0) {
         // A chunked prompt past its first chunk: admission gated on
         // the full need at the first chunk, so only the next chunk's
         // private-tail growth is new KV here.
-        const int ingest = std::min(opts_.prefill_chunk, pre_left_[r]);
+        const int ingest = chunk_of(pre_left_[r]);
         const int skip = std::min(tail_skip_left_[r], ingest);
         const int64_t tail_before =
             kv_tokens_[r] >= 0 ? kv_tokens_[r] : 0;
@@ -738,11 +799,7 @@ bool
 DisaggRun::prefill_admissible() const
 {
     const std::deque<int>& q = !pre_hi_.empty() ? pre_hi_ : pre_lo_;
-    if (q.empty()) {
-        return true;
-    }
-    uint64_t bytes = prompt_kv_need(q.front());
-    return state_.kv_would_fit(bytes) || bytes > opts_.kv_budget;
+    return q.empty() || kv_admits(q.front());
 }
 
 void
@@ -763,10 +820,7 @@ DisaggRun::kv_prepare(const std::vector<int>& members)
                 ++rep_.kv_refetches;
                 state_.kv_fetch(pseg);
             }
-            if (state_.kv_resident(pseg) && !prefix_pinned_[r]) {
-                state_.kv_pin(pseg);
-                prefix_pinned_[r] = true;
-            }
+            pin_resident(pseg, prefix_pinned_, r);
         }
         if (kv_tokens_[r] < 0) {
             // Decode-phase arrival: its KV state exists elsewhere.
@@ -791,90 +845,89 @@ DisaggRun::kv_prepare(const std::vector<int>& members)
             ++rep_.kv_refetches;
             state_.kv_fetch(r);
         }
-        if (state_.kv_resident(r) && !kv_pinned_[r]) {
-            state_.kv_pin(r);
-            kv_pinned_[r] = true;
-        }
+        pin_resident(r, kv_pinned_, r);
     }
-    kv_charge_stream(stream_tokens);
-    kv_charge_migration(migrate_stall);
+    kv_charge(stream_tokens, migrate_stall);
 }
 
 void
-DisaggRun::kv_charge_stream(int64_t stream_tokens)
+DisaggRun::kv_charge(int64_t stream_tokens, double migrate_stall)
 {
-    if (stream_tokens <= 0) {
-        return;
+    // Each stall is a pure clock advance before the iteration (the
+    // engine is idle) whose window still enters every time-weighted
+    // mean, the fabric quiet throughout.
+    auto idle = [&](double dt, double hbm_util) {
+        depth_mean_.add(dt, static_cast<double>(waiting_total()));
+        kv_mean_.add(dt, static_cast<double>(state_.kv_bytes()));
+        hbm_mean_.add(dt, hbm_util);
+        noc_mean_.add(dt, 0.0);
+        state_.run_to(state_.now() + dt);
+        now_ = state_.now();
+    };
+    if (stream_tokens > 0) {
+        // One serial HBM transfer: HBM saturated for its transfer
+        // part.
+        const hw::ChipConfig& cfg = machine_.config();
+        const double stream =
+            static_cast<double>(stream_tokens) *
+            static_cast<double>(opts_.kv_bytes_per_token) /
+            cfg.hbm_total_bw;
+        const double dt = cfg.hbm_access_latency_s + stream;
+        rep_.kv_stall += dt;
+        idle(dt, stream / dt);
     }
-    // One serial HBM transfer before the iteration starts; the
-    // engine is idle, so this is a pure clock advance. The
-    // window still enters every time-weighted mean — HBM is
-    // saturated for the transfer part, the fabric is quiet.
-    const hw::ChipConfig& cfg = machine_.config();
-    double stream =
-        static_cast<double>(stream_tokens) *
-        static_cast<double>(opts_.kv_bytes_per_token) /
-        cfg.hbm_total_bw;
-    double dt = cfg.hbm_access_latency_s + stream;
-    rep_.kv_stall += dt;
-    depth_mean_.add(dt, static_cast<double>(waiting_total()));
-    kv_mean_.add(dt, static_cast<double>(state_.kv_bytes()));
-    hbm_mean_.add(dt, stream / dt);
-    noc_mean_.add(dt, 0.0);
-    state_.run_to(state_.now() + dt);
-    now_ = state_.now();
+    if (migrate_stall > 0.0) {
+        // The segment lands over the chip-to-chip wire: local HBM
+        // carries none of it — the wire is the priced resource, and
+        // the router already folded its latency + bandwidth into the
+        // stall.
+        rep_.kv_migration_stall += migrate_stall;
+        idle(migrate_stall, 0.0);
+    }
 }
 
 void
-DisaggRun::kv_charge_migration(double dt)
-{
-    if (dt <= 0.0) {
-        return;
-    }
-    // The segment lands over the chip-to-chip wire while this chip
-    // idles: a pure clock advance like kv_charge_stream, but local
-    // HBM carries none of it — the wire is the priced resource, and
-    // the router already folded its latency + bandwidth into dt.
-    rep_.kv_migration_stall += dt;
-    depth_mean_.add(dt, static_cast<double>(waiting_total()));
-    kv_mean_.add(dt, static_cast<double>(state_.kv_bytes()));
-    hbm_mean_.add(dt, 0.0);
-    noc_mean_.add(dt, 0.0);
-    state_.run_to(state_.now() + dt);
-    now_ = state_.now();
-}
-
-void
-DisaggRun::kv_retire(int r, bool completed)
+DisaggRun::kv_release_pins(int r)
 {
     if (kv_pinned_[r]) {
         state_.kv_unpin(r);
         kv_pinned_[r] = false;
     }
-    if (prefix_on_ && prefix_share_[r] >= 0) {
-        const int64_t pseg = prefix_kv_id(prefix_share_[r]);
-        if (prefix_pinned_[r]) {
-            state_.kv_unpin(pseg);
-            prefix_pinned_[r] = false;
-        }
-        if (completed) {
-            // Drop the share; the segment itself stays cached for
-            // future carriers of the prefix (that is the cache).
-            state_.kv_release(pseg);
-            prefix_share_[r] = -1;
-        }
+    if (prefix_pinned_[r]) {
+        state_.kv_unpin(prefix_kv_id(prefix_share_[r]));
+        prefix_pinned_[r] = false;
     }
-    if (completed) {
-        state_.kv_free(r);
-        kv_tokens_[r] = -1;
+}
+
+void
+DisaggRun::kv_append(int r, int64_t tokens)
+{
+    if (kv_tokens_[r] < 0) {
+        kv_tokens_[r] = tokens;
+        state_.kv_alloc(r, kv_per_core(tokens));
         return;
     }
-    // The decoded token appends to the segment; growth uses the
-    // cumulative per-core rounding so the footprint never drifts
-    // from kv_per_core(tokens).
-    uint64_t before = kv_per_core(kv_tokens_[r]);
-    ++kv_tokens_[r];
+    const uint64_t before = kv_per_core(kv_tokens_[r]);
+    kv_tokens_[r] += tokens;
     state_.kv_grow(r, kv_per_core(kv_tokens_[r]) - before);
+}
+
+void
+DisaggRun::kv_retire(int r, bool completed)
+{
+    kv_release_pins(r);
+    if (!completed) {
+        kv_append(r, 1);  // the decoded token
+        return;
+    }
+    if (prefix_share_[r] >= 0) {
+        // Drop the share; the segment itself stays cached for future
+        // carriers of the prefix (that is the cache).
+        state_.kv_release(prefix_kv_id(prefix_share_[r]));
+        prefix_share_[r] = -1;
+    }
+    state_.kv_free(r);
+    kv_tokens_[r] = -1;
 }
 
 DisaggRun::IterOutcome
@@ -920,7 +973,7 @@ DisaggRun::preempt_for_high()
                               /*force_admit=*/kv_on_);
     } else if (!dec_hi_.empty()) {
         ++rep_.preemptions;
-        run_decode_mini(ClaimMode::kHighOnly);
+        run_decode_iteration(ClaimMode::kHighOnly);
     } else if (slo_on_) {
         // No high-priority work: a deadline carrier may still have
         // tripped the watcher. It preempts only when it is more
@@ -939,7 +992,7 @@ DisaggRun::preempt_for_high()
                                       /*interruptible=*/false,
                                       /*force_admit=*/kv_on_);
             } else {
-                run_decode_mini(ClaimMode::kUrgent);
+                run_decode_iteration(ClaimMode::kUrgent);
             }
         }
         // A watcher trip with no trigger is a harmless exact
@@ -991,6 +1044,91 @@ DisaggRun::account(const IterOutcome& o, bool decode, bool nested)
 }
 
 void
+DisaggRun::ingest_prompt(int r, PrefillClaim& c)
+{
+    const int len = effective_prompt_len(r);
+    const bool first = pre_left_[r] < 0;
+    int remaining = pre_left_[r];
+    if (first) {
+        // With prefix sharing, a prompt whose prefix id matches a
+        // cached segment is a hit: it shares the segment (refcount)
+        // and skips the covered tokens — only the residual reaches
+        // prefill, and only its private tail is new KV. The first
+        // carrier of a prefix seeds the shared segment next to its
+        // tail; a spilled prefix streams back before the iteration,
+        // priced like any KV refetch.
+        int tail = len;
+        remaining = len;
+        const int pid = prefix_on_ ? requests_[r].prefix_id : -1;
+        if (pid >= 0) {
+            const int64_t pseg = prefix_kv_id(pid);
+            const int covered = static_cast<int>(prefix_covered(r));
+            const int plen = requests_[r].prefix_len;
+            if (covered > 0) {
+                ++rep_.prefix_hits;
+                rep_.prefix_hit_tokens += covered;
+                remaining = tail = len - covered;
+                if (!state_.kv_resident(pseg)) {
+                    c.prefix_stream += prefix_tokens_[pid];
+                    ++rep_.kv_refetches;
+                    state_.kv_fetch(pseg);
+                }
+            } else {
+                // Miss: seed the shared segment at the request's full
+                // prefix span. Migration is a miss whose segment
+                // arrives over the cluster interconnect from the chip
+                // that holds it: the covered tokens skip prefill like
+                // a hit, and the wire transfer (priced by the router)
+                // stalls this chip instead of a re-prefill.
+                prefix_tokens_[pid] = plen;
+                tail = len - plen;
+                if (requests_[r].kv_migrate_tokens > 0) {
+                    ++rep_.prefix_hits;
+                    rep_.prefix_hit_tokens += plen;
+                    ++rep_.kv_migrations;
+                    rep_.kv_migrated_tokens += plen;
+                    c.migrate_stall += requests_[r].kv_migrate_stall;
+                    remaining = tail;
+                }
+                state_.kv_alloc(pseg, kv_per_core(plen));
+            }
+            state_.kv_share(pseg);
+            prefix_share_[r] = pid;
+            // Pin the prefix for this iteration before the tail
+            // allocates, so the tail cannot evict it.
+            pin_resident(pseg, prefix_pinned_, r);
+        }
+        // The unseeded span of a missed prefix is ingested first and
+        // appends no private-tail KV: it lives in the prefix segment
+        // seeded whole above.
+        tail_skip_left_[r] = remaining - tail;
+    }
+    const int ingest = chunk_of(remaining);
+    if (chunk_on_) {
+        if (first && remaining > ingest) {
+            ++rep_.chunked_prompts;
+        }
+        pre_left_[r] = remaining - ingest;
+        pre_skips_[r] = 0;
+        ++rep_.prefill_chunks;
+    }
+    if (kv_on_) {
+        // The private tail grows chunk by chunk (admission gated on
+        // the full need at the first chunk; growth spills under
+        // pressure instead of deferring, so mid-prompt chunks cannot
+        // deadlock on backpressure).
+        const int skip = std::min(tail_skip_left_[r], ingest);
+        tail_skip_left_[r] -= skip;
+        if (ingest > skip) {
+            kv_append(r, ingest - skip);
+            pin_resident(r, kv_pinned_, r);
+        }
+    }
+    c.residuals.push_back(ingest);
+    c.fulls.push_back(first ? chunk_of(len) : ingest);
+}
+
+bool
 DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
                                  bool force_admit)
 {
@@ -1000,253 +1138,36 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
         // passing through the run() loop) sees it as well.
         order_prefill_queues();
     }
-    std::vector<int> members = acquire_scratch();
-    // Parallel to members while prefix_on_ or chunk_on_: prompt tokens
-    // each member actually brings to this iteration (full length, the
-    // residual past its cached prefix, or this chunk).
-    std::vector<int> residuals = acquire_scratch();
-    // Parallel to residuals: the tokens this member would have brought
-    // with no prefix cached — what the padding-savings counter
-    // compares against.
-    std::vector<int> fulls = acquire_scratch();
-    const bool track_ingest = chunk_on_ || prefix_on_;
-    int64_t prefix_stream = 0;  ///< spilled-prefix tokens fetched back.
-    double migrate_stall = 0.0;  ///< router-priced interconnect stalls.
-    if (!kv_on_) {
-        claim(pre_hi_, pre_lo_, opts_.max_prefill_batch, mode,
-              members);
-        if (chunk_on_) {
-            for (int r : members) {
-                const int remaining = pre_left_[r] >= 0
-                                          ? pre_left_[r]
-                                          : effective_prompt_len(r);
-                const int ingest =
-                    std::min(opts_.prefill_chunk, remaining);
-                if (pre_left_[r] < 0 && remaining > ingest) {
-                    ++rep_.chunked_prompts;
-                }
-                pre_left_[r] = remaining - ingest;
-                pre_skips_[r] = 0;
-                ++rep_.prefill_chunks;
-                residuals.push_back(ingest);
-                fulls.push_back(ingest);
-            }
-        }
-    } else {
-        // KV-gated claiming: members are taken in the usual order
-        // (high first, FIFO within a class) but each prompt must fit
-        // its KV segment into the budget next to what is already
-        // resident. The first prompt that does not fit stops the
-        // claim — admitting later ones would starve it — and counts
-        // one admission deferral. Oversized prompts (KV bigger than
-        // the whole budget) can never fit and are admitted born
-        // spilled instead of deferred forever; force_admit pushes the
-        // head prompt through the same way when deferring would leave
-        // the server with no other work.
-        //
-        // With prefix sharing, a prompt whose prefix id matches a
-        // cached segment is a hit: it shares the segment (refcount),
-        // skips the covered tokens — only the residual reaches this
-        // iteration — and only its private tail is new KV. The first
-        // carrier of a prefix seeds the shared segment next to its
-        // tail; a spilled prefix streams back before the iteration,
-        // priced like any KV refetch.
-        bool deferred = false;
-        auto take = [&](std::deque<int>& q) {
-            for (auto it = q.begin();
-                 it != q.end() && !deferred &&
-                 static_cast<int>(members.size()) <
-                     opts_.max_prefill_batch;) {
-                int r = *it;
-                // SLO gating mirrors claim(): skip members the mode
-                // excludes or whose tenant is out of deficit — the
-                // KV-fit rule below applies to claimable prompts
-                // only. Inert while slo is off (every request is
-                // eligible and no deficit exists), so the walk is the
-                // original front-pop.
-                if (slo_on_ && (!claim_eligible(r, mode) ||
-                                deficit_[requests_[r].tenant] <= 0.0)) {
-                    ++it;
-                    continue;
-                }
-                const int64_t len = effective_prompt_len(r);
-                const uint64_t bytes = prompt_kv_need(r);
-                bool oversized = bytes > opts_.kv_budget;
-                if (!state_.kv_would_fit(bytes) && !oversized &&
-                    !(force_admit && members.empty())) {
-                    deferred = true;
-                    ++rep_.deferred_admissions;
-                    break;
-                }
-                it = q.erase(it);
-                members.push_back(r);
-                if (chunk_on_ && pre_left_[r] >= 0) {
-                    // A later chunk of an admitted prompt: ingest the
-                    // next chunk and grow the private tail in place
-                    // (admission gated on the full need at the first
-                    // chunk; growth spills under pressure instead of
-                    // deferring, so mid-prompt chunks cannot
-                    // deadlock on backpressure).
-                    const int ingest =
-                        std::min(opts_.prefill_chunk, pre_left_[r]);
-                    pre_left_[r] -= ingest;
-                    pre_skips_[r] = 0;
-                    ++rep_.prefill_chunks;
-                    const int skip_use =
-                        std::min(tail_skip_left_[r], ingest);
-                    tail_skip_left_[r] -= skip_use;
-                    const int tail_add = ingest - skip_use;
-                    if (tail_add > 0) {
-                        if (kv_tokens_[r] < 0) {
-                            kv_tokens_[r] = tail_add;
-                            if (state_.kv_alloc(
-                                    r, kv_per_core(tail_add))) {
-                                state_.kv_pin(r);
-                                kv_pinned_[r] = true;
-                            }
-                        } else {
-                            const uint64_t before =
-                                kv_per_core(kv_tokens_[r]);
-                            kv_tokens_[r] += tail_add;
-                            state_.kv_grow(
-                                r, kv_per_core(kv_tokens_[r]) - before);
-                            if (state_.kv_resident(r) &&
-                                !kv_pinned_[r]) {
-                                state_.kv_pin(r);
-                                kv_pinned_[r] = true;
-                            }
-                        }
-                    }
-                    residuals.push_back(ingest);
-                    fulls.push_back(ingest);
-                    continue;
-                }
-                int64_t tail = len;
-                // Prompt tokens a prefill program must actually
-                // ingest for this member (its residual).
-                int64_t residual = len;
-                if (prefix_on_ && requests_[r].prefix_id >= 0) {
-                    const int pid = requests_[r].prefix_id;
-                    const int64_t pseg = prefix_kv_id(pid);
-                    const int64_t covered = prefix_covered(r);
-                    if (covered > 0) {
-                        ++rep_.prefix_hits;
-                        rep_.prefix_hit_tokens += covered;
-                        tail = len - covered;
-                        residual = len - covered;
-                        if (!state_.kv_resident(pseg)) {
-                            prefix_stream += prefix_tokens_[pid];
-                            ++rep_.kv_refetches;
-                            state_.kv_fetch(pseg);
-                        }
-                    } else if (requests_[r].kv_migrate_tokens > 0) {
-                        // Migration: the shared segment arrives over
-                        // the cluster interconnect from the chip that
-                        // holds it, seeding the local cache — the
-                        // covered tokens skip prefill like a hit, and
-                        // the wire transfer (priced by the router)
-                        // stalls this chip instead of a re-prefill.
-                        const int64_t plen = requests_[r].prefix_len;
-                        prefix_tokens_[pid] = plen;
-                        ++rep_.prefix_hits;
-                        rep_.prefix_hit_tokens += plen;
-                        ++rep_.kv_migrations;
-                        rep_.kv_migrated_tokens += plen;
-                        migrate_stall += requests_[r].kv_migrate_stall;
-                        tail = len - plen;
-                        residual = len - plen;
-                        state_.kv_alloc(pseg, kv_per_core(plen));
-                    } else {
-                        // Miss: seed the shared segment at the
-                        // request's full prefix span.
-                        const int64_t plen = requests_[r].prefix_len;
-                        prefix_tokens_[pid] = plen;
-                        tail = len - plen;
-                        state_.kv_alloc(pseg, kv_per_core(plen));
-                    }
-                    state_.kv_share(pseg);
-                    prefix_share_[r] = pid;
-                    // Pin the prefix for this iteration before the
-                    // tail allocates, so the tail cannot evict it.
-                    if (state_.kv_resident(pseg)) {
-                        state_.kv_pin(pseg);
-                        prefix_pinned_[r] = true;
-                    }
-                }
-                if (!chunk_on_) {
-                    kv_tokens_[r] = tail;
-                    if (state_.kv_alloc(r, kv_per_core(tail))) {
-                        state_.kv_pin(r);
-                        kv_pinned_[r] = true;
-                    }
-                    if (track_ingest) {
-                        residuals.push_back(static_cast<int>(residual));
-                        fulls.push_back(static_cast<int>(len));
-                    }
-                } else {
-                    // First chunk: prefix-resident tokens were skipped
-                    // above; the residual now ingests chunk by chunk,
-                    // the private tail allocating with the first chunk
-                    // that reaches past any unseeded prefix span.
-                    const int res = static_cast<int>(residual);
-                    const int ingest =
-                        std::min(opts_.prefill_chunk, res);
-                    if (res > ingest) {
-                        ++rep_.chunked_prompts;
-                    }
-                    pre_left_[r] = res - ingest;
-                    pre_skips_[r] = 0;
-                    ++rep_.prefill_chunks;
-                    tail_skip_left_[r] =
-                        static_cast<int>(residual - tail);
-                    const int skip_use =
-                        std::min(tail_skip_left_[r], ingest);
-                    tail_skip_left_[r] -= skip_use;
-                    const int tail_add = ingest - skip_use;
-                    if (tail_add > 0) {
-                        kv_tokens_[r] = tail_add;
-                        if (state_.kv_alloc(r, kv_per_core(tail_add))) {
-                            state_.kv_pin(r);
-                            kv_pinned_[r] = true;
-                        }
-                    }
-                    residuals.push_back(ingest);
-                    fulls.push_back(static_cast<int>(std::min<int64_t>(
-                        opts_.prefill_chunk, len)));
-                }
-            }
-        };
-        auto take_all = [&] {
-            take(pre_hi_);
-            if (mode != ClaimMode::kHighOnly && !deferred) {
-                take(pre_lo_);
-            }
-        };
-        take_all();
-        if (slo_on_) {
-            // Work-conserving fairness, mirroring claim(): while batch
-            // slots stay open, nothing deferred on KV, and eligible
-            // prompts wait blocked on deficit alone, open a window and
-            // take again.
-            auto eligible_waiting = [&](const std::deque<int>& q) {
-                for (int r : q) {
-                    if (claim_eligible(r, mode)) {
-                        return true;
-                    }
-                }
-                return false;
-            };
-            while (!deferred &&
-                   static_cast<int>(members.size()) <
-                       opts_.max_prefill_batch &&
-                   (eligible_waiting(pre_hi_) ||
-                    (mode != ClaimMode::kHighOnly &&
-                     eligible_waiting(pre_lo_)))) {
-                replenish();
-                take_all();
-            }
-        }
+    PrefillClaim c{acquire_scratch(), acquire_scratch(), acquire_scratch()};
+    auto release = [&] {
+        release_scratch(std::move(c.fulls));
+        release_scratch(std::move(c.residuals));
+        release_scratch(std::move(c.members));
+    };
+    // KV admission: each prompt must fit its KV next to what is
+    // already resident. The first one that does not ends the claim —
+    // admitting later ones would starve it — and counts one deferral.
+    // Oversized prompts pass (born spilled), and force_admit pushes
+    // the first claimable prompt through the same way when deferring
+    // would leave the server with no other work.
+    bool deferred = false;
+    claim(pre_hi_, pre_lo_, opts_.max_prefill_batch, mode, c.members,
+          [&](int r) {
+              if (kv_on_ && !kv_admits(r) &&
+                  !(force_admit && c.members.empty())) {
+                  ++rep_.deferred_admissions;
+                  deferred = true;
+                  return false;
+              }
+              ingest_prompt(r, c);
+              return true;
+          });
+    if (deferred && c.members.empty()) {
+        release();
+        return false;
     }
+    util::check(!c.members.empty(),
+                "Server: a prefill iteration claimed no prompt");
     if (chunk_on_) {
         // Bounded fairness window: every prompt still waiting after
         // this claim moves one pass closer to starved status (and
@@ -1260,10 +1181,9 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     }
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
-    kv_charge_stream(prefix_stream);
-    kv_charge_migration(migrate_stall);
+    kv_charge(c.prefix_stream, c.migrate_stall);
     int bucket = pick_bucket(opts_.prefill_buckets,
-                             static_cast<int>(members.size()));
+                             static_cast<int>(c.members.size()));
     // The claimed prompts share one program: the smallest length
     // bucket covering the longest of them — of the tokens actually
     // ingested, i.e. residual lengths once cached prefixes are
@@ -1272,18 +1192,16 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     int need_len = 1;
     int need_len_full = 1;
     int64_t actual_tokens = 0;
-    for (size_t i = 0; i < members.size(); ++i) {
-        const int len = effective_prompt_len(members[i]);
-        const int res = track_ingest ? residuals[i] : len;
+    for (size_t i = 0; i < c.members.size(); ++i) {
+        const int res = c.residuals[i];
         need_len = std::max(need_len, res);
-        need_len_full =
-            std::max(need_len_full, track_ingest ? fulls[i] : len);
+        need_len_full = std::max(need_len_full, c.fulls[i]);
         actual_tokens += res;
         if (slo_on_) {
             // Fairness charges actual ingested work: a long prompt
             // can push its tenant into deficit debt repaid over the
             // following windows.
-            const int t = requests_[members[i]].tenant;
+            const int t = requests_[c.members[i]].tenant;
             tenant_tokens_[t] += res;
             deficit_[t] -= static_cast<double>(res);
         }
@@ -1325,7 +1243,7 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
 
     bool protected_iter = false;
     iter_min_deadline_ = kInf;
-    for (int r : members) {
+    for (int r : c.members) {
         protected_iter |= requests_[r].priority == Priority::kHigh;
         if (slo_on_) {
             iter_min_deadline_ =
@@ -1344,14 +1262,9 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     // completes here instead: its KV ships onward over the
     // interconnect, so the local segment frees and the prefix share
     // drops immediately.
-    for (int r : members) {
-        if (kv_on_ && kv_pinned_[r]) {
-            state_.kv_unpin(r);
-            kv_pinned_[r] = false;
-        }
-        if (prefix_on_ && prefix_pinned_[r]) {
-            state_.kv_unpin(prefix_kv_id(prefix_share_[r]));
-            prefix_pinned_[r] = false;
+    for (int r : c.members) {
+        if (kv_on_) {
+            kv_release_pins(r);
         }
         if (chunk_on_ && pre_left_[r] > 0) {
             // More chunks to ingest: back to the prefill queue (the
@@ -1361,72 +1274,69 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
             // decode work waits, so decode never stalls behind the
             // whole prompt.
             chunk_yield_ = true;
-            queue_insert(requests_[r].priority == Priority::kHigh
-                             ? pre_hi_
-                             : pre_lo_,
-                         r);
+            enqueue(r, /*prefill=*/true);
             continue;
         }
         ttfts_.push_back(now_ - requests_[r].arrival);
         if (tokens_left_[r] == 0) {
             if (kv_on_) {
-                if (prefix_on_ && prefix_share_[r] >= 0) {
-                    state_.kv_release(prefix_kv_id(prefix_share_[r]));
-                    prefix_share_[r] = -1;
-                }
-                state_.kv_free(r);
-                kv_tokens_[r] = -1;
+                kv_retire(r, /*completed=*/true);
             }
             record_completion(r);
             continue;
         }
-        queue_insert(
-            requests_[r].priority == Priority::kHigh ? dec_hi_ : dec_lo_,
-            r);
+        enqueue(r, /*prefill=*/false);
     }
-    release_scratch(std::move(fulls));
-    release_scratch(std::move(residuals));
-    release_scratch(std::move(members));
+    release();
+    return true;
 }
 
 void
-DisaggRun::run_decode_iteration(bool interruptible)
+DisaggRun::run_decode_iteration(ClaimMode mode)
 {
     // Iteration-level batching: waiting requests claim free batch
-    // slots at the iteration boundary, high-priority first.
-    // claim() caps the list's total size, so appending to running_
-    // directly fills exactly the free batch slots.
-    if (kv_locality_on_) {
+    // slots at the iteration boundary, high-priority first. claim()
+    // caps the list's total size, so appending to running_ directly
+    // fills exactly the free batch slots. A nested iteration fills a
+    // mini batch instead: high-priority members only (kHighOnly), or
+    // also deadline carriers beating the victim's bar (kUrgent).
+    const bool nested = mode != ClaimMode::kAll;
+    std::vector<int> mini;
+    if (nested) {
+        mini = acquire_scratch();
+    }
+    std::vector<int>& batch = nested ? mini : running_;
+    auto take_any = [](int) { return true; };
+    if (!nested && kv_locality_on_) {
         // Locality-aware membership: free slots fill with KV-resident
         // requests first; spilled requests run only when nothing
         // resident can (each pass-over counts one kv_locality_skips),
         // so a hot batch never thrashes its SRAM residency streaming
         // a cold segment back mid-flight.
-        claim_kv_resident(dec_hi_, dec_lo_, opts_.max_batch, running_);
-        if (running_.empty()) {
-            claim(dec_hi_, dec_lo_, opts_.max_batch, ClaimMode::kAll,
-                  running_);
+        claim_kv_resident(dec_hi_, dec_lo_, opts_.max_batch, batch);
+        if (batch.empty()) {
+            claim(dec_hi_, dec_lo_, opts_.max_batch, mode, batch,
+                  take_any);
         }
     } else {
-        claim(dec_hi_, dec_lo_, opts_.max_batch, ClaimMode::kAll,
-              running_);
+        claim(dec_hi_, dec_lo_, opts_.max_batch, mode, batch, take_any);
     }
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
 
     int bucket = pick_bucket(opts_.batch_buckets,
-                             static_cast<int>(running_.size()));
+                             static_cast<int>(batch.size()));
     std::shared_ptr<const sim::SimProgram> program =
         decode_src_ ? decode_src_(bucket) : nullptr;
     util::check(program != nullptr,
                 "Server: decode ProgramSource returned no program");
 
     if (kv_on_) {
-        kv_prepare(running_);
+        kv_prepare(batch);
     }
     bool protected_iter = false;
     iter_min_deadline_ = kInf;
-    for (int r : running_) {
+    for (int r : batch) {
         protected_iter |= requests_[r].priority == Priority::kHigh;
         if (slo_on_) {
             iter_min_deadline_ =
@@ -1435,82 +1345,38 @@ DisaggRun::run_decode_iteration(bool interruptible)
             deficit_[requests_[r].tenant] -= 1.0;
         }
     }
-    IterOutcome o = execute(*program, interruptible && !protected_iter);
-    account(o, /*decode=*/true, /*nested=*/false);
-    rep_.tokens += static_cast<int64_t>(running_.size());
+    IterOutcome o =
+        execute(*program, /*can_preempt=*/!nested && !protected_iter);
+    account(o, /*decode=*/true, nested);
+    rep_.tokens += static_cast<int64_t>(batch.size());
 
-    // Every running request produced one token this iteration.
-    for (auto it = running_.begin(); it != running_.end();) {
+    // Every member produced one token this iteration.
+    for (auto it = batch.begin(); it != batch.end();) {
         bool done = --tokens_left_[*it] == 0;
         if (kv_on_) {
             kv_retire(*it, done);
         }
         if (done) {
             record_completion(*it);
-            it = running_.erase(it);
+            it = batch.erase(it);
         } else {
             ++it;
         }
     }
-}
-
-void
-DisaggRun::run_decode_mini(ClaimMode mode)
-{
-    std::vector<int> mini = acquire_scratch();
-    claim(dec_hi_, dec_lo_, opts_.max_batch, mode, mini);
-    rep_.peak_queue_depth = std::max(
-        rep_.peak_queue_depth, static_cast<int>(waiting_total()));
-    int bucket = pick_bucket(opts_.batch_buckets,
-                             static_cast<int>(mini.size()));
-    std::shared_ptr<const sim::SimProgram> program =
-        decode_src_ ? decode_src_(bucket) : nullptr;
-    util::check(program != nullptr,
-                "Server: decode ProgramSource returned no program");
-
-    if (kv_on_) {
-        kv_prepare(mini);
+    if (!nested) {
+        return;
     }
-    if (slo_on_) {
-        for (int r : mini) {
-            ++tenant_tokens_[requests_[r].tenant];
-            deficit_[requests_[r].tenant] -= 1.0;
-        }
-    }
-    IterOutcome o = execute(*program, /*can_preempt=*/false);
-    account(o, /*decode=*/true, /*nested=*/true);
-    rep_.tokens += static_cast<int64_t>(mini.size());
-
-    // Completions leave; survivors return to the head of the
+    // A nested iteration's survivors return to the head of the
     // high-priority queue (or, with slo, to their EDF slot in their
     // own class) and merge into the running batch at the next
     // boundary.
-    std::vector<int> survivors = acquire_scratch();
-    for (int r : mini) {
-        bool done = --tokens_left_[r] == 0;
-        if (kv_on_) {
-            kv_retire(r, done);
-        }
-        if (done) {
-            record_completion(r);
-        } else {
-            survivors.push_back(r);
-        }
-    }
     if (!slo_on_) {
-        for (auto it = survivors.rbegin(); it != survivors.rend();
-             ++it) {
-            dec_hi_.push_front(*it);
-        }
+        dec_hi_.insert(dec_hi_.begin(), mini.begin(), mini.end());
     } else {
-        for (int r : survivors) {
-            queue_insert(requests_[r].priority == Priority::kHigh
-                             ? dec_hi_
-                             : dec_lo_,
-                         r);
+        for (int r : mini) {
+            enqueue(r, /*prefill=*/false);
         }
     }
-    release_scratch(std::move(survivors));
     release_scratch(std::move(mini));
 }
 
@@ -1777,42 +1643,46 @@ DisaggRun::run()
             }
             continue;
         }
-        if (!pre_hi_.empty() || !pre_lo_.empty()) {
-            if (chunk_on_) {
-                order_prefill_queues();
-                const bool yielded = chunk_yield_;
-                chunk_yield_ = false;
-                if (yielded && (!running_.empty() || !dec_hi_.empty() ||
-                                !dec_lo_.empty())) {
-                    // A long prompt sits mid-ingestion: one decode
-                    // iteration runs between its chunks — the
-                    // head-of-line win chunking exists for.
-                    ++rep_.chunk_decode_interleaves;
-                    run_decode_iteration(/*interruptible=*/true);
-                    continue;
-                }
+        if (pre_hi_.empty() && pre_lo_.empty()) {
+            run_decode_iteration(ClaimMode::kAll);
+            continue;
+        }
+        const bool decode_work =
+            !running_.empty() || !dec_hi_.empty() || !dec_lo_.empty();
+        if (chunk_on_) {
+            order_prefill_queues();
+            const bool yielded = chunk_yield_;
+            chunk_yield_ = false;
+            if (yielded && decode_work) {
+                // A long prompt sits mid-ingestion: one decode
+                // iteration runs between its chunks — the head-of-line
+                // win chunking exists for.
+                ++rep_.chunk_decode_interleaves;
+                run_decode_iteration(ClaimMode::kAll);
+                continue;
             }
-            if (kv_on_ && !prefill_admissible()) {
-                // KV backpressure: the next prompt's segment does not
-                // fit next to the resident ones. Run decode work
-                // instead when there is any (completions free KV);
-                // with nothing else to run, force the prompt through
-                // (spilling) so the server always makes progress.
-                if (!running_.empty() || !dec_hi_.empty() ||
-                    !dec_lo_.empty()) {
-                    ++rep_.deferred_admissions;
-                    run_decode_iteration(/*interruptible=*/true);
-                } else {
-                    run_prefill_iteration(ClaimMode::kAll,
-                                          /*interruptible=*/true,
-                                          /*force_admit=*/true);
-                }
-            } else {
-                run_prefill_iteration(ClaimMode::kAll,
-                                      /*interruptible=*/true);
+        }
+        const bool head_fits = !kv_on_ || prefill_admissible();
+        if (head_fits && run_prefill_iteration(ClaimMode::kAll,
+                                               /*interruptible=*/true)) {
+            continue;
+        }
+        // KV backpressure: the head prompt's segment does not fit next
+        // to the resident ones, or the claim deferred on a prompt that
+        // does not fit before it took anyone (with slo, the fairness
+        // gate can skip a head that fits). Run decode work instead
+        // when there is any (completions free KV); with nothing else
+        // to run, force the first claimable prompt through (spilling)
+        // so the server always makes progress. A deferral inside the
+        // claim has already counted itself.
+        if (decode_work) {
+            if (!head_fits) {
+                ++rep_.deferred_admissions;
             }
+            run_decode_iteration(ClaimMode::kAll);
         } else {
-            run_decode_iteration(/*interruptible=*/true);
+            run_prefill_iteration(ClaimMode::kAll, /*interruptible=*/true,
+                                  /*force_admit=*/true);
         }
     }
     finalize();

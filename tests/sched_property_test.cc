@@ -9,8 +9,9 @@
  * golden digest per config (the scheduler's results may not drift
  * under a refactor), and against itself: serve-twice bit-identity and
  * --jobs 1 vs --jobs 4 compiler bit-identity. Failures print the
- * offending config seed. Plus backfill units for tag_deadlines(),
- * tag_tenants() and pick_bucket() on residual chunk lengths.
+ * offending config seed. Plus the SLO + KV empty-claim regression,
+ * and backfill units for tag_deadlines(), tag_tenants() and
+ * pick_bucket() on residual chunk lengths.
  */
 #include <gtest/gtest.h>
 
@@ -353,6 +354,49 @@ TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
             FAIL() << "stopping at first failing " << cfg.describe();
         }
     }
+}
+
+// SLO + KV: the fairness walk skips the deficit-blocked tenant-1 prompts
+// at the queue head (whose KV would fit) and reaches a tenant-0 prompt
+// whose KV does not. The claim defers on it having taken nobody; that
+// must fall back to decode work (or force-admit), never run an empty
+// prefill program. An empty iteration changes no deficit and frees no
+// KV, so the server used to repeat it forever, starving the waiting
+// decode requests — the ctest TIMEOUT on this binary turns that hang
+// into a failure.
+TEST_F(SchedPropertyTest, SloKvDeferralNeverRunsEmptyPrefill)
+{
+    Config cfg;
+    cfg.seed = 195936482;
+    runtime::ServerOptions& o = cfg.opts;
+    o.max_batch = 4;
+    o.max_prefill_batch = 2;
+    o.max_prompt_len = kSeq;
+    o.kv_bytes_per_token = token_bytes();
+    o.kv_budget = 2 * kSeq * token_bytes() / 64;
+    o.slo = true;
+    o.tenants = 2;
+    o.tenant_shares = {4.0, 1.0};
+    cfg.trace = runtime::make_request_trace(
+        runtime::ArrivalTrace::poisson(35, 4000.0, cfg.seed),
+        /*decode_tokens=*/3, /*prefill_frac=*/1.0, /*high_frac=*/0.0,
+        cfg.seed);
+    runtime::tag_prompt_lengths(cfg.trace, kSeq, 48.0, cfg.seed);
+    runtime::tag_tenants(cfg.trace, 2, cfg.seed);
+    runtime::tag_deadlines(cfg.trace, /*slo_s=*/5e-3);
+    SCOPED_TRACE(cfg.describe());
+
+    auto dc = make_compiler(compiler::GraphKind::kDecode, cfg.mode,
+                            /*jobs=*/1, &cache1_);
+    auto pc = make_compiler(compiler::GraphKind::kPrefill, cfg.mode,
+                            /*jobs=*/1, &cache1_);
+    auto rep = serve(cfg, dc, pc);
+    expect_conserves(cfg, rep);
+    EXPECT_GT(rep.deferred_admissions, 0);
+    // Every prefill iteration ingested at least one prompt, so there
+    // are no more of them than prompts (no chunking here).
+    EXPECT_LE(rep.prefill_iterations, rep.requests);
+    EXPECT_EQ(rep.serialize_bits(), serve(cfg, dc, pc).serialize_bits());
 }
 
 // ---------------------------------------------------------------------------
