@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <string>
 
 #include "cost/hbm_cost.h"
 #include "util/logging.h"
@@ -70,6 +71,20 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
     const int n = graph.size();
     util::check(static_cast<int>(preload_order.size()) == n,
                 "schedule: preload order must cover all operators");
+    {
+        std::vector<char> seen(n, 0);
+        for (int op : preload_order) {
+            if (op < 0 || op >= n || seen[op]) {
+                util::panic("schedule: preload order is not a permutation "
+                            "of operator ids 0.." +
+                            std::to_string(n - 1) + " (id " +
+                            std::to_string(op) +
+                            (op < 0 || op >= n ? " out of range)"
+                                               : " repeated)"));
+            }
+            seen[op] = 1;
+        }
+    }
 
     // Optional truncation for cheap candidate-order scoring (§4.4).
     const int m =
@@ -98,43 +113,89 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
 
     // --- backward induction state ---
     std::vector<int> exec_choice(m, 0);
-    std::vector<int> preload_choice(m, 0);  // tightening-only floor
+    // Preload plan index per committed op. It starts at the op's policy
+    // anchor when the op commits and only tightens afterwards, so it is
+    // also the allocator floor max(anchor, tightening).
+    std::vector<int> preload_choice(m, 0);
     std::vector<double> t_exe_start(m, 0.0);
     std::vector<double> t_pre_start(m, 0.0);  // by position
     std::vector<int> slot_of_pos(m, 0);
     int frontier_next = m;  // F_{i+1} of the step being processed
 
-    // Scratch buffers reused across candidates.
-    std::vector<int> live, live_exec, live_floor;
+    // ALAP preload starts of positions [first, end) into out[r - first],
+    // chained backward from the start of position end.
+    auto chain_preloads = [&](int first, int end, double* out) {
+        double next_start = end < m ? t_pre_start[end] : kInf;
+        for (int r = end - 1; r >= first; --r) {
+            int j = order[r];
+            const auto& pre_front =
+                library_.preload_plans(j, exec_choice[j]);
+            double d = preload_duration(j, pre_front[preload_choice[j]]);
+            double start = std::min(next_start, t_exe_start[j]) - d;
+            out[r - first] = start;
+            next_start = start;
+        }
+    };
+
+    // Live set at the smallest frontier lo[i]: the positions before
+    // lo[i] whose ops execute after i, ascending. It carries over from
+    // step to step: lo[i] only shrinks as i falls, which drops a suffix,
+    // and op i + 1 is the one op that can join.
+    std::vector<int> live_at_lo;
+    // Per-step scratch: the live set of the frontier under test (in
+    // preload position order), the step's preload chain, and op i's
+    // policy anchor per exec plan (-1 = not computed yet).
+    std::vector<int> live, live_exec, live_floor, own_anchor;
     std::vector<double> chain;
 
     for (int i = m - 1; i >= 0; --i) {
-        if (lo[i] > frontier_next) {
+        const int first = lo[i];
+        if (first > frontier_next) {
             return std::nullopt;  // order forces issue after own execute
+        }
+
+        // Everything a candidate frontier f in [first, F_{i+1}] reads is
+        // fixed for the step: the chain recurrence runs backward from
+        // F_{i+1}, so f's next preload start is chain[f - first], and
+        // the live set only grows by order[f - 1] as f advances (every
+        // position from lo[i] on holds an op executing after i).
+        chain.resize(frontier_next - first);
+        chain_preloads(first, frontier_next, chain.data());
+        const double chain_end =
+            frontier_next < m ? t_pre_start[frontier_next] : kInf;
+        const double exec_end_bound = i + 1 < m ? t_exe_start[i + 1] : 0.0;
+        own_anchor.assign(library_.exec_plans(i).size(), -1);
+
+        while (!live_at_lo.empty() && live_at_lo.back() >= first) {
+            live_at_lo.pop_back();
+        }
+        if (i + 1 < m && pos[i + 1] < first) {
+            live_at_lo.insert(std::upper_bound(live_at_lo.begin(),
+                                               live_at_lo.end(), pos[i + 1]),
+                              pos[i + 1]);
+        }
+        // Live set: issued before execute(i), not yet executed.
+        live.clear();
+        live_exec.clear();
+        live_floor.clear();
+        auto admit = [&](int r) {
+            int j = order[r];
+            live.push_back(j);
+            live_exec.push_back(exec_choice[j]);
+            live_floor.push_back(preload_choice[j]);
+        };
+        for (int r : live_at_lo) {
+            admit(r);
         }
 
         double best_start = -kInf;
         int best_frontier = -1;
+        size_t best_live = 0;  // live-set prefix of the winning frontier
         AllocationChoice best_alloc;
-        std::vector<int> best_live;
-        std::vector<double> best_chain;
 
-        for (int frontier = lo[i]; frontier <= frontier_next; ++frontier) {
-            // Live set: issued before execute(i), not yet executed.
-            live.clear();
-            live_exec.clear();
-            live_floor.clear();
-            for (int r = 0; r < frontier; ++r) {
-                int j = order[r];
-                if (j > i) {
-                    live.push_back(j);
-                    live_exec.push_back(exec_choice[j]);
-                    live_floor.push_back(std::max(
-                        preload_choice[j],
-                        policy_start(library_.preload_plans(
-                                         j, exec_choice[j]),
-                                     opts.overhead_weight)));
-                }
+        for (int frontier = first; frontier <= frontier_next; ++frontier) {
+            if (frontier > first) {
+                admit(frontier - 1);
             }
             if (static_cast<int>(live.size()) > opts.max_window) {
                 break;
@@ -145,24 +206,9 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
                 break;  // larger frontiers only add live operators
             }
 
-            // ALAP preload chain for positions [frontier, F_{i+1}).
-            double next_start =
-                frontier_next < m ? t_pre_start[frontier_next] : kInf;
-            chain.assign(frontier_next - frontier, 0.0);
-            for (int r = frontier_next - 1; r >= frontier; --r) {
-                int j = order[r];
-                const auto& pre_front =
-                    library_.preload_plans(j, exec_choice[j]);
-                double d =
-                    preload_duration(j, pre_front[preload_choice[j]]);
-                double start =
-                    std::min(next_start, t_exe_start[j]) - d;
-                chain[r - frontier] = start;
-                next_start = start;
-            }
-
-            double exec_end_bound =
-                i + 1 < m ? t_exe_start[i + 1] : 0.0;
+            double next_start = frontier < frontier_next
+                                    ? chain[frontier - first]
+                                    : chain_end;
             double exec_end = std::min(exec_end_bound, next_start);
             // The operator's own data-distribution phase runs on its
             // execute critical path; price it with the preload plan
@@ -170,10 +216,11 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             // it under memory pressure).
             const auto& own_cand_front =
                 library_.preload_plans(i, alloc.exec_idx);
-            double own_dist =
-                own_cand_front[policy_start(own_cand_front,
-                                            opts.overhead_weight)]
-                    .distribute_time;
+            int& anchor = own_anchor[alloc.exec_idx];
+            if (anchor < 0) {
+                anchor = policy_start(own_cand_front, opts.overhead_weight);
+            }
+            double own_dist = own_cand_front[anchor].distribute_time;
             double cand_start =
                 exec_end - (alloc.exec_time + own_dist);
             // Ties favor the larger frontier: preloading further ahead
@@ -182,9 +229,8 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             if (cand_start >= best_start) {
                 best_start = cand_start;
                 best_frontier = frontier;
-                best_alloc = alloc;
-                best_live = live;
-                best_chain = chain;
+                best_live = live.size();
+                best_alloc = std::move(alloc);
             }
         }
 
@@ -194,37 +240,23 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
 
         // Commit the winning frontier.
         exec_choice[i] = best_alloc.exec_idx;
-        preload_choice[i] = policy_start(
-            library_.preload_plans(i, exec_choice[i]),
-            opts.overhead_weight);
+        preload_choice[i] = own_anchor[exec_choice[i]];
         t_exe_start[i] = best_start;
-        for (size_t jj = 0; jj < best_live.size(); ++jj) {
-            int j = best_live[jj];
+        for (size_t jj = 0; jj < best_live; ++jj) {
+            int j = live[jj];
             preload_choice[j] =
                 std::max(preload_choice[j], best_alloc.preload_idx[jj]);
         }
         for (int r = best_frontier; r < frontier_next; ++r) {
-            t_pre_start[r] = best_chain[r - best_frontier];
+            t_pre_start[r] = chain[r - first];
             slot_of_pos[r] = i + 1;
         }
         frontier_next = best_frontier;
     }
 
-    // Positions before the final frontier are issued before execute(0).
-    {
-        double next_start =
-            frontier_next < m ? t_pre_start[frontier_next] : kInf;
-        for (int r = frontier_next - 1; r >= 0; --r) {
-            int j = order[r];
-            const auto& pre_front =
-                library_.preload_plans(j, exec_choice[j]);
-            double d = preload_duration(j, pre_front[preload_choice[j]]);
-            double start = std::min(next_start, t_exe_start[j]) - d;
-            t_pre_start[r] = start;
-            slot_of_pos[r] = 0;
-            next_start = start;
-        }
-    }
+    // Positions before the final frontier are issued before execute(0)
+    // (slot 0, as initialized).
+    chain_preloads(0, frontier_next, t_pre_start.data());
 
     // --- assemble the plan ---
     ExecutionPlan plan;

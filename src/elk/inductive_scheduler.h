@@ -12,9 +12,10 @@
  *
  * Times are backward-relative: T_end = 0 and all start times are
  * negative. For each candidate frontier the scheduler invokes the
- * allocator on the live set, chains ALAP preload start estimates, and
- * picks the frontier maximizing T_s-exe(i) — exactly the paper's
- * "minimize current-to-end time" rule (Theorem 4.2).
+ * allocator on the live set, reads the ALAP preload start estimates
+ * (chained once per step), and picks the frontier maximizing
+ * T_s-exe(i) — exactly the paper's "minimize current-to-end time" rule
+ * (Theorem 4.2).
  */
 #ifndef ELK_ELK_INDUCTIVE_SCHEDULER_H
 #define ELK_ELK_INDUCTIVE_SCHEDULER_H
@@ -56,8 +57,10 @@ class InductiveScheduler {
 
     /**
      * Schedules the model under preload order @p preload_order (a
-     * permutation of execution indices 0..N-1). Returns nullopt when
-     * the order cannot fit on-chip memory (invalid order, §4.4).
+     * permutation of execution indices 0..N-1; anything else panics).
+     * Returns nullopt when the order cannot fit on-chip memory
+     * (invalid order, §4.4). All scratch is local to the call, so one
+     * scheduler may serve concurrent calls from several threads.
      */
     std::optional<ExecutionPlan> schedule(
         const std::vector<int>& preload_order,

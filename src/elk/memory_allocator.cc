@@ -6,6 +6,24 @@
 
 namespace elk::compiler {
 
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Cost-effectiveness of downgrading @p cur to @p nxt: freed space per
+/// added time, infinity when the downgrade adds no time.
+template <typename Plan>
+double
+downgrade_delta(const Plan& cur, const Plan& nxt, uint64_t Plan::*space)
+{
+    double freed = static_cast<double>(cur.*space) -
+                   static_cast<double>(nxt.*space);
+    double added = nxt.time_cost() - cur.time_cost();
+    return added <= 0 ? kInf : freed / added;
+}
+
+}  // namespace
+
 AllocationChoice
 MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
                           const std::vector<int>& live_exec_idx,
@@ -17,60 +35,55 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
                 "MemoryAllocator: request size mismatch");
 
     const auto& exec_front = library_.exec_plans(current_op);
+    const size_t k = live_ops.size();
     AllocationChoice choice;
     choice.exec_idx = 0;
     choice.preload_idx = live_floor_idx;
 
-    // Total footprint of the current selection.
-    auto preload_front = [&](size_t j) -> const auto& {
-        return library_.preload_plans(live_ops[j], live_exec_idx[j]);
+    // Each live op's preload front is resolved once, and the footprint
+    // is a running total: a downgrade swaps one plan's space for its
+    // successor's. delta[j] caches live op j's next-downgrade delta
+    // (-infinity at its smallest plan); only a downgrade of j moves it.
+    std::vector<const std::vector<plan::PreloadPlan>*> fronts(k);
+    std::vector<double> delta(k);
+    auto preload_delta = [&](size_t j) {
+        const auto& front = *fronts[j];
+        int idx = choice.preload_idx[j];
+        return idx + 1 < static_cast<int>(front.size())
+                   ? downgrade_delta(front[idx], front[idx + 1],
+                                     &plan::PreloadPlan::preload_space)
+                   : -kInf;
     };
-    auto total_space = [&] {
-        uint64_t space = exec_front[choice.exec_idx].exec_space;
-        for (size_t j = 0; j < live_ops.size(); ++j) {
-            space += preload_front(j)[choice.preload_idx[j]].preload_space;
-        }
-        return space;
+    auto exec_delta = [&] {
+        int idx = choice.exec_idx;
+        return idx + 1 < static_cast<int>(exec_front.size())
+                   ? downgrade_delta(exec_front[idx], exec_front[idx + 1],
+                                     &plan::ExecPlan::exec_space)
+                   : -kInf;
     };
 
-    uint64_t space = total_space();
+    uint64_t space = exec_front[choice.exec_idx].exec_space;
+    for (size_t j = 0; j < k; ++j) {
+        fronts[j] = &library_.preload_plans(live_ops[j], live_exec_idx[j]);
+        space += (*fronts[j])[choice.preload_idx[j]].preload_space;
+        delta[j] = preload_delta(j);
+    }
+    double cur_exec_delta = exec_delta();
+
     while (space > budget) {
         // Candidate downgrades: current op's next exec plan, or any
-        // live op's next preload plan. Pick max freed-space/added-time.
+        // live op's next preload plan. Pick max freed-space/added-time;
+        // ties keep the first (exec plan, then live order).
         double best_delta = -1.0;
         int best_kind = -1;  // 0 = exec plan, 1 = preload plan
         size_t best_j = 0;
-
-        if (choice.exec_idx + 1 < static_cast<int>(exec_front.size())) {
-            const auto& cur = exec_front[choice.exec_idx];
-            const auto& nxt = exec_front[choice.exec_idx + 1];
-            double freed = static_cast<double>(cur.exec_space) -
-                           static_cast<double>(nxt.exec_space);
-            double added = nxt.time_cost() - cur.time_cost();
-            double delta = added <= 0
-                               ? std::numeric_limits<double>::infinity()
-                               : freed / added;
-            if (delta > best_delta) {
-                best_delta = delta;
-                best_kind = 0;
-            }
+        if (cur_exec_delta > best_delta) {
+            best_delta = cur_exec_delta;
+            best_kind = 0;
         }
-        for (size_t j = 0; j < live_ops.size(); ++j) {
-            const auto& front = preload_front(j);
-            if (choice.preload_idx[j] + 1 >=
-                static_cast<int>(front.size())) {
-                continue;
-            }
-            const auto& cur = front[choice.preload_idx[j]];
-            const auto& nxt = front[choice.preload_idx[j] + 1];
-            double freed = static_cast<double>(cur.preload_space) -
-                           static_cast<double>(nxt.preload_space);
-            double added = nxt.time_cost() - cur.time_cost();
-            double delta = added <= 0
-                               ? std::numeric_limits<double>::infinity()
-                               : freed / added;
-            if (delta > best_delta) {
-                best_delta = delta;
+        for (size_t j = 0; j < k; ++j) {
+            if (delta[j] > best_delta) {
+                best_delta = delta[j];
                 best_kind = 1;
                 best_j = j;
             }
@@ -82,19 +95,26 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
             return choice;  // every operator already at its smallest plan
         }
         if (best_kind == 0) {
+            space -= exec_front[choice.exec_idx].exec_space;
             ++choice.exec_idx;
+            space += exec_front[choice.exec_idx].exec_space;
+            cur_exec_delta = exec_delta();
         } else {
-            ++choice.preload_idx[best_j];
+            const auto& front = *fronts[best_j];
+            int& idx = choice.preload_idx[best_j];
+            space -= front[idx].preload_space;
+            ++idx;
+            space += front[idx].preload_space;
+            delta[best_j] = preload_delta(best_j);
         }
-        space = total_space();
     }
 
     choice.feasible = true;
     choice.used_space = space;
     choice.exec_time = exec_front[choice.exec_idx].exec_time;
-    for (size_t j = 0; j < live_ops.size(); ++j) {
+    for (size_t j = 0; j < k; ++j) {
         choice.total_distribute_time +=
-            preload_front(j)[choice.preload_idx[j]].time_cost();
+            (*fronts[j])[choice.preload_idx[j]].time_cost();
     }
     return choice;
 }

@@ -4,6 +4,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "elk/memory_allocator.h"
 #include "test_helpers.h"
 
@@ -135,6 +138,65 @@ TEST_F(AllocatorTest, DowngradesPreloadBeforeCripplingExec)
     if (slowest > 0) {
         EXPECT_LT(choice.exec_idx, std::max(1, slowest));
     }
+}
+
+TEST_F(AllocatorTest, RandomRequestsKeepExactFootprint)
+{
+    // The footprint is tracked as a running total across downgrades:
+    // over seeded random live sets, exec indices, floors and budgets it
+    // must equal a full re-sum of the chosen plans' spaces, and every
+    // feasible result must fit its budget.
+    MemoryAllocator alloc(*h_.library);
+    const PlanLibrary& lib = *h_.library;
+    std::mt19937 rng(2026);
+    std::vector<int> ids(h_.graph.size());
+    for (int id = 0; id < h_.graph.size(); ++id) {
+        ids[id] = id;
+    }
+    int feasible = 0;
+    int infeasible = 0;
+    for (int trial = 0; trial < 500; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::shuffle(ids.begin(), ids.end(), rng);
+        const int cur = ids[0];
+        const size_t k = rng() % 13;
+        std::vector<int> live(ids.begin() + 1, ids.begin() + 1 + k);
+        std::vector<int> exec_idx(k), floor(k);
+        for (size_t j = 0; j < k; ++j) {
+            exec_idx[j] = static_cast<int>(
+                rng() % lib.exec_plans(live[j]).size());
+            floor[j] = static_cast<int>(
+                rng() % lib.preload_plans(live[j], exec_idx[j]).size());
+        }
+        const uint64_t budget =
+            h_.ctx.sram_budget() / 8 +
+            rng() % (h_.ctx.sram_budget() - h_.ctx.sram_budget() / 8);
+
+        auto choice = alloc.allocate(cur, live, exec_idx, floor, budget);
+
+        ASSERT_EQ(choice.preload_idx.size(), k);
+        ASSERT_LT(choice.exec_idx,
+                  static_cast<int>(lib.exec_plans(cur).size()));
+        uint64_t resum = lib.exec_plans(cur)[choice.exec_idx].exec_space;
+        for (size_t j = 0; j < k; ++j) {
+            const auto& front = lib.preload_plans(live[j], exec_idx[j]);
+            ASSERT_GE(choice.preload_idx[j], floor[j]);
+            ASSERT_LT(choice.preload_idx[j],
+                      static_cast<int>(front.size()));
+            resum += front[choice.preload_idx[j]].preload_space;
+        }
+        EXPECT_EQ(choice.used_space, resum);
+        if (choice.feasible) {
+            EXPECT_LE(choice.used_space, budget);
+            ++feasible;
+        } else {
+            EXPECT_GT(choice.used_space, budget);
+            ++infeasible;
+        }
+    }
+    // The draws exercise both outcomes.
+    EXPECT_GT(feasible, 0);
+    EXPECT_GT(infeasible, 0);
 }
 
 }  // namespace

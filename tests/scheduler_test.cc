@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "elk/inductive_scheduler.h"
 #include "test_helpers.h"
 
@@ -136,6 +138,30 @@ TEST_F(SchedulerTest, InvalidOrderRejected)
     if (plan.has_value()) {
         EXPECT_GT(plan->est_total_time, identity->est_total_time);
     }
+}
+
+using SchedulerDeathTest = SchedulerTest;
+
+TEST_F(SchedulerDeathTest, NonPermutationOrderRejected)
+{
+    // A duplicate, out-of-range or negative id would corrupt the
+    // position index; the order must be rejected up front.
+    InductiveScheduler sched(*h_.library);
+    std::vector<int> order(h_.graph.size());
+    std::iota(order.begin(), order.end(), 0);
+
+    std::vector<int> repeated = order;
+    repeated[1] = repeated[0];
+    EXPECT_DEATH(sched.schedule(repeated),
+                 "not a permutation of operator ids.*id 0 repeated");
+
+    std::vector<int> too_large = order;
+    too_large[0] = h_.graph.size();
+    EXPECT_DEATH(sched.schedule(too_large), "out of range");
+
+    std::vector<int> negative = order;
+    negative[0] = -1;
+    EXPECT_DEATH(sched.schedule(negative), "id -1 out of range");
 }
 
 TEST_F(SchedulerTest, PreloadDurationRoofline)
