@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <optional>
+#include <utility>
 
 #include "elk/plan_cache.h"
 #include "util/logging.h"
@@ -9,7 +10,8 @@
 namespace elk::compiler {
 
 Compiler::Compiler(const graph::Graph& graph, const hw::ChipConfig& cfg,
-                   const cost::ExecCostModel* cost_model, int jobs)
+                   const cost::ExecCostModel* cost_model, int jobs,
+                   std::shared_ptr<const sim::Machine> machine)
     : pipeline_(CompilerPipeline::standard())
 {
     int threads = util::ThreadPool::resolve_jobs(jobs);
@@ -19,6 +21,7 @@ Compiler::Compiler(const graph::Graph& graph, const hw::ChipConfig& cfg,
     state_.graph = &graph;
     state_.pool = pool_.get();
     state_.cfg = std::make_shared<hw::ChipConfig>(cfg);
+    state_.machine = std::move(machine);
     if (cost_model != nullptr) {
         state_.ctx.set_cost_model(cost::borrow_cost_model(cost_model));
     }
@@ -46,10 +49,6 @@ Compiler::compile(const CompileOptions& opts) const
 
     CompileState state = state_;  // shares the analysis products
     state.opts = opts;
-    {
-        std::lock_guard<std::mutex> lock(machine_mu_);
-        state.tuning_machine = cached_machine_;
-    }
 
     // Plan-cache consult: on a hit the cached plan becomes the state's
     // product and every scheduling pass disables itself (the
@@ -86,12 +85,6 @@ Compiler::compile(const CompileOptions& opts) const
                 "compile: the pipeline produced no ExecutionPlan for "
                 "mode " + mode_name(opts.mode) +
                     " — a scheduling pass was skipped (--passes?)");
-    {
-        std::lock_guard<std::mutex> lock(machine_mu_);
-        if (!cached_machine_) {
-            cached_machine_ = state.tuning_machine;
-        }
-    }
 
     CompileResult result;
     result.plan = std::move(*state.plan);

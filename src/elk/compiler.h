@@ -1,9 +1,10 @@
 /**
  * @file
  * The Elk compiler facade (paper Fig. 9): a thin driver over the pass
- * pipeline in pass.h. It owns the analysis products (hardware
- * analysis + plan library, built once per (graph, chip) pair) and
- * runs the mode-gated scheduling passes per compile() call:
+ * pipeline in pass.h. It owns the analysis products (the chip's
+ * sim::Machine, built once per chip and shareable across compilers,
+ * plus the plan library, built once per (graph, chip) pair) and runs
+ * the mode-gated scheduling passes per compile() call:
  *
  *  - Basic:    maximize execution space, preload only the next op;
  *  - Static:   T10-extended — fixed preload/execution split, best
@@ -20,7 +21,6 @@
 #define ELK_ELK_COMPILER_H
 
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "cost/exec_cost.h"
@@ -54,15 +54,21 @@ class Compiler {
      * threads for the parallel passes — 1 (default) is serial, 0 uses
      * every hardware thread, N > 1 uses N threads; the plan library
      * build in this constructor already fans out over them.
+     * @p machine, when given, is the chip analysis to share instead
+     * of building one: it must model @p cfg's chip on the shared
+     * (non-split) fabric, or construction dies with a worded check.
      */
     Compiler(const graph::Graph& graph, const hw::ChipConfig& cfg,
              const cost::ExecCostModel* cost_model = nullptr,
-             int jobs = 1);
+             int jobs = 1,
+             std::shared_ptr<const sim::Machine> machine = nullptr);
 
     /// Compiles an execution plan for the requested design by running
     /// the scheduling passes of the pipeline. With a plan cache
     /// attached, a hit skips them (CompileState::cached_plan hook)
-    /// and a miss stores the freshly compiled result.
+    /// and a miss stores the freshly compiled result. Safe to call
+    /// concurrently: each call works on a private copy of the state,
+    /// whose analysis products are immutable.
     CompileResult compile(const CompileOptions& opts = {}) const;
 
     /**
@@ -92,11 +98,6 @@ class Compiler {
     CompilerPipeline pipeline_;
     std::unique_ptr<util::ThreadPool> pool_;
     CompileState state_;  ///< analysis products shared by compiles.
-    /// Offline-tuning machine cached across compile() calls; guarded
-    /// by machine_mu_ so concurrent compile() calls on one Compiler
-    /// are safe (the rest of compile() works on a private state copy).
-    mutable std::mutex machine_mu_;
-    mutable std::shared_ptr<const sim::Machine> cached_machine_;
     PlanCache* plan_cache_ = nullptr;  ///< non-owning, optional.
 };
 

@@ -4,7 +4,7 @@
  *
  * Compilation is a sequence of passes over one shared CompileState:
  *
- *   hardware-analysis  -> topology + traffic model + plan context
+ *   hardware-analysis  -> the chip's sim::Machine + plan context
  *   plan-library       -> per-signature Pareto fronts (parallel)
  *   schedule-basic     |  mode-gated scheduling: exactly one of these
  *   schedule-static    |  produces state.plan for the requested design
@@ -14,12 +14,12 @@
  *   finalize           -> Table 2 search statistics
  *
  * Contract: a pass reads only CompileState fields produced by earlier
- * passes and fills its own products; environment products (topology,
- * plan library, tuning machine) are shared_ptrs so states can be
- * copied per compile() call, and passes skip work that is already
- * present. Parallel passes fan out over state.pool and must merge
- * deterministically — the compiled plan is bit-identical at any job
- * count (enforced by pipeline_test).
+ * passes and fills its own products; environment products (machine,
+ * plan library) are shared_ptrs so states can be copied per compile()
+ * call, and passes skip work that is already present. Parallel passes
+ * fan out over state.pool and must merge deterministically — the
+ * compiled plan is bit-identical at any job count (enforced by
+ * pipeline_test).
  */
 #ifndef ELK_ELK_PASS_H
 #define ELK_ELK_PASS_H
@@ -33,8 +33,6 @@
 #include "elk/inductive_scheduler.h"
 #include "elk/schedule_ir.h"
 #include "hw/chip_config.h"
-#include "hw/topology.h"
-#include "hw/traffic.h"
 #include "sim/machine.h"
 #include "util/thread_pool.h"
 
@@ -92,15 +90,15 @@ struct CompileState {
 
     // --- hardware-analysis products ---
     std::shared_ptr<const hw::ChipConfig> cfg;  ///< validated copy.
-    std::shared_ptr<const hw::Topology> topo;
-    std::shared_ptr<const hw::TrafficModel> traffic;
-    plan::PlanContext ctx;  ///< points into cfg/traffic/cost handle.
+    /// The chip's topology + traffic analysis, which the offline
+    /// tuning sweeps also simulate on. Immutable and never split
+    /// fabric; a driver may preset it to share one chip analysis
+    /// across compiles (it must match `cfg`).
+    std::shared_ptr<const sim::Machine> machine;
+    plan::PlanContext ctx;  ///< points into cfg/machine/cost handle.
 
     // --- plan-library products ---
     std::shared_ptr<const PlanLibrary> library;
-
-    // --- scheduling scratch (built on demand, reused if present) ---
-    std::shared_ptr<const sim::Machine> tuning_machine;
 
     /// Plan-cache hook: when the driver resolves the compile from a
     /// cached plan it sets this (and copies it into `plan`); every

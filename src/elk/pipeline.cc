@@ -18,6 +18,7 @@
 
 #include "elk/ideal.h"
 #include "elk/inductive_scheduler.h"
+#include "elk/plan_cache.h"
 #include "elk/preload_reorder.h"
 #include "runtime/executor.h"
 #include "sim/engine.h"
@@ -92,15 +93,22 @@ argmin_first(const std::vector<double>& scores)
     return best;
 }
 
-/// Builds (or reuses) the simulator machine the offline tuning sweeps
-/// estimate performance on.
-const sim::Machine&
-ensure_tuning_machine(CompileState& state)
+/// Panics unless @p machine can stand in for @p cfg's analysis: the
+/// same chip (by plan-cache signature) on the shared fabric.
+void
+check_machine_matches(const sim::Machine& machine,
+                      const hw::ChipConfig& cfg)
 {
-    if (!state.tuning_machine) {
-        state.tuning_machine = std::make_shared<sim::Machine>(*state.cfg);
-    }
-    return *state.tuning_machine;
+    const std::string have = chip_signature(machine.config());
+    const std::string want = chip_signature(cfg);
+    util::check(have == want && !machine.ideal_split_fabric(),
+                "hardware-analysis: the shared machine models chip " +
+                    have +
+                    (machine.ideal_split_fabric() ? " (split fabric)"
+                                                  : "") +
+                    " but the compile targets chip " + want +
+                    " (shared fabric); refusing to tune on the wrong "
+                    "chip");
 }
 
 // ---------------------------------------------------------------------------
@@ -116,18 +124,21 @@ class HardwareAnalysisPass : public Pass {
         util::check(state.graph != nullptr && state.cfg != nullptr,
                     "hardware-analysis: CompileState needs a graph and "
                     "a chip config");
-        if (state.topo) {
+        if (state.machine &&
+            state.ctx.traffic == &state.machine->traffic()) {
             return;  // analysis products already built (state reuse)
         }
         state.cfg->validate();
-        state.topo = std::make_shared<hw::Topology>(*state.cfg);
-        state.traffic =
-            std::make_shared<hw::TrafficModel>(*state.topo, *state.cfg);
+        if (state.machine) {
+            check_machine_matches(*state.machine, *state.cfg);
+        } else {
+            state.machine = std::make_shared<const sim::Machine>(*state.cfg);
+        }
         if (state.ctx.exec_cost == nullptr) {
             state.ctx.set_cost_model(cost::make_analytic_cost());
         }
         state.ctx.cfg = state.cfg.get();
-        state.ctx.traffic = state.traffic.get();
+        state.ctx.traffic = &state.machine->traffic();
     }
 };
 
@@ -256,7 +267,7 @@ schedule_static(CompileState& state)
         }
     }
 
-    const sim::Machine& machine = ensure_tuning_machine(state);
+    const sim::Machine& machine = *state.machine;
     std::vector<ExecutionPlan> plans(candidates.size());
     std::vector<double> times(candidates.size(), kInf);
 
@@ -396,7 +407,7 @@ class ElkSchedulePass : public Pass {
             }
         }
 
-        const sim::Machine& machine = ensure_tuning_machine(state);
+        const sim::Machine& machine = *state.machine;
         std::vector<std::optional<ExecutionPlan>> plans(candidates.size());
         std::vector<double> times(candidates.size(), kInf);
         for_each_candidate(state, static_cast<int>(candidates.size()),
@@ -498,7 +509,7 @@ class PreloadOrderSearchPass : public Pass {
         // simulator sees the interconnect contention that reordering
         // is meant to avoid. The per-order scoring fans out over the
         // pool; the first-minimum merge keeps the serial winner.
-        const sim::Machine& machine = ensure_tuning_machine(state);
+        const sim::Machine& machine = *state.machine;
         std::vector<double> scores = score_candidate_orders(
             library, orders, score_opts, machine, state.pool);
         int best = argmin_first(scores);

@@ -46,7 +46,10 @@ ServingCompiler::ServingCompiler(graph::ModelConfig model, int seq,
       cache_(cache),
       jobs_(jobs),
       serving_opts_(serving_opts),
-      machine_(cfg_, opts_.mode == Mode::kIdeal)
+      compile_machine_(std::make_shared<const sim::Machine>(cfg_)),
+      machine_(opts_.mode == Mode::kIdeal
+                   ? std::make_shared<const sim::Machine>(cfg_, true)
+                   : compile_machine_)
 {
     util::check(seq_ >= 1, "ServingCompiler: seq must be >= 1");
     util::check(serving_opts_.op_id_offset >= 0,
@@ -92,8 +95,8 @@ ServingCompiler::program(int batch, int prompt_len)
         serving_opts_.kind == GraphKind::kPrefill
             ? graph::build_forward_graph(model_, batch, prompt_len)
             : graph::build_decode_graph(model_, batch, seq_));
-    entry.compiler = std::make_unique<Compiler>(*entry.graph, cfg_,
-                                                nullptr, jobs_);
+    entry.compiler = std::make_unique<Compiler>(
+        *entry.graph, cfg_, nullptr, jobs_, compile_machine_);
     entry.compiler->set_plan_cache(cache_);
     CompileResult compiled = entry.compiler->compile(opts_);
     compile_seconds_ += compiled.compile_seconds;

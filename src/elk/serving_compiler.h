@@ -8,7 +8,10 @@
  * (PlanCache-backed) compile, and lowering to the simulator program —
  * per bucket. Returning the same SimProgram object for a repeated
  * bucket is what lets the engine keep weights resident across
- * iterations.
+ * iterations. The chip is analyzed once, at construction: every
+ * bucket's Compiler shares that one immutable sim::Machine, which is
+ * also the machine serving runs on (except in Ideal mode, which
+ * serves on its own split-fabric machine).
  *
  * A serving compiler builds one graph family: decode steps
  * (GraphKind::kDecode, one token per request against a KV cache of
@@ -115,7 +118,7 @@ class ServingCompiler {
     std::shared_ptr<const sim::SimProgram> program(int batch);
 
     /// The machine serving runs on (split fabric for Ideal mode).
-    const sim::Machine& machine() const { return machine_; }
+    const sim::Machine& machine() const { return *machine_; }
 
     /// Accumulated wall-clock compile seconds across buckets.
     double compile_seconds() const;
@@ -143,7 +146,11 @@ class ServingCompiler {
     PlanCache* cache_;
     int jobs_;
     Options serving_opts_;
-    sim::Machine machine_;
+    /// The chip analysis every bucket's Compiler shares.
+    std::shared_ptr<const sim::Machine> compile_machine_;
+    /// The serving machine: compile_machine_ itself, or a split-fabric
+    /// machine in Ideal mode.
+    std::shared_ptr<const sim::Machine> machine_;
     mutable std::shared_mutex mu_;
     /// (batch, prompt_len) -> compiled chain.
     std::map<std::pair<int, int>, Entry> entries_;

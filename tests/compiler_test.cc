@@ -7,6 +7,8 @@
 
 #include "elk/compiler.h"
 #include "elk/device_program.h"
+#include "elk/plan_cache.h"
+#include "sim/machine.h"
 #include "test_helpers.h"
 
 namespace elk::compiler {
@@ -126,6 +128,31 @@ TEST_F(CompilerTest, CompileTimeRecorded)
     opts.mode = Mode::kElkDyn;
     auto result = compiler_->compile(opts);
     EXPECT_GT(result.compile_seconds, 0.0);
+}
+
+// A shared machine stands in for the compile's own chip analysis, so
+// one that models another chip, or the Ideal split fabric, must stop
+// the compiler before it tunes on it; the message names both chips.
+using CompilerDeathTest = CompilerTest;
+
+TEST_F(CompilerDeathTest, RejectsMachineOfAnotherChip)
+{
+    hw::ChipConfig other = cfg_;
+    other.hbm_total_bw *= 2;
+    auto machine = std::make_shared<const sim::Machine>(other);
+    EXPECT_DEATH(Compiler(graph_, cfg_, nullptr, 1, machine),
+                 "shared machine models chip " + chip_signature(other) +
+                     " but the compile targets chip " +
+                     chip_signature(cfg_));
+}
+
+TEST_F(CompilerDeathTest, RejectsSplitFabricMachine)
+{
+    auto machine = std::make_shared<const sim::Machine>(cfg_, true);
+    EXPECT_DEATH(Compiler(graph_, cfg_, nullptr, 1, machine),
+                 "shared machine models chip " + chip_signature(cfg_) +
+                     " \\(split fabric\\) but the compile targets "
+                     "chip " + chip_signature(cfg_));
 }
 
 TEST(ModeNameTest, AllNamesDistinct)

@@ -8,12 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "elk/compiler.h"
 #include "elk/pass.h"
 #include "graph/model_builder.h"
+#include "sim/machine.h"
 #include "test_helpers.h"
 #include "util/thread_pool.h"
 
@@ -178,8 +182,8 @@ TEST_F(PipelineCompileTest, RepeatedCompilesAreIdentical)
     CompileOptions opts;
     opts.mode = Mode::kElkFull;
     opts.max_orders = 8;
-    // The second compile reuses the cached tuning machine; the plan
-    // must not drift.
+    // The second compile reuses the analysis products; the plan must
+    // not drift.
     EXPECT_EQ(comp.compile(opts).plan.serialize_bits(),
               comp.compile(opts).plan.serialize_bits());
 }
@@ -202,6 +206,77 @@ TEST_F(PipelineCompileTest, StatsSurviveThePipelineSplit)
     EXPECT_GT(result.stats.max_plans, 0);
     EXPECT_GT(result.stats.max_fit_window, 0);
     EXPECT_GE(result.stats.orders_tested, 1);
+}
+
+// One chip analysis shared across compilers (the serving bucket
+// ladder's setup): handing a Compiler the machine must not change a
+// single plan bit, and the plan context must read the shared traffic
+// model rather than a private copy.
+TEST_F(PipelineCompileTest, SharedMachineMatchesOwnAllModes)
+{
+    auto machine = std::make_shared<const sim::Machine>(cfg_);
+    for (Mode mode : {Mode::kBasic, Mode::kStatic, Mode::kElkDyn,
+                      Mode::kElkFull, Mode::kIdeal}) {
+        CompileOptions opts;
+        opts.mode = mode;
+        opts.max_orders = 8;
+        Compiler shared(graph_, cfg_, nullptr, 1, machine);
+        EXPECT_EQ(shared.context().traffic, &machine->traffic());
+        EXPECT_EQ(shared.compile(opts).plan.serialize_bits(),
+                  compile_bits(mode, 1, 0))
+            << mode_name(mode);
+    }
+}
+
+TEST_F(PipelineCompileTest, CompilersSharingAMachineCompileConcurrently)
+{
+    const graph::Graph other =
+        graph::build_decode_graph(testing::tiny_llm(), 4, 512);
+    CompileOptions opts;
+    opts.mode = Mode::kElkFull;
+    opts.max_orders = 8;
+    const std::string want_a = Compiler(graph_, cfg_).compile(opts)
+                                   .plan.serialize_bits();
+    const std::string want_b = Compiler(other, cfg_).compile(opts)
+                                   .plan.serialize_bits();
+
+    auto machine = std::make_shared<const sim::Machine>(cfg_);
+    Compiler a(graph_, cfg_, nullptr, 1, machine);
+    Compiler b(other, cfg_, nullptr, 1, machine);
+    std::string got_a;
+    std::string got_b;
+    std::thread ta([&] { got_a = a.compile(opts).plan.serialize_bits(); });
+    std::thread tb([&] { got_b = b.compile(opts).plan.serialize_bits(); });
+    ta.join();
+    tb.join();
+    EXPECT_EQ(got_a, want_a);
+    EXPECT_EQ(got_b, want_b);
+    EXPECT_NE(got_a, got_b);
+}
+
+TEST_F(PipelineCompileTest, ConcurrentCompilesOnOneCompiler)
+{
+    // Two threads, one Compiler, one construction pool: each compile()
+    // works on a private state copy over the immutable analysis.
+    Compiler comp(graph_, cfg_, nullptr, 2);
+    const Mode modes[] = {Mode::kElkFull, Mode::kStatic};
+    std::string got[2];
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+        threads.emplace_back([&, t] {
+            CompileOptions opts;
+            opts.mode = modes[t];
+            opts.max_orders = 8;
+            got[t] = comp.compile(opts).plan.serialize_bits();
+        });
+    }
+    for (auto& th : threads) {
+        th.join();
+    }
+    for (int t = 0; t < 2; ++t) {
+        EXPECT_EQ(got[t], compile_bits(modes[t], 1, 0))
+            << mode_name(modes[t]);
+    }
 }
 
 // The acceptance check of the parallel pipeline: the quickstart model

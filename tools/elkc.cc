@@ -362,7 +362,7 @@ serve_main(int argc, char** argv, const char* argv0)
     if (prompt_dist.rfind("geometric:", 0) == 0) {
         prompt_mean = util::parse_double_arg(
             prompt_dist.c_str() + std::strlen("geometric:"),
-            "--prompt-dist geometric:", 1e-9, 1e9);
+            "--prompt-dist geometric:MEAN", 1e-9, 1e9);
     } else if (prompt_dist != "full") {
         util::fatal("unknown prompt distribution: " + prompt_dist +
                     " (expected 'full' or 'geometric:MEAN')");
