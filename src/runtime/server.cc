@@ -104,10 +104,13 @@ engine_options(const ServerOptions& opts)
  * preempt a running iteration at the next step() boundary via
  * EngineState::park(): one nested iteration of the same two routines
  * serves the urgent work on the same state, then the victim resumes
- * where it stopped. On a decode-only all-normal trace this loop
- * performs exactly the sequence of engine and accumulator operations
- * of the plain serve() overload, so the reports are bit-identical
- * (asserted in tests/preempt_test.cc).
+ * where it stopped. Programs load through the engine's iteration
+ * memo (EngineState::begin_memo), which replays a repeated run whole
+ * when no preemption watcher could fire inside it. On a decode-only
+ * all-normal trace this loop performs exactly the accumulator
+ * operations and engine runs of the plain serve() overload, which
+ * steps every run, so the reports are bit-identical (asserted in
+ * tests/preempt_test.cc).
  */
 class DisaggRun {
   public:
@@ -212,8 +215,10 @@ class DisaggRun {
     /// Returns a borrowed list to the pool.
     void release_scratch(std::vector<int>&& v);
     /// begin/step/finish one program; steps watch for preemption when
-    /// @p can_preempt.
-    IterOutcome execute(const sim::SimProgram& program, bool can_preempt);
+    /// @p can_preempt. A run the engine memoized replays at once when
+    /// it ends before the next watcher arrival.
+    IterOutcome execute(std::shared_ptr<const sim::SimProgram> program,
+                        bool can_preempt);
     /// Parks the running iteration, serves queued high-priority work
     /// for one iteration, resumes; returns the wall seconds consumed.
     double preempt_for_high();
@@ -931,14 +936,15 @@ DisaggRun::kv_retire(int r, bool completed)
 }
 
 DisaggRun::IterOutcome
-DisaggRun::execute(const sim::SimProgram& program, bool can_preempt)
+DisaggRun::execute(std::shared_ptr<const sim::SimProgram> program,
+                   bool can_preempt)
 {
     double start = now_;
     double interrupted = 0.0;
-    state_.begin(program);
+    const bool watch = can_preempt && opts_.preempt;
+    state_.begin_memo(std::move(program), watch ? next_high_arrival_ : kInf);
     while (state_.step()) {
-        if (can_preempt && opts_.preempt &&
-            next_high_arrival_ <= state_.now()) {
+        if (watch && next_high_arrival_ <= state_.now()) {
             interrupted += preempt_for_high();
         }
     }
@@ -1250,7 +1256,8 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
                 std::min(iter_min_deadline_, effective_deadline(r));
         }
     }
-    IterOutcome o = execute(*program, interruptible && !protected_iter);
+    IterOutcome o =
+        execute(std::move(program), interruptible && !protected_iter);
     account(o, /*decode=*/false, /*nested=*/mode != ClaimMode::kAll);
 
     // Prompt ingested: record TTFT and hand the request to the decode
@@ -1346,7 +1353,8 @@ DisaggRun::run_decode_iteration(ClaimMode mode)
         }
     }
     IterOutcome o =
-        execute(*program, /*can_preempt=*/!nested && !protected_iter);
+        execute(std::move(program),
+                /*can_preempt=*/!nested && !protected_iter);
     account(o, /*decode=*/true, nested);
     rep_.tokens += static_cast<int64_t>(batch.size());
 

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "util/bits.h"
 #include "util/logging.h"
 
 namespace elk::sim {
@@ -126,6 +128,65 @@ EngineState::begin(const SimProgram& program)
 {
     util::check(done(), "EngineState: begin() while a program is running");
     program.validate();
+    recording_ = false;
+    evict_stale(program);
+    load(program);
+}
+
+bool
+EngineState::begin_memo(std::shared_ptr<const SimProgram> program,
+                        double watch)
+{
+    util::check(done(), "EngineState: begin() while a program is running");
+    util::check(program != nullptr, "EngineState: begin_memo() of null");
+    const SimProgram* p = program.get();
+    bool known = false;
+    for (const MemoEntry& m : memo_) {
+        known |= m.program.get() == p;
+    }
+    if (!known) {
+        p->validate();  // a held program was validated when recorded
+    }
+    recording_ = false;
+    evict_stale(*p);
+    // The key covers the weights only: KV-bearing runs stay unmemoized.
+    const bool memoizable = kv_.empty();
+    uint64_t hash = 0;
+    const MemoEntry* hit = nullptr;
+    if (memoizable) {
+        hash = memo_key(p);
+        for (const MemoEntry& m : memo_) {
+            if (m.hash == hash && m.program.get() == p &&
+                m.key == memo_key_) {
+                hit = &m;
+                break;
+            }
+        }
+    }
+    load(*p);
+    f_.owner = std::move(program);
+    // now() at the run's last event is clock_base_ + t_final, and the
+    // clock only grows step by step: if that is before the watch, no
+    // step of the skipped run could have tripped the caller's watcher.
+    if (hit != nullptr && clock_base_ + hit->t_final < watch) {
+        replay(*hit);
+        return true;
+    }
+    if (memoizable && hit == nullptr) {
+        recording_ = true;
+        rec_hash_ = hash;
+        rec_pre_ = resident_;
+        rec_seq_ = resident_seq_;
+        rec_hits_ = resident_hits_;
+        rec_evictions_ = resident_evictions_;
+        rec_evicted_.clear();
+    }
+    return false;
+}
+
+void
+EngineState::evict_stale(const SimProgram& program)
+{
     check_pool_invariants();
     const int n = static_cast<int>(program.ops.size());
 
@@ -139,35 +200,40 @@ EngineState::begin(const SimProgram& program)
     // lookup lives in reused scratch; keeping the first exec index of
     // a duplicated op id matches the old map's emplace semantics, and
     // the in-order compaction preserves the pool's sort.
-    if (!resident_.empty()) {
-        begin_scratch_.clear();
-        for (int i = 0; i < n; ++i) {
-            begin_scratch_.emplace_back(program.ops[i].op_id, i);
-        }
-        std::sort(begin_scratch_.begin(), begin_scratch_.end());
-        size_t out = 0;
-        for (size_t i = 0; i < resident_.size(); ++i) {
-            const ResidentSlot& slot = resident_[i];
-            auto hit = std::lower_bound(
-                begin_scratch_.begin(), begin_scratch_.end(),
-                std::pair<int, int>(slot.op_id, -1));
-            bool stale = hit != begin_scratch_.end() &&
-                         hit->first == slot.op_id &&
-                         !entry_matches(slot.entry,
-                                        program.ops[hit->second]);
-            if (stale && slot.entry.pin_count == 0) {
-                occupancy_ -= static_cast<double>(slot.entry.space);
-                resident_bytes_ -= slot.entry.space;
-                continue;
-            }
-            if (out != i) {
-                resident_[out] = slot;
-            }
-            ++out;
-        }
-        resident_.resize(out);
+    if (resident_.empty()) {
+        return;
     }
+    begin_scratch_.clear();
+    for (int i = 0; i < n; ++i) {
+        begin_scratch_.emplace_back(program.ops[i].op_id, i);
+    }
+    std::sort(begin_scratch_.begin(), begin_scratch_.end());
+    size_t out = 0;
+    for (size_t i = 0; i < resident_.size(); ++i) {
+        const ResidentSlot& slot = resident_[i];
+        auto hit = std::lower_bound(begin_scratch_.begin(),
+                                    begin_scratch_.end(),
+                                    std::pair<int, int>(slot.op_id, -1));
+        bool stale = hit != begin_scratch_.end() &&
+                     hit->first == slot.op_id &&
+                     !entry_matches(slot.entry, program.ops[hit->second]);
+        if (stale && slot.entry.pin_count == 0) {
+            occupancy_ -= static_cast<double>(slot.entry.space);
+            resident_bytes_ -= slot.entry.space;
+            continue;
+        }
+        if (out != i) {
+            resident_[out] = slot;
+        }
+        ++out;
+    }
+    resident_.resize(out);
+}
 
+void
+EngineState::load(const SimProgram& program)
+{
+    const int n = static_cast<int>(program.ops.size());
     clock_base_ += f_.t;  // previous program's span becomes history
     reset_frame();
     f_.program = &program;
@@ -197,6 +263,7 @@ EngineState::park()
     // Fold the parked local clock into the base so the idle state sits
     // at the same global now (its fresh frame's local clock is zero).
     clock_base_ += f_.t;
+    recording_ = false;  // a parked run's steps are interleaved
     auto frame = std::make_unique<Frame>(std::move(f_));
     f_ = Frame{};
     return Parked(std::move(frame));
@@ -352,6 +419,7 @@ EngineState::kv_alloc(int64_t id, uint64_t per_core_bytes)
         [](const KvSlot& slot, int64_t key) { return slot.id < key; });
     util::check(pos == kv_.end() || pos->id != id,
                 "EngineState: kv_alloc() of an existing segment");
+    recording_ = false;  // the run no longer starts from a KV-free pool
     KvSlot slot;
     slot.id = id;
     slot.seg.bytes = per_core_bytes;
@@ -625,6 +693,9 @@ EngineState::pick_victim()
 void
 EngineState::evict(int idx)
 {
+    if (recording_) {
+        rec_evicted_.push_back(resident_[idx].op_id);
+    }
     occupancy_ -= static_cast<double>(resident_[idx].entry.space);
     resident_bytes_ -= resident_[idx].entry.space;
     resident_.erase(resident_.begin() + idx);
@@ -746,6 +817,118 @@ EngineState::retire_op(int i)
             slot);
         resident_bytes_ += op.preload_space;
         occupancy_ += static_cast<double>(op.preload_space);
+    }
+}
+
+uint64_t
+EngineState::memo_key(const SimProgram* program)
+{
+    // Everything a run's arithmetic reads from outside its program:
+    // the occupancy bits, the budgets, the policy, and each weight
+    // entry — its recency as a rank among the entries (new seqs always
+    // exceed old ones, so only their order is ever compared), its hits
+    // only where the policy scores them. KV-free pools only.
+    const bool scored = opts_.policy == ResidencyPolicy::kFrequencyAware;
+    uint64_t occupancy_bits;
+    std::memcpy(&occupancy_bits, &occupancy_, sizeof(occupancy_bits));
+    memo_key_.assign({occupancy_bits, opts_.residency_budget,
+                      opts_.kv_budget,
+                      static_cast<uint64_t>(opts_.policy)});
+    for (const ResidentSlot& slot : resident_) {
+        uint64_t rank = 0;
+        for (const ResidentSlot& other : resident_) {
+            rank += other.entry.seq < slot.entry.seq;
+        }
+        uint64_t dram_bits;
+        std::memcpy(&dram_bits, &slot.entry.dram_bytes, sizeof(dram_bits));
+        memo_key_.insert(
+            memo_key_.end(),
+            {static_cast<uint64_t>(slot.op_id), slot.entry.space, dram_bits,
+             static_cast<uint64_t>(slot.entry.pin_count), rank,
+             scored ? static_cast<uint64_t>(slot.entry.hits) : 0});
+    }
+    util::Fnv1a h;
+    h.mix_value(program);
+    h.mix(memo_key_.data(), memo_key_.size() * sizeof(uint64_t));
+    return h.value();
+}
+
+void
+EngineState::replay(const MemoEntry& m)
+{
+    // The pool is the pre-state the entry was recorded from (same
+    // key), so its entries line up with MemoSlot::pre indices.
+    replay_scratch_.clear();
+    for (const MemoSlot& ms : m.post) {
+        ResidentSlot slot{ms.op_id, ms.entry};
+        if (ms.pre >= 0) {
+            const ResidentEntry& pre = resident_[ms.pre].entry;
+            slot.entry.hits += pre.hits;
+            if (ms.seq_kept) {
+                slot.entry.seq = pre.seq;
+            }
+        }
+        if (!ms.seq_kept) {
+            slot.entry.seq += resident_seq_;
+        }
+        replay_scratch_.push_back(slot);
+    }
+    resident_.swap(replay_scratch_);
+    resident_bytes_ = m.resident_bytes;
+    occupancy_ = m.occupancy;
+    resident_seq_ += m.seq_delta;
+    resident_hits_ += m.hits_delta;
+    resident_evictions_ += m.evictions_delta;
+    f_.result = m.result;
+    f_.t = m.t_final;
+    f_.t_complete = m.t_final;
+    f_.complete = true;
+    f_.replayed = true;
+    ++replays_;
+    check_pool_invariants();
+}
+
+void
+EngineState::record(const SimResult& result)
+{
+    recording_ = false;
+    MemoEntry m;
+    m.program = f_.owner;
+    m.hash = rec_hash_;
+    m.key = memo_key_;
+    m.result = result;
+    m.t_final = f_.t_complete;
+    for (const ResidentSlot& slot : resident_) {
+        MemoSlot ms;
+        ms.op_id = slot.op_id;
+        ms.entry = slot.entry;
+        auto pre = std::lower_bound(
+            rec_pre_.begin(), rec_pre_.end(), slot.op_id,
+            [](const ResidentSlot& s, int key) { return s.op_id < key; });
+        const bool survived =
+            pre != rec_pre_.end() && pre->op_id == slot.op_id &&
+            std::find(rec_evicted_.begin(), rec_evicted_.end(),
+                      slot.op_id) == rec_evicted_.end();
+        if (survived) {
+            ms.pre = static_cast<int>(pre - rec_pre_.begin());
+            ms.entry.hits -= pre->entry.hits;
+            ms.seq_kept = slot.entry.seq == pre->entry.seq;
+        }
+        if (!ms.seq_kept) {
+            ms.entry.seq -= rec_seq_;
+        }
+        m.post.push_back(ms);
+    }
+    m.resident_bytes = resident_bytes_;
+    m.occupancy = occupancy_;
+    m.seq_delta = resident_seq_ - rec_seq_;
+    m.hits_delta = resident_hits_ - rec_hits_;
+    m.evictions_delta = resident_evictions_ - rec_evictions_;
+    if (memo_.size() < kMemoCapacity) {
+        memo_.push_back(std::move(m));
+    } else {
+        memo_[memo_next_] = std::move(m);
+        memo_next_ = (memo_next_ + 1) % kMemoCapacity;
     }
 }
 
@@ -981,6 +1164,7 @@ EngineState::step_until(double cap)
         // event, so it does not count against the progress guard.
         dt = std::max(cap - f_.t, 0.0);
         --f_.guard;
+        recording_ = false;  // a split event is not a step()-driven run
     }
     advance_time(dt);
     return true;
@@ -1012,26 +1196,33 @@ EngineState::finish()
     util::check(f_.program != nullptr,
                 "EngineState: finish() without a program");
     util::check(f_.complete, "EngineState: finish() before completion");
-    const double total = f_.t_complete;
-    f_.result.total_time = total;
-    double total_flops = 0.0;
-    for (const auto& op : f_.program->ops) {
-        total_flops += op.flops;
+    if (!f_.replayed) {
+        const double total = f_.t_complete;
+        f_.result.total_time = total;
+        double total_flops = 0.0;
+        for (const auto& op : f_.program->ops) {
+            total_flops += op.flops;
+        }
+        if (total > 0) {
+            f_.result.hbm_util = f_.hbm_busy / total;
+            f_.result.noc_util_preload = f_.fabric_preload / total;
+            f_.result.noc_util_peer = f_.fabric_peer / total;
+            f_.result.noc_util =
+                f_.result.noc_util_preload + f_.result.noc_util_peer;
+            f_.result.achieved_tflops = total_flops / total / 1e12;
+        }
+        f_.result.peak_sram_per_core = static_cast<uint64_t>(f_.peak);
+        f_.result.memory_exceeded =
+            f_.result.peak_sram_per_core >
+            machine_.config().usable_sram_per_core();
     }
-    if (total > 0) {
-        f_.result.hbm_util = f_.hbm_busy / total;
-        f_.result.noc_util_preload = f_.fabric_preload / total;
-        f_.result.noc_util_peer = f_.fabric_peer / total;
-        f_.result.noc_util =
-            f_.result.noc_util_preload + f_.result.noc_util_peer;
-        f_.result.achieved_tflops = total_flops / total / 1e12;
+    if (recording_) {
+        record(f_.result);
     }
-    f_.result.peak_sram_per_core = static_cast<uint64_t>(f_.peak);
-    f_.result.memory_exceeded = f_.result.peak_sram_per_core >
-                                machine_.config().usable_sram_per_core();
     SimResult out = std::move(f_.result);
     f_.result = SimResult{};
     f_.program = nullptr;
+    f_.owner.reset();
     // The network object survives for the next begin() (reset_frame
     // clears its flows but keeps the table's allocation).
     return out;

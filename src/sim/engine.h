@@ -175,6 +175,26 @@ class EngineState {
     /// a later program of another class).
     void begin(const SimProgram& program);
 
+    /**
+     * begin() through the iteration memo. After the stale eviction,
+     * the (program, residency pool) pair is looked up among earlier
+     * runs of this state. On a hit whose completion clock (now() when
+     * the run's last event fires) lies strictly before @p watch, the
+     * run is replayed whole: the pool, its counters and the clock land
+     * exactly where stepping would have left them, done() is true,
+     * finish() returns the memoized result, and this returns true.
+     * Otherwise the program is loaded as by begin() and this returns
+     * false; if the caller then drives it to finish() by step() alone,
+     * unparked, with no KV segment in the pool, the run is recorded.
+     * The state keeps @p program alive while it is loaded or parked,
+     * and while the memo holds it; a program the memo holds is not
+     * validated again. See docs/ENGINE.md, "Iteration memo".
+     */
+    bool begin_memo(std::shared_ptr<const SimProgram> program, double watch);
+
+    /// Runs begin_memo() replayed from the memo since construction.
+    int64_t replays() const { return replays_; }
+
     /// True when no program is loaded or the loaded one has finished
     /// (every execute and preload complete).
     bool done() const;
@@ -258,6 +278,7 @@ class EngineState {
     void set_residency_budget(uint64_t bytes)
     {
         opts_.residency_budget = bytes;
+        recording_ = false;
     }
 
     /// Preloads satisfied from residency since construction.
@@ -418,6 +439,35 @@ class EngineState {
         bool resident = false;  ///< in SRAM (vs spilled to HBM).
     };
 
+    /// A weight entry of a memoized run's pool post-state. op_id,
+    /// space, dram_bytes and pin_count are absolute. hits is a delta
+    /// onto pre-pool entry `pre` — the same entry, never evicted
+    /// during the run — or absolute when pre < 0. seq is that pre
+    /// entry's own when seq_kept, else an offset past the pre-state's
+    /// resident_seq_.
+    struct MemoSlot {
+        int op_id = -1;
+        ResidentEntry entry;
+        int pre = -1;
+        bool seq_kept = false;
+    };
+
+    /// One memoized run: its key and everything stepping changed.
+    struct MemoEntry {
+        /// Held so a freed program's address never aliases a new one.
+        std::shared_ptr<const SimProgram> program;
+        uint64_t hash = 0;
+        std::vector<uint64_t> key;  ///< canonical pre-pool, see memo_key().
+        SimResult result;           ///< finish()'s return value.
+        double t_final = 0.0;       ///< local clock at completion.
+        std::vector<MemoSlot> post;
+        uint64_t resident_bytes = 0;
+        double occupancy = 0.0;
+        uint64_t seq_delta = 0;
+        int64_t hits_delta = 0;
+        int64_t evictions_delta = 0;
+    };
+
     /**
      * Everything the interpreter knows about one loaded program: the
      * fluid network with its in-flight flows, the exec/preload state
@@ -429,6 +479,9 @@ class EngineState {
      */
     struct Frame {
         const SimProgram* program = nullptr;
+        /// begin_memo()'s reference: keeps the program alive while
+        /// loaded or parked, and is what record() stores.
+        std::shared_ptr<const SimProgram> owner;
         std::optional<FluidNetwork> net;
         SimResult result;
         double t = 0.0;  ///< local clock (zero at begin).
@@ -450,6 +503,7 @@ class EngineState {
         /// matching entry appeared while we were parked".
         std::vector<bool> used_resident;
         bool complete = false;
+        bool replayed = false;  ///< completed from the memo; result final.
         double t_complete = 0.0;  ///< local clock at completion.
         double peak = 0.0;
         double hbm_busy = 0.0;
@@ -500,6 +554,19 @@ class EngineState {
     /// Rebuilds f_ for the next program, salvaging the previous
     /// frame's heap blocks (flow table, per-op vectors).
     void reset_frame();
+    /// begin()'s stale eviction: drops unpinned entries whose op id
+    /// @p program mentions with a different footprint or HBM volume.
+    void evict_stale(const SimProgram& program);
+    /// Folds the previous program's span into the clock base and
+    /// loads @p program into a fresh frame.
+    void load(const SimProgram& program);
+    /// Fills memo_key_ with the pool's canonical form; returns its
+    /// hash (mixed with @p program's address).
+    uint64_t memo_key(const SimProgram* program);
+    /// Completes the loaded frame from @p m (see begin_memo()).
+    void replay(const MemoEntry& m);
+    /// Stores the run that just finished with @p result.
+    void record(const SimResult& result);
     /// Spills unpinned KV in policy order until @p need extra bytes
     /// fit the KV budget; false when pinned segments are in the way
     /// (or @p need alone exceeds the budget). @p excluded_id is never
@@ -555,6 +622,26 @@ class EngineState {
     /// incoming program, sorted — reused so begin() stops allocating
     /// a lookup structure per iteration.
     std::vector<std::pair<int, int>> begin_scratch_;
+
+    // --- the iteration memo (see begin_memo()) ---
+    /// Entries beyond this overwrite the oldest.
+    static constexpr size_t kMemoCapacity = 256;
+    std::vector<MemoEntry> memo_;
+    size_t memo_next_ = 0;  ///< slot the next record takes once full.
+    int64_t replays_ = 0;
+    /// The key of the latest begin_memo() — the recording run's.
+    std::vector<uint64_t> memo_key_;
+    std::vector<ResidentSlot> replay_scratch_;  ///< replay()'s new pool.
+    /// The loaded run is being recorded: begun by begin_memo() on a
+    /// KV-free pool with no memo hit, and since then only stepped.
+    bool recording_ = false;
+    /// The recorded run's key hash, pre-pool and counters.
+    uint64_t rec_hash_ = 0;
+    std::vector<ResidentSlot> rec_pre_;
+    uint64_t rec_seq_ = 0;
+    int64_t rec_hits_ = 0;
+    int64_t rec_evictions_ = 0;
+    std::vector<int> rec_evicted_;  ///< op ids evicted during the run.
 
     // --- the loaded program (reset by begin, swapped by park/resume)
     Frame f_;

@@ -1,0 +1,394 @@
+/**
+ * @file
+ * The engine's iteration memo (EngineState::begin_memo): a replayed
+ * run leaves the state exactly where stepping would have — result
+ * bits, clock, pool and counters — across stale and pressure
+ * eviction, both residency policies and a park/resume in the middle;
+ * the watch rule is strict; KV-bearing and parked runs are never
+ * recorded; a freed program's address never aliases a new program;
+ * and a program the state has not seen is still validated.
+ */
+#include <gtest/gtest.h>
+
+#include <cmath>
+#include <limits>
+#include <memory>
+#include <utility>
+#include <vector>
+
+#include "sim/engine.h"
+#include "sim/machine.h"
+
+namespace elk::sim {
+namespace {
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+SimOp
+make_op(int id, double dram, double exec_time, uint64_t preload_space,
+        uint64_t exec_space)
+{
+    SimOp op;
+    op.op_id = id;
+    op.dram_bytes = dram;
+    op.delivery_bytes = dram;
+    op.exec_local_time = exec_time;
+    op.preload_space = preload_space;
+    op.exec_space = exec_space;
+    op.flops = 1e6;
+    return op;
+}
+
+/// Ops @p first_id.. with the given per-op preload spaces and HBM
+/// volumes (dram[i] x @p dram_unit); finalized.
+std::shared_ptr<const SimProgram>
+make_program(int first_id, const std::vector<uint64_t>& spaces,
+             const std::vector<double>& dram, double dram_unit,
+             uint64_t exec_space)
+{
+    auto prog = std::make_shared<SimProgram>();
+    for (size_t i = 0; i < spaces.size(); ++i) {
+        prog->ops.push_back(make_op(first_id + static_cast<int>(i),
+                                    dram[i] * dram_unit,
+                                    1e-4 * static_cast<double>(i + 1),
+                                    spaces[i], exec_space));
+    }
+    prog->finalize_default_order();
+    return prog;
+}
+
+/// Three ops with one footprint and HBM volume.
+std::shared_ptr<const SimProgram>
+small_program(double dram)
+{
+    return make_program(0, {4096, 4096, 4096}, {1, 1, 1}, dram, 8192);
+}
+
+/// One step of a schedule: optionally a new residency budget, then
+/// one program run — interrupted by @p nested at the first step
+/// boundary at least @p watch_in past the run's start, when set.
+struct Scheduled {
+    Scheduled(std::shared_ptr<const SimProgram> run,
+              std::shared_ptr<const SimProgram> interrupter = nullptr)
+        : program(std::move(run)), nested(std::move(interrupter))
+    {
+    }
+
+    std::shared_ptr<const SimProgram> program;
+    std::shared_ptr<const SimProgram> nested;
+    double watch_in = 0.0;
+    uint64_t budget = 0;  ///< set before the run when non-zero.
+};
+
+/// Drives @p run on @p state: plain begin()/step() when !@p memo, the
+/// memo path otherwise; the watcher mirrors the serving runtime's.
+SimResult
+drive(EngineState& state, const Scheduled& run, bool memo)
+{
+    if (run.budget != 0) {
+        state.set_residency_budget(run.budget);
+    }
+    const double watch = run.nested ? state.now() + run.watch_in : kInf;
+    if (memo) {
+        state.begin_memo(run.program, watch);
+    } else {
+        state.begin(*run.program);
+    }
+    bool parked_once = false;
+    while (state.step()) {
+        if (!parked_once && watch <= state.now()) {
+            parked_once = true;
+            EngineState::Parked parked = state.park();
+            if (memo) {
+                state.begin_memo(run.nested, kInf);
+            } else {
+                state.begin(*run.nested);
+            }
+            while (state.step()) {
+            }
+            state.finish();
+            state.resume(std::move(parked));
+        }
+    }
+    return state.finish();
+}
+
+/// Runs @p schedule on two states — plain on one, through the memo on
+/// the other — asserting after every run that they are identical.
+/// Returns the memo state's replays.
+int64_t
+expect_replay_exact(const Machine& machine, EngineState::Options opts,
+                    const std::vector<Scheduled>& schedule)
+{
+    EngineState a(machine, opts);
+    EngineState b(machine, opts);
+    for (size_t i = 0; i < schedule.size(); ++i) {
+        SimResult ra = drive(a, schedule[i], /*memo=*/false);
+        SimResult rb = drive(b, schedule[i], /*memo=*/true);
+        SCOPED_TRACE(i);
+        EXPECT_EQ(ra.serialize_bits(), rb.serialize_bits());
+        EXPECT_EQ(a.now(), b.now());
+        EXPECT_EQ(a.resident_op_ids(), b.resident_op_ids());
+        EXPECT_EQ(a.resident_bytes(), b.resident_bytes());
+        EXPECT_EQ(a.resident_hits(), b.resident_hits());
+        EXPECT_EQ(a.resident_evictions(), b.resident_evictions());
+        if (::testing::Test::HasFailure()) {
+            break;
+        }
+    }
+    EXPECT_EQ(a.replays(), 0);
+    return b.replays();
+}
+
+constexpr uint64_t kKiB = 1024;  // tiny(16): 60 KiB usable SRAM per core
+
+/// The programs of the tests below, on tiny(16) with a 30 KiB budget.
+class EngineMemoTest : public ::testing::TestWithParam<ResidencyPolicy> {
+  protected:
+    EngineMemoTest()
+        : machine_(hw::ChipConfig::tiny(16)),
+          dram_(machine_.config().hbm_total_bw * 1e-5)
+    {
+        const uint64_t k = kKiB;
+        // Two decode buckets over op ids 0..5; the second compiles ops
+        // 1 and 4 to other footprints, so switching buckets
+        // stale-evicts them. Ops 3..5 save more HBM per resident byte.
+        const std::vector<double> volumes = {1, 1, 1, 1.5, 1.5, 1.5};
+        decode_a_ = make_program(0, {4 * k, 4 * k, 4 * k, 4 * k, 4 * k, 4 * k},
+                                 volumes, dram_, 6 * k);
+        decode_b_ = make_program(0, {4 * k, 3 * k, 4 * k, 4 * k, 3 * k, 4 * k},
+                                 volumes, dram_, 6 * k);
+        // Halves of decode_a: each refreshes the recency and hit counts
+        // of its own entries only.
+        decode_lo_ =
+            make_program(0, {4 * k, 4 * k, 4 * k}, {1, 1, 1}, dram_, 6 * k);
+        decode_hi_ = make_program(3, {4 * k, 4 * k, 4 * k}, {1.5, 1.5, 1.5},
+                                  dram_, 6 * k);
+        // A prefill program whose executes overflow SRAM next to the
+        // decode residents: pressure eviction.
+        prefill_ = make_program(100, {8 * k, 8 * k, 8 * k}, {2, 2, 2}, dram_,
+                                40 * k);
+        // Executes that overflow SRAM next to even three 4 KiB decode
+        // residents, and no HBM volume, so nothing to retain: the pool
+        // it leaves is only what pressure eviction spared.
+        pressure_ = make_program(100, {8 * k, 8 * k, 8 * k}, {0, 0, 0},
+                                 dram_, 52 * k);
+    }
+
+    EngineState::Options
+    options() const
+    {
+        EngineState::Options opts;
+        opts.policy = GetParam();
+        opts.residency_budget = 30 * kKiB;
+        return opts;
+    }
+
+    Machine machine_;
+    double dram_;
+    std::shared_ptr<const SimProgram> decode_a_, decode_b_, decode_lo_,
+        decode_hi_, prefill_, pressure_;
+};
+
+// The memo's equivalence on a fixed pseudo-random schedule: pool
+// states recur (and replay) between stale evictions, pressure
+// evictions, a budget change and park/resume interruptions.
+TEST_P(EngineMemoTest, ReplayMatchesSteppingExactly)
+{
+    const std::vector<std::shared_ptr<const SimProgram>> programs = {
+        decode_a_, decode_a_, decode_b_, decode_lo_, decode_hi_, prefill_};
+    const std::vector<std::shared_ptr<const SimProgram>> interrupters = {
+        prefill_, decode_b_, decode_lo_};
+    uint32_t rng = 12345;  // an LCG: the same schedule on every platform
+    auto draw = [&rng](size_t n) {
+        rng = rng * 1664525u + 1013904223u;
+        return static_cast<size_t>(rng >> 16) % n;
+    };
+    std::vector<Scheduled> schedule;
+    for (int i = 0; i < 400; ++i) {
+        Scheduled run{programs[draw(programs.size())]};
+        if (draw(12) == 0) {
+            run.nested = interrupters[draw(interrupters.size())];
+            run.watch_in = 1e-4 * static_cast<double>(draw(8));
+        }
+        run.budget = i == 200 ? 20 * kKiB : 0;
+        schedule.push_back(run);
+    }
+    EXPECT_GT(expect_replay_exact(machine_, options(), schedule), 0);
+}
+
+// Same entries, opposite recency: the following pressure eviction
+// takes different victims, so the key must tell the two pools apart
+// by rank.
+TEST_P(EngineMemoTest, RecencyOrderSeparatesKeys)
+{
+    expect_replay_exact(machine_, options(),
+                        {{decode_a_}, {decode_lo_}, {decode_hi_}, {pressure_},
+                         {decode_a_}, {decode_hi_}, {decode_lo_}, {pressure_}});
+}
+
+// A replayed half-batch leaves the other half's recency where it was,
+// which decides the next pressure eviction.
+TEST_P(EngineMemoTest, ReplayKeepsUntouchedRecency)
+{
+    const int64_t replays = expect_replay_exact(
+        machine_, options(),
+        {{decode_a_}, {decode_lo_}, {decode_a_}, {decode_lo_}, {pressure_}});
+    if (GetParam() == ResidencyPolicy::kRetireOrder) {
+        // (Under kFrequencyAware the growing hit counts keep every key
+        // of this short schedule apart.)
+        EXPECT_GT(replays, 0);
+    }
+}
+
+// The budget is part of the key: the same empty pool admits fewer
+// entries under a smaller budget.
+TEST_P(EngineMemoTest, BudgetSeparatesKeys)
+{
+    // Same op ids, other footprints, nothing to retain: stale-evicts
+    // every decode_lo entry and admits none.
+    auto flush = make_program(0, {2 * kKiB, 2 * kKiB, 2 * kKiB}, {0, 0, 0},
+                              dram_, 2 * kKiB);
+    Scheduled small{decode_lo_};
+    small.budget = 4 * kKiB;
+    expect_replay_exact(machine_, options(),
+                        {{decode_lo_}, {flush}, small, {flush}});
+}
+
+// Pins held by a parked program are part of the key. A run parked
+// right after its first resident hit (whose execute space equals its
+// preload space, so occupancy is unchanged) leaves the pool of the
+// standalone pressure run but with that entry pinned: the interrupting
+// pressure run must evict another entry instead, not replay.
+TEST_P(EngineMemoTest, ParkedPinsSeparateKeys)
+{
+    auto victim =
+        make_program(0, {4 * kKiB, 4 * kKiB, 4 * kKiB}, {1, 1, 1}, dram_,
+                     4 * kKiB);
+    Scheduled interrupted{victim, pressure_};
+    expect_replay_exact(machine_, options(),
+                        {{victim}, {victim}, {pressure_}, {victim}, {victim},
+                         interrupted});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, EngineMemoTest,
+    ::testing::Values(ResidencyPolicy::kRetireOrder,
+                      ResidencyPolicy::kFrequencyAware));
+
+// The watch rule is strict: a hit replays only when the run's final
+// clock lies strictly before the watch, so a watcher firing exactly
+// at the last event still sees every step.
+TEST(EngineMemoWatchTest, ReplaysOnlyStrictlyBeforeTheWatch)
+{
+    Machine machine(hw::ChipConfig::tiny(16));
+    auto prog = small_program(machine.config().hbm_total_bw * 1e-4);
+    EngineState state(machine);  // zero budget: the pool stays empty
+    EXPECT_FALSE(state.begin_memo(prog, kInf));
+    while (state.step()) {
+    }
+    const SimResult first = state.finish();
+    const double span = first.total_time;
+
+    // The run's last event lands at now() + span.
+    const double last = state.now() + span;
+    EXPECT_FALSE(state.begin_memo(prog, last));
+    int steps = 0;
+    while (state.step()) {
+        ++steps;
+    }
+    EXPECT_GT(steps, 0);
+    EXPECT_EQ(state.now(), last);
+    EXPECT_EQ(state.finish().serialize_bits(), first.serialize_bits());
+
+    const double next = state.now() + span;
+    EXPECT_TRUE(state.begin_memo(prog, std::nextafter(next, kInf)));
+    EXPECT_TRUE(state.done());
+    EXPECT_FALSE(state.step());
+    EXPECT_EQ(state.now(), next);
+    EXPECT_EQ(state.finish().serialize_bits(), first.serialize_bits());
+    EXPECT_EQ(state.replays(), 1);
+}
+
+// Parked runs, and runs from a pool holding KV segments, are never
+// recorded; a KV-bearing pool never replays a KV-free recording.
+TEST(EngineMemoRecordTest, KvBearingAndParkedRunsAreNotRecorded)
+{
+    Machine machine(hw::ChipConfig::tiny(16));
+    auto prog = small_program(machine.config().hbm_total_bw * 1e-4);
+    EngineState state(machine);  // zero budget: the weights pool stays empty
+    auto run = [&] {
+        state.begin_memo(prog, kInf);
+        while (state.step()) {
+        }
+        return state.finish();
+    };
+
+    // Parked once, then resumed: not recorded.
+    state.begin_memo(prog, kInf);
+    ASSERT_TRUE(state.step());
+    EngineState::Parked parked = state.park();
+    state.resume(std::move(parked));
+    while (state.step()) {
+    }
+    state.finish();
+
+    state.kv_alloc(7, 1024);
+    run();
+    run();
+    EXPECT_EQ(state.replays(), 0);
+    state.kv_free(7);
+
+    const SimResult recorded = run();
+    EXPECT_EQ(state.replays(), 0);
+    EXPECT_EQ(run().serialize_bits(), recorded.serialize_bits());
+    EXPECT_EQ(state.replays(), 1);
+
+    state.kv_alloc(7, 1024);
+    const SimResult with_kv = run();
+    EXPECT_EQ(state.replays(), 1);
+    EXPECT_GT(with_kv.peak_sram_per_core, recorded.peak_sram_per_core);
+}
+
+// The memo holds each recorded program, so a program built after the
+// caller dropped its last reference to another can never take the
+// dropped one's address and be mistaken for it.
+TEST(EngineMemoRecordTest, DroppedProgramNeverAliasesANewOne)
+{
+    Machine machine(hw::ChipConfig::tiny(16));
+    const double dram = machine.config().hbm_total_bw * 1e-4;
+    EngineState state(machine);  // both runs start from an empty pool
+    {
+        auto p = small_program(dram);
+        state.begin_memo(p, kInf);
+        while (state.step()) {
+        }
+        state.finish();
+    }  // the memo's reference is now P's last one
+
+    // Same shape, so the allocator would happily reuse P's block.
+    auto q = small_program(dram * 3);
+    EXPECT_FALSE(state.begin_memo(q, kInf));
+    while (state.step()) {
+    }
+    const SimResult rq = state.finish();
+    EXPECT_EQ(rq.serialize_bits(), Engine(machine).run(*q).serialize_bits());
+    EXPECT_EQ(state.replays(), 0);
+}
+
+// A program the state has never recorded is validated by begin_memo()
+// exactly like begin().
+TEST(EngineMemoDeathTest, UnseenInvalidProgramIsRejected)
+{
+    Machine machine(hw::ChipConfig::tiny(16));
+    auto prog = std::make_shared<SimProgram>();
+    prog->ops.push_back(make_op(0, 1e6, 1e-4, 1024, 2048));
+    prog->ops.push_back(make_op(1, 1e6, 1e-4, 1024, 2048));
+    prog->preload_order = {0, 0};
+    prog->issue_slot = {0, 0};
+    EngineState state(machine);
+    EXPECT_DEATH(state.begin_memo(prog, kInf), "duplicate preload entry");
+}
+
+}  // namespace
+}  // namespace elk::sim

@@ -12,6 +12,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -534,6 +536,62 @@ TEST_F(DisaggTest, FrequencyPolicyServesDeterministically)
     EXPECT_EQ(a.serialize_bits(), b.serialize_bits());
     EXPECT_EQ(a.requests, 10);
     EXPECT_GT(a.preloads_skipped, 0);
+}
+
+// The engine replays a repeated iteration only when its last event
+// lies strictly before the next watcher arrival. A high-priority
+// arrival exactly at a repeated iteration's last event must still trip
+// the watcher there, and one an ulp later must not change anything.
+// The plain serve(arrivals) reference loop has no priority classes,
+// so it anchors the all-normal probe; the two priority traces are held
+// to the same serve fed a fresh copy of every program, which the
+// engine has never recorded and so never replays.
+TEST_F(DisaggTest, HighArrivalAtRepeatedIterationEndMatchesUnmemoized)
+{
+    auto dc = make_compiler(compiler::GraphKind::kDecode,
+                            compiler::Mode::kElkFull);
+    runtime::ServerOptions sopts;
+    sopts.max_batch = 4;
+    sopts.tokens_per_request = 10;  // the reference loop's probe length
+    runtime::Server server(dc.machine(), sopts);
+    auto memo_src = [&](int b) { return dc.program(b); };
+    auto fresh_src = [&](int b) {
+        return std::make_shared<const sim::SimProgram>(*dc.program(b));
+    };
+    auto normal = [](double arrival, int tokens) {
+        runtime::Request r;
+        r.arrival = arrival;
+        r.phase = runtime::Phase::kDecode;
+        r.decode_tokens = tokens;
+        return r;
+    };
+
+    // Four requests decoding 10 tokens in one batch all complete at
+    // the end of the tenth iteration, so max_latency is its last event
+    // time. On this chip the residency pool settles by the seventh
+    // iteration; every later one repeats it (same program, same pool).
+    std::vector<runtime::Request> probe(4, normal(0.0, 10));
+    const auto probe_rep = server.serve(probe, nullptr, memo_src);
+    EXPECT_EQ(probe_rep.serialize_bits(),
+              server.serve(std::vector<double>(4, 0.0), memo_src)
+                  .serialize_bits());
+    const double t_end = probe_rep.max_latency;
+    ASSERT_GT(t_end, 0.0);
+
+    for (double arrival :
+         {t_end, std::nextafter(t_end,
+                                std::numeric_limits<double>::infinity())}) {
+        std::vector<runtime::Request> requests(4, normal(0.0, 14));
+        runtime::Request vip = normal(arrival, 2);
+        vip.priority = runtime::Priority::kHigh;
+        requests.push_back(vip);
+        const auto memo = server.serve(requests, nullptr, memo_src);
+        const auto fresh = server.serve(requests, nullptr, fresh_src);
+        EXPECT_EQ(memo.serialize_bits(), fresh.serialize_bits())
+            << "vip arrival " << arrival;
+        EXPECT_EQ(memo.requests, 5);
+        EXPECT_GE(memo.preemptions, 1);
+    }
 }
 
 }  // namespace
