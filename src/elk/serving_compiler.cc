@@ -79,7 +79,7 @@ ServingCompiler::program(int batch, int prompt_len)
         std::shared_lock<std::shared_mutex> lock(mu_);
         auto it = entries_.find(key);
         if (it != entries_.end()) {
-            return it->second.program;
+            return it->second;
         }
     }
     std::unique_lock<std::shared_mutex> lock(mu_);
@@ -87,21 +87,19 @@ ServingCompiler::program(int batch, int prompt_len)
     // between the two locks.
     auto it = entries_.find(key);
     if (it != entries_.end()) {
-        return it->second.program;
+        return it->second;
     }
 
-    Entry entry;
-    entry.graph = std::make_unique<graph::Graph>(
+    const graph::Graph graph =
         serving_opts_.kind == GraphKind::kPrefill
             ? graph::build_forward_graph(model_, batch, prompt_len)
-            : graph::build_decode_graph(model_, batch, seq_));
-    entry.compiler = std::make_unique<Compiler>(
-        *entry.graph, cfg_, nullptr, jobs_, compile_machine_);
-    entry.compiler->set_plan_cache(cache_);
-    CompileResult compiled = entry.compiler->compile(opts_);
+            : graph::build_decode_graph(model_, batch, seq_);
+    Compiler compiler(graph, cfg_, nullptr, jobs_, compile_machine_);
+    compiler.set_plan_cache(cache_);
+    CompileResult compiled = compiler.compile(opts_);
     compile_seconds_ += compiled.compile_seconds;
-    sim::SimProgram lowered = runtime::lower_to_sim(
-        *entry.graph, compiled.plan, entry.compiler->context());
+    sim::SimProgram lowered =
+        runtime::lower_to_sim(graph, compiled.plan, compiler.context());
     // Namespacing happens after lowering so the plan cache still keys
     // on the structural graph (the offset never changes the plan).
     // Prefill length buckets get a per-band sub-namespace on top of
@@ -109,17 +107,16 @@ ServingCompiler::program(int batch, int prompt_len)
     int offset = serving_opts_.op_id_offset;
     if (serving_opts_.kind == GraphKind::kPrefill) {
         offset += ceil_log2(prompt_len) * kPrefillIdOffset;
-        util::check(entry.graph->size() < kPrefillIdOffset,
+        util::check(graph.size() < kPrefillIdOffset,
                     "ServingCompiler: graph too large for the prefill "
                     "id namespace scheme");
     }
     for (sim::SimOp& op : lowered.ops) {
         op.op_id += offset;
     }
-    entry.program =
-        std::make_shared<sim::SimProgram>(std::move(lowered));
-    auto program = entry.program;
-    entries_.emplace(key, std::move(entry));
+    auto program =
+        std::make_shared<const sim::SimProgram>(std::move(lowered));
+    entries_.emplace(key, program);
     return program;
 }
 

@@ -3,15 +3,18 @@
  * ServingCompiler: the compile side of the serving stack.
  *
  * The Server asks for "the program for bucket (batch, prompt_len)"
- * once per iteration; this facade memoizes the whole chain behind
- * that call — graph construction, Compiler analysis, the
+ * once per iteration; this facade runs the whole chain behind that
+ * call once per bucket — graph construction, Compiler analysis, the
  * (PlanCache-backed) compile, and lowering to the simulator program —
- * per bucket. Returning the same SimProgram object for a repeated
- * bucket is what lets the engine keep weights resident across
- * iterations. The chip is analyzed once, at construction: every
- * bucket's Compiler shares that one immutable sim::Machine, which is
- * also the machine serving runs on (except in Ideal mode, which
- * serves on its own split-fabric machine).
+ * and memoizes only the lowered program. The bucket's graph and
+ * Compiler (with its worker threads) are gone once it is lowered, so
+ * a long serve holds no idle compile threads; with glibc malloc each
+ * such thread can pin its own arena. Returning the same SimProgram
+ * object for a repeated bucket is what lets the engine keep weights
+ * resident across iterations. The chip is analyzed once, at
+ * construction: every bucket's Compiler shares that one immutable
+ * sim::Machine, which is also the machine serving runs on (except in
+ * Ideal mode, which serves on its own split-fabric machine).
  *
  * A serving compiler builds one graph family: decode steps
  * (GraphKind::kDecode, one token per request against a KV cache of
@@ -133,12 +136,6 @@ class ServingCompiler {
     int seq() const { return seq_; }
 
   private:
-    struct Entry {
-        std::unique_ptr<graph::Graph> graph;
-        std::unique_ptr<Compiler> compiler;
-        std::shared_ptr<const sim::SimProgram> program;
-    };
-
     graph::ModelConfig model_;
     int seq_;
     hw::ChipConfig cfg_;
@@ -152,8 +149,9 @@ class ServingCompiler {
     /// machine in Ideal mode.
     std::shared_ptr<const sim::Machine> machine_;
     mutable std::shared_mutex mu_;
-    /// (batch, prompt_len) -> compiled chain.
-    std::map<std::pair<int, int>, Entry> entries_;
+    /// (batch, prompt_len) -> lowered program.
+    std::map<std::pair<int, int>, std::shared_ptr<const sim::SimProgram>>
+        entries_;
     double compile_seconds_ = 0.0;
 };
 

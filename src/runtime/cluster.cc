@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <mutex>
 #include <sstream>
 #include <utility>
 
 #include "runtime/metrics.h"
 #include "util/bits.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace elk::runtime {
 
@@ -304,14 +306,33 @@ Cluster::serve(const std::vector<Request>& requests,
     rep.replicas = n;
     rep.requests = static_cast<int>(requests.size());
     rep.routed_per_replica.reserve(n);
-    rep.replica_reports.reserve(n);
     for (int i = 0; i < n; ++i) {
         rep.routed_per_replica.push_back(
             static_cast<int>(sub[i].size()));
         rep.routed += static_cast<int>(sub[i].size());
-        rep.replica_reports.push_back(
-            server.serve(sub[i], prefill_programs, decode_programs));
     }
+
+    // Routed replicas share nothing but the machine (immutable) and
+    // the program sources, which need not be thread-safe: one lock
+    // hands them to one replica at a time. Each serve writes only its
+    // own report slot, so the fan-out width never moves a bit.
+    std::mutex source_mu;
+    const Server::PrefillProgramSource prefill = [&](int b, int len) {
+        std::lock_guard<std::mutex> lock(source_mu);
+        return prefill_programs(b, len);
+    };
+    const Server::ProgramSource decode = [&](int b) {
+        std::lock_guard<std::mutex> lock(source_mu);
+        return decode_programs(b);
+    };
+    // The calling thread serves too, so min(n, hw) replicas run at once
+    // (one at a time on a 2-thread host: a 1-worker pool is inline).
+    rep.replica_reports.resize(n);
+    util::ThreadPool pool(
+        std::min(n, util::ThreadPool::hardware_jobs() - 1));
+    pool.parallel_for(n, [&](int i) {
+        rep.replica_reports[i] = server.serve(sub[i], prefill, decode);
+    });
 
     double lat_wsum = 0.0;
     double ttft_wsum = 0.0;

@@ -7,13 +7,13 @@
  * A Cluster partitions one arrival-ordered Request trace into N
  * per-replica sub-traces — the routing decision — and then serves each
  * sub-trace with the existing single-chip Server scheduler on its own
- * EngineState (all replicas share one sim::Machine description and the
- * same compiled program sources). Routing is a pure function of the
- * trace and the options, so the whole cluster serve is deterministic
- * and bit-identical at any compiler --jobs setting, and the anchor
- * rule holds by construction: a 1-replica round-robin cluster routes
- * every request to replica 0 unchanged, reproducing today's Server
- * bit-for-bit.
+ * EngineState, replicas in parallel (all replicas share one
+ * sim::Machine description and the same compiled program sources).
+ * Routing is a pure function of the trace and the options, so the
+ * whole cluster serve is deterministic and bit-identical at any
+ * compiler --jobs setting, and the anchor rule holds by construction:
+ * a 1-replica round-robin cluster routes every request to replica 0
+ * unchanged, reproducing today's Server bit-for-bit.
  *
  * Router policies:
  *  - round-robin: arrival order modulo the replica count.
@@ -160,8 +160,12 @@ struct ClusterReport {
 
 /**
  * The cluster serving loop: route, serve every replica, roll up.
- * Replica serves run sequentially (the simulation is deterministic
- * either way); each gets a fresh EngineState on the shared machine.
+ * Replicas serve in parallel on min(replicas, hardware threads) host
+ * threads, each on a fresh EngineState over the shared (immutable)
+ * machine and each writing only its own replica_reports slot; the
+ * roll-up then runs serially in replica order, so the report is
+ * bit-identical at any width. The program sources are the one shared
+ * mutable input: serve() calls them from one thread at a time.
  */
 class Cluster {
   public:
@@ -174,7 +178,10 @@ class Cluster {
      * Serves @p requests (sorted by arrival) to completion across the
      * replicas. @p prefill_programs / @p decode_programs are shared by
      * every replica — compiled programs are immutable, so one
-     * ServingCompiler serves the whole cluster.
+     * ServingCompiler serves the whole cluster. Sources are called
+     * from one thread at a time (under one lock across both), so they
+     * need not be thread-safe; they may run on any thread, and a
+     * source that compiles may fan out on its own ThreadPool.
      */
     ClusterReport serve(
         const std::vector<Request>& requests,

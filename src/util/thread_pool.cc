@@ -11,10 +11,11 @@ namespace elk::util {
 
 namespace {
 
-/// Set while a thread is executing pool tasks; nested parallel_for
-/// calls from inside a task then run inline instead of re-entering
-/// the queues (which could otherwise deadlock the batch).
-thread_local bool t_in_pool_task = false;
+/// The pool whose task this thread is executing (nullptr outside any
+/// task). A parallel_for on that same pool from inside one of its
+/// tasks runs inline instead of re-entering the queues (which could
+/// otherwise deadlock the batch); a call on any other pool fans out.
+thread_local const ThreadPool* t_current_pool = nullptr;
 
 }  // namespace
 
@@ -83,8 +84,8 @@ ThreadPool::parse_jobs_arg(const char* text, const char* what)
 void
 ThreadPool::run_task(const Task& task)
 {
-    bool was_in_task = t_in_pool_task;
-    t_in_pool_task = true;
+    const ThreadPool* outer = t_current_pool;
+    t_current_pool = this;
     try {
         for (int i = task.begin; i < task.end; ++i) {
             (*task.fn)(i);
@@ -95,7 +96,7 @@ ThreadPool::run_task(const Task& task)
             task.batch->error = std::current_exception();
         }
     }
-    t_in_pool_task = was_in_task;
+    t_current_pool = outer;
     int prev = task.batch->remaining.fetch_sub(1, std::memory_order_acq_rel);
     if (prev == 1) {
         // Last task of the batch: wake its waiting caller. Only pool
@@ -157,7 +158,7 @@ ThreadPool::parallel_for(int n, const std::function<void(int)>& fn)
     if (n <= 0) {
         return;
     }
-    if (workers_.empty() || n == 1 || t_in_pool_task) {
+    if (workers_.empty() || n == 1 || t_current_pool == this) {
         for (int i = 0; i < n; ++i) {
             fn(i);
         }

@@ -1,7 +1,8 @@
 /**
  * @file
  * A small work-stealing thread pool for the compiler's embarrassingly
- * parallel loops (plan enumeration, candidate-order scoring).
+ * parallel loops (plan enumeration, candidate-order scoring) and the
+ * cluster's replica fan-out.
  *
  * Each worker owns a deque: it pops work from its own back and steals
  * from the fronts of its peers when empty. parallel_for() chunks an
@@ -13,6 +14,13 @@
  * for every index in [0, n); callers write results into per-index
  * slots, so any reduction over them is performed serially afterwards
  * and parallel execution is bit-identical to serial execution.
+ *
+ * Nesting: a task may call parallel_for on its own pool (runs inline)
+ * or on another pool (fans out there), so a replica serve running on
+ * the cluster's pool still compiles on the compiler's workers. Keep
+ * nesting one-way (no task of pool A waits on a pool B whose tasks
+ * wait on A), and let tasks block only on nested batches and on locks
+ * that no nested task takes.
  */
 #ifndef ELK_UTIL_THREAD_POOL_H
 #define ELK_UTIL_THREAD_POOL_H
@@ -45,7 +53,9 @@ class ThreadPool {
      * Calls fn(i) exactly once for every i in [0, n), spread across
      * the workers and the calling thread; returns when all calls have
      * finished. The first exception thrown by any fn is rethrown on
-     * the caller. Nested calls from inside a task run inline.
+     * the caller. A call from inside a task of this same pool runs
+     * inline; a call from a task of another pool fans out on this
+     * pool's workers (the caller helps with this pool's tasks only).
      */
     void parallel_for(int n, const std::function<void(int)>& fn);
 

@@ -12,6 +12,8 @@
 
 #include <numeric>
 #include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "elk/plan_cache.h"
@@ -95,7 +97,8 @@ class ClusterServingTest : public ::testing::Test {
     static constexpr int kSeq = 128;
 
     compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode)
+    make_compiler(compiler::GraphKind kind, compiler::Mode mode,
+                  int jobs = 1)
     {
         compiler::CompileOptions copts;
         copts.mode = mode;
@@ -108,7 +111,7 @@ class ClusterServingTest : public ::testing::Test {
                 : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
                                          testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, sopts);
+                                         jobs, sopts);
     }
 
     /// Machine-total KV bytes per token for the tiny test model.
@@ -506,6 +509,98 @@ TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
         [&](int b) { return dc.program(b); });
     EXPECT_EQ(rep.serialize_bits(), again.serialize_bits());
     EXPECT_FALSE(rep.summary().empty());
+}
+
+// Replicas serve in parallel; this pins them to an explicit serial
+// reference. Every replica report of an 8-replica KV + prefix cluster
+// equals a standalone Server serve of that replica's routed sub-trace.
+// The sources are deliberately not thread-safe — they tally calls and
+// first touches in plain containers, as a timing wrapper would — so
+// they only come out right if the cluster calls them one at a time.
+// The first serve runs cold, compiling buckets from replica threads
+// on a second pool.
+TEST_F(ClusterServingTest, ParallelReplicasMatchSerialReference)
+{
+    constexpr int kReplicas = 8;
+    auto dc = make_compiler(compiler::GraphKind::kDecode,
+                            compiler::Mode::kElkFull, /*jobs=*/2);
+    auto pc = make_compiler(compiler::GraphKind::kPrefill,
+                            compiler::Mode::kElkFull, /*jobs=*/2);
+    runtime::SessionTraceOptions so;
+    so.sessions = 16;
+    so.rate_per_s = 1500.0;
+    so.mean_turns = 2.5;
+    so.think_time_s = 1e-3;
+    so.decode_tokens = 2;
+    so.max_prompt_len = kSeq;
+    so.prompt_mean_len = 24.0;
+    so.prefix_population = 3;
+    so.prefix_mean_len = 32.0;
+    auto trace = runtime::make_session_trace(so, 5);
+
+    int calls = 0;
+    int first_touches = 0;
+    std::set<std::tuple<bool, int, int>> seen;
+    auto prefill = [&](int b, int len) {
+        ++calls;
+        first_touches += seen.emplace(true, b, len).second ? 1 : 0;
+        return pc.program(b, len);
+    };
+    auto decode = [&](int b) {
+        ++calls;
+        first_touches += seen.emplace(false, b, kSeq).second ? 1 : 0;
+        return dc.program(b);
+    };
+    auto reset = [&] {
+        calls = 0;
+        first_touches = 0;
+        seen.clear();
+    };
+
+    runtime::ClusterOptions copts;
+    copts.replicas = kReplicas;
+    copts.router = runtime::RouterPolicy::kRoundRobin;
+    copts.server = prefix_options();
+    runtime::Cluster cluster(dc.machine(), copts);
+    std::vector<runtime::ClusterReport> serves;
+    std::vector<int> serve_calls;
+    std::vector<int> serve_first_touches;
+    for (int k = 0; k < 3; ++k) {
+        reset();
+        serves.push_back(cluster.serve(trace, prefill, decode));
+        serve_calls.push_back(calls);
+        serve_first_touches.push_back(first_touches);
+    }
+
+    // The serial reference: route() partitions the trace (no
+    // migration, so sub-traces are the requests themselves).
+    const std::vector<int> where = cluster.route(trace);
+    std::vector<std::vector<runtime::Request>> sub(kReplicas);
+    for (size_t k = 0; k < trace.size(); ++k) {
+        sub[where[k]].push_back(trace[k]);
+    }
+    runtime::Server server(dc.machine(), cluster.options().server);
+    reset();
+    std::vector<std::string> expected;
+    for (const auto& s : sub) {
+        ASSERT_FALSE(s.empty());
+        expected.push_back(server.serve(s, prefill, decode).serialize_bits());
+    }
+
+    for (size_t k = 0; k < serves.size(); ++k) {
+        ASSERT_EQ(serves[k].replica_reports.size(),
+                  static_cast<size_t>(kReplicas));
+        for (int i = 0; i < kReplicas; ++i) {
+            EXPECT_EQ(serves[k].replica_reports[i].serialize_bits(),
+                      expected[i])
+                << "serve " << k << " replica " << i;
+        }
+        EXPECT_EQ(serves[k].serialize_bits(), serves[0].serialize_bits())
+            << "serve " << k;
+        EXPECT_EQ(serve_calls[k], calls) << "serve " << k;
+        EXPECT_EQ(serve_first_touches[k], static_cast<int>(seen.size()))
+            << "serve " << k;
+    }
 }
 
 // ---------------------------------------------------------------------------

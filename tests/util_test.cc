@@ -1,11 +1,20 @@
 /**
  * @file
- * Unit tests for util: statistics, tables, logging helpers.
+ * Unit tests for util: statistics, tables, logging helpers, and the
+ * thread pool's per-pool nesting rule.
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace elk::util {
@@ -135,6 +144,62 @@ TEST(TableTest, DoubleFormatting)
     // Very large and very small use scientific notation.
     EXPECT_NE(Table::format_cell(1e9).find("e"), std::string::npos);
     EXPECT_NE(Table::format_cell(1e-6).find("e"), std::string::npos);
+}
+
+// A parallel_for on a pool from inside one of that pool's own tasks
+// runs inline on the task's thread (re-entering the queues could
+// deadlock the outer batch) and still visits every index.
+TEST(ThreadPoolNestingTest, SamePoolNestingRunsInline)
+{
+    ThreadPool pool(3);
+    constexpr int kOuter = 4;
+    constexpr int kInner = 50;
+    std::mutex mu;
+    std::vector<std::set<std::thread::id>> inner_threads(kOuter);
+    std::vector<std::thread::id> outer_thread(kOuter);
+    std::atomic<int> visits{0};
+    pool.parallel_for(kOuter, [&](int o) {
+        outer_thread[o] = std::this_thread::get_id();
+        pool.parallel_for(kInner, [&](int) {
+            visits.fetch_add(1);
+            std::lock_guard<std::mutex> lock(mu);
+            inner_threads[o].insert(std::this_thread::get_id());
+        });
+    });
+    EXPECT_EQ(visits.load(), kOuter * kInner);
+    for (int o = 0; o < kOuter; ++o) {
+        EXPECT_EQ(inner_threads[o],
+                  std::set<std::thread::id>{outer_thread[o]})
+            << "outer task " << o;
+    }
+}
+
+// A parallel_for on pool B issued from a task of pool A fans out on
+// B's workers: the guard is per pool, so a replica serve running on
+// one pool still compiles in parallel on another.
+TEST(ThreadPoolNestingTest, OtherPoolFromTaskFansOut)
+{
+    ThreadPool a(2);
+    ThreadPool b(3);
+    constexpr int kInner = 64;
+    std::mutex mu;
+    std::set<std::thread::id> inner_threads;
+    std::atomic<int> visits{0};
+    a.parallel_for(2, [&](int o) {
+        if (o != 0) {
+            return;
+        }
+        b.parallel_for(kInner, [&](int) {
+            visits.fetch_add(1);
+            {
+                std::lock_guard<std::mutex> lock(mu);
+                inner_threads.insert(std::this_thread::get_id());
+            }
+            std::this_thread::sleep_for(std::chrono::microseconds(500));
+        });
+    });
+    EXPECT_EQ(visits.load(), kInner);
+    EXPECT_GT(inner_threads.size(), 1u);
 }
 
 }  // namespace

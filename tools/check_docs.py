@@ -12,7 +12,8 @@ Four classes of rot this catches:
     tools/<name>.cc, or examples/<name>.cc. CMake globs those
     directories, so source existence is target existence; the CI job
     additionally builds the listed names (`--list-binaries`) to prove
-    they compile.
+    they compile. A bench_* token right after a '.' names a
+    dot-directory (.bench_build/), not a binary.
  3. Command-line flags the user docs name (`--kv-budget`, `--jobs`,
     ...) that no driver actually parses: every `--flag` token in
     README.md, ROADMAP.md, and docs/*.md must appear as a string
@@ -225,12 +226,14 @@ def doc_binaries(md_path, binaries, errors):
     named = set()
     for match in TOKEN_RE.finditer(text):
         token = match.group(0)
+        before = text[match.start() - 1 : match.start()]
         after = text[match.end() : match.end() + 1]
         if after == "*" or token.endswith("_"):
             continue  # a glob like bench_* / bench_fig*, not a name
         if token in binaries:
             named.add(token)
-        elif token.startswith("bench_"):
+        elif token.startswith("bench_") and before != ".":
+            # (after a '.' it is a dot-directory like .bench_build/)
             rel = os.path.relpath(md_path, REPO)
             errors.append(
                 f"{rel}: names '{token}' but bench/{token}.cc "
