@@ -1,61 +1,19 @@
 /**
  * @file
- * LLM serving scenario: drive the disaggregated serving runtime with
- * an arrival trace and compare all five designs (Basic, Static,
- * Elk-Dyn, Elk-Full, Ideal) on tail latency, time-to-first-token, and
- * goodput. Prefill-phase requests are batched into full-sequence
- * prefill iterations; decode iterations run back to back on the same
- * resumable engine state, so steady-state steps reuse weights left
- * resident in SRAM instead of re-preloading them. High-priority
- * requests preempt running all-normal iterations at the next operator
- * boundary.
+ * LLM serving walk-through: the serving API in one file. Each of the
+ * five designs (Basic, Static, Elk-Dyn, Elk-Full, Ideal) compiles a
+ * decode and a prefill program family over one shared plan cache and
+ * serves the same mixed trace through runtime::Server; Elk-Full then
+ * scales out to a 2-replica runtime::Cluster. Every knob is also an
+ * `elkc serve` flag (docs/SERVING.md): this serve is `elkc serve
+ * --batch 8 --seq 512 --requests 8 --tokens 2 --rate 500 --prefill-frac
+ * 0.5 --high-frac 0.25 --prompt-dist geometric:64 --kv-budget 24`.
  *
- *   $ ./llm_serving [model] [batch] [seq] [requests] [rate] [tokens] \
- *                   [prefill_frac] [high_frac] [prompt_mean] \
- *                   [kv_budget_kb] [prefix_pop] [turns] [replicas] \
- *                   [tenants] [slo_s] [prefill_chunk]
- *   $ ./llm_serving Llama2-13B 32 2048 64 0 4 0.5 0.1 256 2048
- *   $ ./llm_serving Llama2-13B 32 2048 48 0 4 0 0 256 2048 8 3
- *   $ ./llm_serving Llama2-13B 32 2048 48 0 4 0 0 256 2048 8 3 4
- *   $ ./llm_serving Llama2-13B 32 2048 64 40 4 0.5 0 256 0 0 1 1 3 0.5
- *   $ ./llm_serving Llama2-13B 32 2048 64 0 4 0.5 0 256 2048 0 1 1 1 0 512
- *
- * rate 0 (default) = closed loop (every request queued at t = 0);
- * rate > 0 = Poisson open loop at that many requests/s.
- * prefill_frac (default 0) tags that fraction of requests as
- * prefill-phase; high_frac (default 0) as high-priority.
- * prompt_mean (default 0) draws seeded geometric prompt lengths of
- * that mean (clamped to seq), served through the (batch,
- * prompt-length) prefill bucket grid; 0 = every prompt is seq tokens.
- * kv_budget_kb (default 0 = KV modeling off) caps the per-core SRAM
- * each design may hold of decode KV state — requests' KV segments
- * then compete with resident weights, spill to HBM past the budget,
- * and backpressure prompt admission (docs/SERVING.md).
- * prefix_pop / turns (defaults 0 / 1) switch to a conversational
- * session trace: `requests` sessions of `turns` mean prefill turns,
- * each session reusing one of prefix_pop Zipf-shared prompt prefixes
- * whose KV is cached and refcount-shared across requests (prefix
- * sharing on when prefix_pop > 0). Both require kv_budget_kb > 0 —
- * shared prefixes live in the modeled KV pool, so asking for them
- * without KV modeling is a fatal error rather than a silent no-op.
- * replicas (default 1) scales out to a cluster of that many chip
- * replicas behind the deterministic router (session-affinity with KV
- * migration over a ring interconnect when prefix_pop > 0, plain
- * round-robin otherwise) and prints the cluster roll-up per design —
- * goodput, per-replica token skew, interconnect traffic
- * (docs/CLUSTER.md).
- * tenants / slo_s (defaults 1 / 0) switch on multi-tenant SLO
- * scheduling (docs/TENANCY.md): requests are tagged across `tenants`
- * seeded tenants served EDF under equal fairness shares, each with a
- * deadline of arrival + slo_s seconds when slo_s > 0, and the tables
- * grow SLO-attainment / deadline-miss / p99-lateness columns.
- * prefill_chunk (default 0 = off) splits every prompt into
- * power-of-two chunks of at most that many tokens, interleaving a
- * decode iteration between chunks so decode latency no longer stalls
- * behind whole long prompts (docs/SERVING.md).
+ *   $ ./llm_serving
  */
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "elk/plan_cache.h"
 #include "elk/serving_compiler.h"
@@ -63,278 +21,90 @@
 #include "runtime/cluster.h"
 #include "runtime/metrics.h"
 #include "runtime/server.h"
-#include "util/logging.h"
-#include "util/parse.h"
 #include "util/table.h"
 
 int
-main(int argc, char** argv)
+main()
 {
     using namespace elk;
-    std::string name = argc > 1 ? argv[1] : "Llama2-13B";
-    int batch = argc > 2
-                    ? util::parse_int_arg(argv[2], "batch", 1, 4096)
-                    : 32;
-    int seq = argc > 3 ? util::parse_int_arg(argv[3], "seq", 1, 1 << 20)
-                       : 2048;
-    int requests =
-        argc > 4 ? util::parse_int_arg(argv[4], "requests", 1, 1 << 20)
-                 : 64;
-    double rate =
-        argc > 5 ? util::parse_double_arg(argv[5], "rate", 0.0, 1e9)
-                 : 0.0;
-    int tokens = argc > 6
-                     ? util::parse_int_arg(argv[6], "tokens", 1, 1 << 20)
-                     : 4;
-    double prefill_frac =
-        argc > 7
-            ? util::parse_double_arg(argv[7], "prefill_frac", 0.0, 1.0)
-            : 0.0;
-    double high_frac =
-        argc > 8
-            ? util::parse_double_arg(argv[8], "high_frac", 0.0, 1.0)
-            : 0.0;
-    double prompt_mean =
-        argc > 9
-            ? util::parse_double_arg(argv[9], "prompt_mean", 0.0, 1e9)
-            : 0.0;
-    int kv_budget_kb =
-        argc > 10
-            ? util::parse_int_arg(argv[10], "kv_budget_kb", 0, 1 << 30)
-            : 0;
-    int prefix_pop =
-        argc > 11
-            ? util::parse_int_arg(argv[11], "prefix_pop", 0, 1 << 20)
-            : 0;
-    double turns =
-        argc > 12
-            ? util::parse_double_arg(argv[12], "turns", 1.0, 1e6)
-            : 1.0;
-    int replicas =
-        argc > 13
-            ? util::parse_int_arg(argv[13], "replicas", 1, 4096)
-            : 1;
-    int tenants =
-        argc > 14
-            ? util::parse_int_arg(argv[14], "tenants", 1, 1 << 20)
-            : 1;
-    double slo_s =
-        argc > 15
-            ? util::parse_double_arg(argv[15], "slo_s", 0.0, 1e9)
-            : 0.0;
-    int prefill_chunk =
-        argc > 16
-            ? util::parse_int_arg(argv[16], "prefill_chunk", 0, 1 << 20)
-            : 0;
-    const bool slo_serving = tenants > 1 || slo_s > 0.0;
-    const bool session_trace = prefix_pop > 0 || turns > 1.0;
-    if (session_trace && kv_budget_kb == 0) {
-        util::fatal(
-            "prefix_pop/turns need KV modeling: pass kv_budget_kb > 0 "
-            "(shared prefixes and multi-turn KV reuse live in the "
-            "modeled KV pool)");
-    }
+    constexpr int kSeq = 512;
+    const hw::ChipConfig chip = hw::ChipConfig::ipu_pod4();
+    const graph::ModelConfig model = graph::llama2_13b();
 
-    hw::ChipConfig chip = hw::ChipConfig::ipu_pod4();
-    graph::ModelConfig model = graph::model_by_name(name);
-    std::vector<runtime::Request> trace;
-    if (session_trace) {
-        runtime::SessionTraceOptions st;
-        st.sessions = requests;
-        st.rate_per_s = rate;
-        st.mean_turns = turns;
-        st.decode_tokens = tokens;
-        st.max_prompt_len = seq;
-        st.prompt_mean_len = prompt_mean;
-        st.prefix_population = prefix_pop;
-        st.prefix_mean_len =
-            prefix_pop > 0
-                ? (prompt_mean > 0.0 ? prompt_mean : seq / 8.0)
-                : 0.0;
-        trace = runtime::make_session_trace(st, /*seed=*/42);
-    } else {
-        std::vector<double> arrivals =
-            rate > 0 ? runtime::ArrivalTrace::poisson(requests, rate,
-                                                      /*seed=*/42)
-                     : runtime::ArrivalTrace::closed_loop(requests);
-        trace = runtime::make_request_trace(
-            arrivals, tokens, prefill_frac, high_frac, /*seed=*/42);
-        if (prompt_mean > 0.0) {
-            runtime::tag_prompt_lengths(trace, seq, prompt_mean,
-                                        /*seed=*/42);
-        }
-    }
-    if (slo_serving) {
-        runtime::tag_tenants(trace, tenants, /*seed=*/42);
-        if (slo_s > 0.0) {
-            runtime::tag_deadlines(trace, slo_s);
-        }
-    }
-    std::printf("Serving %s, batch %d, seq %d on %d cores / %.0f TB/s "
-                "HBM\n",
-                name.c_str(), batch, seq, chip.total_cores(),
-                chip.hbm_total_bw / 1e12);
-    if (session_trace) {
-        std::printf("%d sessions -> %d turns (mean %g/session), "
-                    "%d shared prefixes",
-                    requests, static_cast<int>(trace.size()), turns,
-                    prefix_pop);
-    } else if (rate > 0) {
-        std::printf("%d requests x %d tokens, Poisson @ %g req/s",
-                    requests, tokens, rate);
-    } else {
-        std::printf("%d requests x %d tokens, closed loop", requests,
-                    tokens);
-    }
-    if (prompt_mean > 0.0) {
-        std::printf(" (prefill %g%%, high-priority %g%%, "
-                    "geometric prompts ~%g tok)\n\n",
-                    prefill_frac * 100, high_frac * 100, prompt_mean);
-    } else {
-        std::printf(" (prefill %g%%, high-priority %g%%)\n\n",
-                    prefill_frac * 100, high_frac * 100);
-    }
+    // 1. The trace: 8 Poisson arrivals at 500 req/s, 2 decode tokens
+    //    each. Half arrive as prompts to prefill first, with geometric
+    //    lengths of mean 64; a quarter are high priority and preempt
+    //    normal iterations at the next operator boundary.
+    std::vector<runtime::Request> trace = runtime::make_request_trace(
+        runtime::ArrivalTrace::poisson(8, 500.0, /*seed=*/42),
+        /*decode_tokens=*/2, /*prefill_frac=*/0.5, /*high_frac=*/0.25,
+        /*seed=*/42);
+    runtime::tag_prompt_lengths(trace, kSeq, /*mean_len=*/64.0,
+                                /*seed=*/42);
 
-    if (kv_budget_kb > 0) {
-        std::printf("kv residency: %d KB/core budget, %llu bytes/token\n",
-                    kv_budget_kb,
-                    static_cast<unsigned long long>(
-                        graph::kv_bytes_per_token(model)));
-    }
-    if (slo_serving) {
-        if (slo_s > 0.0) {
-            std::printf("slo serving : %d tenants (equal shares), "
-                        "deadline arrival + %g s\n",
-                        tenants, slo_s);
-        } else {
-            std::printf("slo serving : %d tenants (equal shares), "
-                        "no deadlines\n",
-                        tenants);
-        }
-    }
-    if (prefill_chunk > 0) {
-        std::printf("chunking    : prefill chunk %d tokens\n",
-                    prefill_chunk);
-    }
+    // 2. The server: decode batches of up to 8, and a 24 KB/core KV
+    //    budget, so request KV competes with resident weights in SRAM
+    //    and backpressures prompt admission once it is full.
+    runtime::ServerOptions sopts;
+    sopts.max_batch = 8;
+    sopts.tokens_per_request = 2;
+    sopts.max_prompt_len = kSeq;
+    sopts.kv_budget = 24 * 1024;
+    sopts.kv_bytes_per_token = graph::kv_bytes_per_token(model);
+    std::printf("Serving %s, batch %d, seq %d on %d cores: %d requests, "
+                "KV budget %llu KB/core\n",
+                model.name.c_str(), sopts.max_batch, kSeq,
+                chip.total_cores(), static_cast<int>(trace.size()),
+                static_cast<unsigned long long>(sopts.kv_budget / 1024));
 
+    // 3. Compile and serve every design. The prefill family takes its
+    //    own op-id namespace, so both families share one residency
+    //    pool; buckets compile lazily, the first time a serve asks.
     compiler::PlanCache cache;
-    if (replicas > 1) {
-        // Cluster scale-out: route the same trace across N replicas
-        // per design and report the roll-up. Session traces pin
-        // sessions to home replicas and migrate shared KV over the
-        // ring; plain traces round-robin.
-        const bool affinity = prefix_pop > 0;
-        std::printf("cluster: %d replicas, %s router, ring "
-                    "interconnect, KV migration %s\n\n",
-                    replicas, affinity ? "session-affinity"
-                                       : "round-robin",
-                    affinity ? "on" : "off");
-        util::Table table({"design", "tokens/s", "skew", "mean(ms)",
-                           "max(ms)", "ttft(ms)", "migr",
-                           "wire(KB)", "stall(ms)", "slo%",
-                           "missed"});
-        for (auto mode :
-             {compiler::Mode::kBasic, compiler::Mode::kStatic,
-              compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
-              compiler::Mode::kIdeal}) {
-            compiler::CompileOptions copts;
-            copts.mode = mode;
-            compiler::ServingCompiler sc(model, seq, chip, copts,
-                                         &cache);
-            compiler::ServingCompiler pc(
-                model, seq, chip, copts, &cache, /*jobs=*/1,
-                compiler::ServingCompiler::Options::prefill());
-            runtime::ClusterOptions clopts;
-            clopts.replicas = replicas;
-            clopts.router =
-                affinity ? runtime::RouterPolicy::kSessionAffinity
-                         : runtime::RouterPolicy::kRoundRobin;
-            clopts.migrate_kv = affinity;
-            clopts.server.max_batch = batch;
-            clopts.server.tokens_per_request = tokens;
-            clopts.server.max_prompt_len = seq;
-            clopts.server.kv_budget =
-                static_cast<uint64_t>(kv_budget_kb) * 1024;
-            clopts.server.kv_bytes_per_token =
-                graph::kv_bytes_per_token(model);
-            clopts.server.prefix_sharing = prefix_pop > 0;
-            clopts.server.slo = slo_serving;
-            clopts.server.tenants = tenants;
-            clopts.server.prefill_chunk = prefill_chunk;
-            runtime::Cluster cluster(sc.machine(), clopts);
-            runtime::ClusterReport rep = cluster.serve(
-                trace,
-                [&](int b, int len) { return pc.program(b, len); },
-                [&](int b) { return sc.program(b); });
-            table.add(sc.mode(), rep.tokens_per_s, rep.util_skew,
-                      runtime::ms(rep.mean_latency),
-                      runtime::ms(rep.max_latency),
-                      runtime::ms(rep.mean_ttft), rep.kv_migrations,
-                      rep.interconnect_bytes / 1024,
-                      runtime::ms(rep.kv_migration_stall),
-                      rep.slo ? runtime::pct(rep.slo_attainment)
-                              : std::string("-"),
-                      rep.slo ? std::to_string(rep.deadline_misses)
-                              : std::string("-"));
-        }
-        table.print("cluster goodput / balance per design");
-    } else {
     util::Table table({"design", "p50(ms)", "p95(ms)", "p99(ms)",
-                       "ttft p95(ms)", "tokens/s", "hbm_util", "queue",
+                       "ttft p95(ms)", "tokens/s", "hbm_util",
                        "preempts", "padded_tok", "kv_peak(KB)",
-                       "deferred", "pfx_hits", "saved_tok",
-                       "preload first(ms)", "steady(ms)", "slo%",
-                       "missed", "late p99(ms)"});
-
-    for (auto mode :
-         {compiler::Mode::kBasic, compiler::Mode::kStatic,
-          compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
-          compiler::Mode::kIdeal}) {
+                       "deferred", "steady preload(ms)"});
+    std::string cluster_summary;
+    for (auto mode : {compiler::Mode::kBasic, compiler::Mode::kStatic,
+                      compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
+                      compiler::Mode::kIdeal}) {
         compiler::CompileOptions copts;
         copts.mode = mode;
-        compiler::ServingCompiler sc(model, seq, chip, copts, &cache);
-        compiler::ServingCompiler pc(
-            model, seq, chip, copts, &cache, /*jobs=*/1,
+        compiler::ServingCompiler decode(model, kSeq, chip, copts, &cache);
+        compiler::ServingCompiler prefill(
+            model, kSeq, chip, copts, &cache, /*jobs=*/1,
             compiler::ServingCompiler::Options::prefill());
-        runtime::ServerOptions sopts;
-        sopts.max_batch = batch;
-        sopts.tokens_per_request = tokens;
-        sopts.max_prompt_len = seq;
-        sopts.kv_budget = static_cast<uint64_t>(kv_budget_kb) * 1024;
-        sopts.kv_bytes_per_token = graph::kv_bytes_per_token(model);
-        sopts.prefix_sharing = prefix_pop > 0;
-        sopts.slo = slo_serving;
-        sopts.tenants = tenants;
-        sopts.prefill_chunk = prefill_chunk;
-        runtime::Server server(sc.machine(), sopts);
-        runtime::ServingReport rep = server.serve(
-            trace, [&](int b, int len) { return pc.program(b, len); },
-            [&](int b) { return sc.program(b); });
-        table.add(sc.mode(), runtime::ms(rep.p50_latency),
+        auto prefill_programs = [&](int b, int len) {
+            return prefill.program(b, len);
+        };
+        auto decode_programs = [&](int b) { return decode.program(b); };
+
+        runtime::Server server(decode.machine(), sopts);
+        runtime::ServingReport rep =
+            server.serve(trace, prefill_programs, decode_programs);
+        table.add(decode.mode(), runtime::ms(rep.p50_latency),
                   runtime::ms(rep.p95_latency),
-                  runtime::ms(rep.p99_latency),
-                  runtime::ms(rep.p95_ttft), rep.tokens_per_s,
-                  runtime::pct(rep.hbm_util), rep.mean_queue_depth,
-                  rep.preemptions,
-                  rep.padded_prompt_tokens,
-                  rep.kv_bytes_peak / 1024,
-                  rep.deferred_admissions,
-                  rep.prefix_hits,
-                  rep.prefill_tokens_saved,
-                  runtime::ms(rep.first_decode_preload),
-                  runtime::ms(rep.steady_decode_preload),
-                  rep.slo ? runtime::pct(rep.slo_attainment)
-                          : std::string("-"),
-                  rep.slo ? std::to_string(rep.deadline_misses)
-                          : std::string("-"),
-                  rep.slo ? runtime::ms(rep.p99_lateness)
-                          : std::string("-"));
+                  runtime::ms(rep.p99_latency), runtime::ms(rep.p95_ttft),
+                  rep.tokens_per_s, runtime::pct(rep.hbm_util),
+                  rep.preemptions, rep.padded_prompt_tokens,
+                  rep.kv_bytes_peak / 1024, rep.deferred_admissions,
+                  runtime::ms(rep.steady_decode_preload));
+
+        // 4. Scale out: two replicas of the chip behind the default
+        //    round-robin router, sharing the same program families.
+        if (mode == compiler::Mode::kElkFull) {
+            runtime::ClusterOptions clopts;
+            clopts.replicas = 2;
+            clopts.server = sopts;
+            runtime::Cluster cluster(decode.machine(), clopts);
+            cluster_summary =
+                cluster.serve(trace, prefill_programs, decode_programs)
+                    .summary();
+        }
     }
     table.print("serving tail latency / goodput per design");
-    }
-    auto stats = cache.stats();
-    std::printf("\nplan cache: %d entries, %lld hits, %lld misses\n",
-                stats.entries, static_cast<long long>(stats.hits),
-                static_cast<long long>(stats.misses));
+    std::printf("\nElk-Full on 2 replicas\n%s\n", cluster_summary.c_str());
+    std::printf("\nplan cache: %d entries\n", cache.stats().entries);
     return 0;
 }

@@ -371,45 +371,21 @@ Cluster::serve(const std::vector<Request>& requests,
     if (opts_.server.slo) {
         rep.slo = true;
         rep.tenant_shares.resize(opts_.server.tenants);
-        int64_t total_work = 0;
-        for (int i = 0; i < n; ++i) {
-            const ServingReport& r = rep.replica_reports[i];
-            rep.deadline_requests += r.deadline_requests;
-            rep.deadline_misses += r.deadline_misses;
+        for (const ServingReport& r : rep.replica_reports) {
             rep.worst_p99_lateness =
                 std::max(rep.worst_p99_lateness, r.p99_lateness);
             rep.deadline_preemptions += r.deadline_preemptions;
-            for (const ServingReport::TenantShare& s :
-                 r.tenant_shares) {
-                ServingReport::TenantShare& c =
-                    rep.tenant_shares[s.tenant];
+            for (const ServingReport::TenantShare& s : r.tenant_shares) {
+                ServingReport::TenantShare& c = rep.tenant_shares[s.tenant];
                 c.tenant = s.tenant;
                 c.requests += s.requests;
                 c.tokens += s.tokens;
                 c.deadline_requests += s.deadline_requests;
                 c.deadline_misses += s.deadline_misses;
-                total_work += s.tokens;
             }
         }
-        for (ServingReport::TenantShare& c : rep.tenant_shares) {
-            c.token_share =
-                total_work > 0
-                    ? static_cast<double>(c.tokens) /
-                          static_cast<double>(total_work)
-                    : 0.0;
-            c.attainment =
-                c.deadline_requests > 0
-                    ? static_cast<double>(c.deadline_requests -
-                                          c.deadline_misses) /
-                          static_cast<double>(c.deadline_requests)
-                    : 1.0;
-        }
-        rep.slo_attainment =
-            rep.deadline_requests > 0
-                ? static_cast<double>(rep.deadline_requests -
-                                      rep.deadline_misses) /
-                      static_cast<double>(rep.deadline_requests)
-                : 1.0;
+        roll_up_tenant_shares(rep.tenant_shares, rep.deadline_requests,
+                              rep.deadline_misses, rep.slo_attainment);
     }
     return rep;
 }
@@ -437,14 +413,8 @@ ClusterReport::summary() const
             << deadline_requests << " deadlines met ("
             << pct(slo_attainment) << " attainment), worst p99 "
             << "lateness " << ms(worst_p99_lateness) << " ms, "
-            << deadline_preemptions << " deadline preemptions";
-        for (const ServingReport::TenantShare& t : tenant_shares) {
-            out << "\n  tenant " << t.tenant << "     : " << t.requests
-                << " requests, " << t.tokens << " tokens ("
-                << pct(t.token_share) << " share), attainment "
-                << pct(t.attainment) << " (" << t.deadline_misses
-                << " missed)";
-        }
+            << deadline_preemptions << " deadline preemptions"
+            << tenant_share_lines(tenant_shares);
     }
     for (size_t i = 0; i < replica_reports.size(); ++i) {
         const ServingReport& r = replica_reports[i];
@@ -489,16 +459,7 @@ ClusterReport::serialize_bits() const
     append_bits(out, slo_attainment);
     append_bits(out, worst_p99_lateness);
     append_bits(out, deadline_preemptions);
-    append_bits(out, static_cast<int>(tenant_shares.size()));
-    for (const ServingReport::TenantShare& t : tenant_shares) {
-        append_bits(out, t.tenant);
-        append_bits(out, t.requests);
-        append_bits(out, t.tokens);
-        append_bits(out, t.token_share);
-        append_bits(out, t.deadline_requests);
-        append_bits(out, t.deadline_misses);
-        append_bits(out, t.attainment);
-    }
+    append_tenant_shares(out, tenant_shares);
     return out;
 }
 

@@ -1450,37 +1450,17 @@ DisaggRun::finalize()
         rep_.tenants = opts_.tenants;
         rep_.deadline_preemptions = deadline_preemptions_;
         rep_.fairness_windows = fairness_windows_;
-        int64_t total_work = 0;
-        for (int64_t w : tenant_tokens_) {
-            total_work += w;
-        }
         for (int t = 0; t < opts_.tenants; ++t) {
             ServingReport::TenantShare s;
             s.tenant = t;
             s.requests = tenant_requests_[t];
             s.tokens = tenant_tokens_[t];
-            s.token_share =
-                total_work > 0 ? static_cast<double>(tenant_tokens_[t]) /
-                                     static_cast<double>(total_work)
-                               : 0.0;
             s.deadline_requests = tenant_deadline_reqs_[t];
             s.deadline_misses = tenant_deadline_miss_[t];
-            s.attainment =
-                s.deadline_requests > 0
-                    ? static_cast<double>(s.deadline_requests -
-                                          s.deadline_misses) /
-                          static_cast<double>(s.deadline_requests)
-                    : 1.0;
-            rep_.deadline_requests += s.deadline_requests;
-            rep_.deadline_misses += s.deadline_misses;
             rep_.tenant_shares.push_back(s);
         }
-        rep_.slo_attainment =
-            rep_.deadline_requests > 0
-                ? static_cast<double>(rep_.deadline_requests -
-                                      rep_.deadline_misses) /
-                      static_cast<double>(rep_.deadline_requests)
-                : 1.0;
+        roll_up_tenant_shares(rep_.tenant_shares, rep_.deadline_requests,
+                              rep_.deadline_misses, rep_.slo_attainment);
         if (!latenesses_.empty()) {
             std::sort(latenesses_.begin(), latenesses_.end());
             rep_.p99_lateness =
@@ -2046,6 +2026,64 @@ make_session_trace(const SessionTraceOptions& o, uint64_t seed)
     return out;
 }
 
+void
+roll_up_tenant_shares(std::vector<ServingReport::TenantShare>& shares,
+                      int& deadline_requests, int& deadline_misses,
+                      double& slo_attainment)
+{
+    auto attainment = [](int carriers, int misses) {
+        return carriers > 0 ? static_cast<double>(carriers - misses) /
+                                  static_cast<double>(carriers)
+                            : 1.0;
+    };
+    int64_t total_work = 0;
+    deadline_requests = 0;
+    deadline_misses = 0;
+    for (const ServingReport::TenantShare& s : shares) {
+        total_work += s.tokens;
+        deadline_requests += s.deadline_requests;
+        deadline_misses += s.deadline_misses;
+    }
+    for (ServingReport::TenantShare& s : shares) {
+        s.token_share = total_work > 0
+                            ? static_cast<double>(s.tokens) /
+                                  static_cast<double>(total_work)
+                            : 0.0;
+        s.attainment = attainment(s.deadline_requests, s.deadline_misses);
+    }
+    slo_attainment = attainment(deadline_requests, deadline_misses);
+}
+
+std::string
+tenant_share_lines(const std::vector<ServingReport::TenantShare>& shares)
+{
+    std::ostringstream out;
+    for (const ServingReport::TenantShare& t : shares) {
+        out << "\n  tenant " << t.tenant << "     : " << t.requests
+            << " requests, " << t.tokens << " tokens ("
+            << pct(t.token_share) << " share), attainment "
+            << pct(t.attainment) << " (" << t.deadline_misses
+            << " missed)";
+    }
+    return out.str();
+}
+
+void
+append_tenant_shares(std::string& out,
+                     const std::vector<ServingReport::TenantShare>& shares)
+{
+    append_bits(out, static_cast<int>(shares.size()));
+    for (const ServingReport::TenantShare& t : shares) {
+        append_bits(out, t.tenant);
+        append_bits(out, t.requests);
+        append_bits(out, t.tokens);
+        append_bits(out, t.token_share);
+        append_bits(out, t.deadline_requests);
+        append_bits(out, t.deadline_misses);
+        append_bits(out, t.attainment);
+    }
+}
+
 std::string
 ServingReport::summary() const
 {
@@ -2111,14 +2149,7 @@ ServingReport::summary() const
             << ms(p99_lateness) << " ms, max " << ms(max_lateness)
             << " ms; " << deadline_preemptions
             << " deadline preemptions, " << fairness_windows
-            << " fairness windows";
-        for (const TenantShare& t : tenant_shares) {
-            out << "\n  tenant " << t.tenant << "     : " << t.requests
-                << " requests, " << t.tokens << " tokens ("
-                << pct(t.token_share) << " share), attainment "
-                << pct(t.attainment) << " (" << t.deadline_misses
-                << " missed)";
-        }
+            << " fairness windows" << tenant_share_lines(tenant_shares);
     }
     if (prefill_chunk > 0) {
         out << "\n  chunked prefill: chunk " << prefill_chunk << ", "
@@ -2205,16 +2236,7 @@ ServingReport::serialize_bits() const
     append_bits(out, max_lateness);
     append_bits(out, deadline_preemptions);
     append_bits(out, fairness_windows);
-    append_bits(out, static_cast<int>(tenant_shares.size()));
-    for (const TenantShare& t : tenant_shares) {
-        append_bits(out, t.tenant);
-        append_bits(out, t.requests);
-        append_bits(out, t.tokens);
-        append_bits(out, t.token_share);
-        append_bits(out, t.deadline_requests);
-        append_bits(out, t.deadline_misses);
-        append_bits(out, t.attainment);
-    }
+    append_tenant_shares(out, tenant_shares);
     append_bits(out, prefill_chunk);
     append_bits(out, chunked_prompts);
     append_bits(out, prefill_chunks);

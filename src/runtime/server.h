@@ -593,6 +593,24 @@ struct ServingReport {
 };
 
 /**
+ * The SLO roll-up ServingReport and ClusterReport share: fills every
+ * share's token_share (over all shares' tokens) and attainment from
+ * its counts, and sets the deadline totals and their attainment (1
+ * with no carriers) across @p shares.
+ */
+void roll_up_tenant_shares(std::vector<ServingReport::TenantShare>& shares,
+                           int& deadline_requests, int& deadline_misses,
+                           double& slo_attainment);
+
+/// One "\n  tenant N     : ..." summary line per entry of @p shares.
+std::string tenant_share_lines(
+    const std::vector<ServingReport::TenantShare>& shares);
+
+/// Appends the entry count, then every entry of @p shares, to @p out.
+void append_tenant_shares(
+    std::string& out, const std::vector<ServingReport::TenantShare>& shares);
+
+/**
  * The serving loop. The server owns no compiler: a ProgramSource maps
  * a batch bucket to its compiled+lowered program (see
  * compiler::ServingCompiler), so the same loop serves any frontend.

@@ -5,13 +5,15 @@
  * policies on crafted arrival patterns, cross-chip KV migration with
  * priced interconnect stalls, the disaggregated prefill-tier /
  * decode-tier split, the 1-replica round-robin bit-identity anchor
- * across all five design modes, and death tests for cluster
- * misconfiguration.
+ * across all five design modes, the SLO roll-up against its replica
+ * reports, and death tests for cluster misconfiguration.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "runtime/cluster.h"
 #include "runtime/server.h"
 #include "test_helpers.h"
+#include "util/bits.h"
 
 namespace elk {
 namespace {
@@ -166,8 +169,47 @@ class ClusterServingTest : public ::testing::Test {
         return trace;
     }
 
+    /// SLO serving options: 3 tenants at shares 4:2:1.
+    runtime::ServerOptions
+    slo_options() const
+    {
+        runtime::ServerOptions sopts = plain_options();
+        sopts.slo = true;
+        sopts.tenants = 3;
+        sopts.tenant_shares = {4.0, 2.0, 1.0};
+        return sopts;
+    }
+
+    /// A mixed varlen trace across 3 tenants whose deadlines are tight
+    /// enough that some are missed.
+    std::vector<runtime::Request>
+    slo_trace() const
+    {
+        auto trace = runtime::make_request_trace(
+            runtime::ArrivalTrace::poisson(18, 4000.0, 13), 3,
+            /*prefill_frac=*/0.7, /*high_frac=*/0.1, 13);
+        runtime::tag_prompt_lengths(trace, kSeq, 32.0, 13);
+        runtime::tag_tenants(trace, /*tenants=*/3, /*seed=*/13);
+        runtime::tag_deadlines(trace, 2e-3);
+        return trace;
+    }
+
     compiler::PlanCache cache_;
 };
+
+/// The "  tenant N ..." lines of a report summary, in order.
+std::vector<std::string>
+tenant_lines(const std::string& summary)
+{
+    std::vector<std::string> lines;
+    std::istringstream in(summary);
+    for (std::string line; std::getline(in, line);) {
+        if (line.rfind("  tenant ", 0) == 0) {
+            lines.push_back(line);
+        }
+    }
+    return lines;
+}
 
 // The acceptance anchor: a 1-replica round-robin cluster routes the
 // trace to replica 0 unchanged, so its replica report reproduces the
@@ -509,6 +551,108 @@ TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
         [&](int b) { return dc.program(b); });
     EXPECT_EQ(rep.serialize_bits(), again.serialize_bits());
     EXPECT_FALSE(rep.summary().empty());
+}
+
+// A 1-replica SLO cluster's roll-up is its one replica's SLO block:
+// same tenant shares, deadline totals, attainment, lateness and
+// deadline preemptions, and the same tenant summary lines.
+TEST_F(ClusterServingTest, OneReplicaSloRollUpMatchesReplica)
+{
+    auto dc = make_compiler(compiler::GraphKind::kDecode,
+                            compiler::Mode::kElkFull);
+    auto pc = make_compiler(compiler::GraphKind::kPrefill,
+                            compiler::Mode::kElkFull);
+    runtime::ClusterOptions copts;
+    copts.replicas = 1;
+    copts.server = slo_options();
+    runtime::Cluster cluster(dc.machine(), copts);
+    auto rep = cluster.serve(
+        slo_trace(), [&](int b, int len) { return pc.program(b, len); },
+        [&](int b) { return dc.program(b); });
+
+    ASSERT_EQ(rep.replica_reports.size(), 1u);
+    const runtime::ServingReport& r = rep.replica_reports[0];
+    ASSERT_TRUE(rep.slo);
+    ASSERT_EQ(rep.tenant_shares.size(), 3u);
+    ASSERT_EQ(r.tenant_shares.size(), 3u);
+    for (size_t t = 0; t < r.tenant_shares.size(); ++t) {
+        const auto& c = rep.tenant_shares[t];
+        const auto& s = r.tenant_shares[t];
+        EXPECT_EQ(c.tenant, s.tenant);
+        EXPECT_EQ(c.requests, s.requests);
+        EXPECT_EQ(c.tokens, s.tokens);
+        EXPECT_EQ(c.token_share, s.token_share);
+        EXPECT_EQ(c.deadline_requests, s.deadline_requests);
+        EXPECT_EQ(c.deadline_misses, s.deadline_misses);
+        EXPECT_EQ(c.attainment, s.attainment);
+    }
+    EXPECT_EQ(rep.deadline_requests, r.deadline_requests);
+    EXPECT_EQ(rep.deadline_misses, r.deadline_misses);
+    EXPECT_EQ(rep.slo_attainment, r.slo_attainment);
+    EXPECT_EQ(rep.worst_p99_lateness, r.p99_lateness);
+    EXPECT_EQ(rep.deadline_preemptions, r.deadline_preemptions);
+    // The trace exercises the roll-up: deadlines both met and missed.
+    EXPECT_GT(rep.deadline_misses, 0);
+    EXPECT_LT(rep.deadline_misses, rep.deadline_requests);
+    const auto lines = tenant_lines(rep.summary());
+    EXPECT_EQ(lines.size(), 3u);
+    EXPECT_EQ(lines, tenant_lines(r.summary()));
+}
+
+// A 3-replica SLO cluster re-aggregates per-tenant counts as sums over
+// its replicas, and its serialization is pinned to a committed digest.
+TEST_F(ClusterServingTest, SloRollUpSumsReplicaTenants)
+{
+    auto dc = make_compiler(compiler::GraphKind::kDecode,
+                            compiler::Mode::kElkFull);
+    auto pc = make_compiler(compiler::GraphKind::kPrefill,
+                            compiler::Mode::kElkFull);
+    runtime::ClusterOptions copts;
+    copts.replicas = 3;
+    copts.router = runtime::RouterPolicy::kLeastLoaded;
+    copts.server = slo_options();
+    runtime::Cluster cluster(dc.machine(), copts);
+    auto rep = cluster.serve(
+        slo_trace(), [&](int b, int len) { return pc.program(b, len); },
+        [&](int b) { return dc.program(b); });
+
+    ASSERT_EQ(rep.tenant_shares.size(), 3u);
+    std::vector<runtime::ServingReport::TenantShare> sum(3);
+    int deadline_requests = 0;
+    int deadline_misses = 0;
+    int deadline_preemptions = 0;
+    double worst_p99 = 0.0;
+    for (const auto& r : rep.replica_reports) {
+        ASSERT_EQ(r.tenant_shares.size(), 3u);
+        for (const auto& s : r.tenant_shares) {
+            sum[s.tenant].requests += s.requests;
+            sum[s.tenant].tokens += s.tokens;
+            sum[s.tenant].deadline_requests += s.deadline_requests;
+            sum[s.tenant].deadline_misses += s.deadline_misses;
+        }
+        deadline_requests += r.deadline_requests;
+        deadline_misses += r.deadline_misses;
+        deadline_preemptions += r.deadline_preemptions;
+        worst_p99 = std::max(worst_p99, r.p99_lateness);
+    }
+    for (int t = 0; t < 3; ++t) {
+        const auto& c = rep.tenant_shares[t];
+        EXPECT_EQ(c.tenant, t);
+        EXPECT_EQ(c.requests, sum[t].requests);
+        EXPECT_EQ(c.tokens, sum[t].tokens);
+        EXPECT_EQ(c.deadline_requests, sum[t].deadline_requests);
+        EXPECT_EQ(c.deadline_misses, sum[t].deadline_misses);
+    }
+    EXPECT_EQ(rep.deadline_requests, deadline_requests);
+    EXPECT_EQ(rep.deadline_misses, deadline_misses);
+    EXPECT_EQ(rep.deadline_preemptions, deadline_preemptions);
+    EXPECT_EQ(rep.worst_p99_lateness, worst_p99);
+
+    const std::string bits = rep.serialize_bits();
+    util::Fnv1a digest;
+    digest.mix(bits.data(), bits.size());
+    EXPECT_EQ(digest.value(), 0x05f0bad1c654cdd0ull)
+        << "digest 0x" << digest.hex();
 }
 
 // Replicas serve in parallel; this pins them to an explicit serial
