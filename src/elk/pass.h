@@ -51,9 +51,6 @@ struct CompileOptions {
     int max_window = 28;
     /// Maximum candidate preload orders evaluated (Elk-Full).
     int max_orders = 96;
-    /// Layers of the model used to score candidate orders before the
-    /// winner is scheduled on the full model (compile-time pruning).
-    int score_layers = 2;
     /// Static mode only: fixed per-core preload-region size in bytes;
     /// 0 searches the best static size offline (§6.1).
     uint64_t static_region = 0;

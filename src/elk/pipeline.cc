@@ -67,6 +67,9 @@ max_fit_window(const PlanLibrary& library)
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Layers of the model used to score candidate preload orders before
+/// the winner is scheduled on the full model (compile-time pruning).
+constexpr int kScoreLayers = 2;
 
 /// Runs fn(0..n-1) on the state's pool, or inline without one.
 void
@@ -493,7 +496,7 @@ class PreloadOrderSearchPass : public Pass {
         // Score on a prefix of the model.
         int prefix_ops = 0;
         for (const auto& op : graph.ops()) {
-            if (op.layer >= 0 && op.layer < opts.score_layers) {
+            if (op.layer >= 0 && op.layer < kScoreLayers) {
                 prefix_ops = op.id + 1;
             }
         }

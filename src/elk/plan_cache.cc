@@ -93,7 +93,6 @@ make_plan_key(const graph::Graph& graph, const hw::ChipConfig& cfg,
     Fnv1a h;
     h.mix_value(opts.max_window);
     h.mix_value(opts.max_orders);
-    h.mix_value(opts.score_layers);
     h.mix_value(opts.static_region);
     for (const auto& pass : opts.pass_filter) {
         h.mix(pass.data(), pass.size());

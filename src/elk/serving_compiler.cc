@@ -29,15 +29,6 @@ ceil_log2(int v)
 ServingCompiler::ServingCompiler(graph::ModelConfig model, int seq,
                                  const hw::ChipConfig& cfg,
                                  CompileOptions opts, PlanCache* cache,
-                                 int jobs)
-    : ServingCompiler(std::move(model), seq, cfg, std::move(opts),
-                      cache, jobs, Options())
-{
-}
-
-ServingCompiler::ServingCompiler(graph::ModelConfig model, int seq,
-                                 const hw::ChipConfig& cfg,
-                                 CompileOptions opts, PlanCache* cache,
                                  int jobs, Options serving_opts)
     : model_(std::move(model)),
       seq_(seq),
@@ -52,8 +43,6 @@ ServingCompiler::ServingCompiler(graph::ModelConfig model, int seq,
                    : compile_machine_)
 {
     util::check(seq_ >= 1, "ServingCompiler: seq must be >= 1");
-    util::check(serving_opts_.op_id_offset >= 0,
-                "ServingCompiler: op id offset must be >= 0");
 }
 
 std::shared_ptr<const sim::SimProgram>
@@ -102,11 +91,11 @@ ServingCompiler::program(int batch, int prompt_len)
         runtime::lower_to_sim(graph, compiled.plan, compiler.context());
     // Namespacing happens after lowering so the plan cache still keys
     // on the structural graph (the offset never changes the plan).
-    // Prefill length buckets get a per-band sub-namespace on top of
-    // the family offset (see kPrefillIdOffset).
-    int offset = serving_opts_.op_id_offset;
+    // Prefill programs get the family offset plus a per-band
+    // sub-namespace per length bucket (see kPrefillIdOffset).
+    int offset = 0;
     if (serving_opts_.kind == GraphKind::kPrefill) {
-        offset += ceil_log2(prompt_len) * kPrefillIdOffset;
+        offset = (1 + ceil_log2(prompt_len)) * kPrefillIdOffset;
         util::check(graph.size() < kPrefillIdOffset,
                     "ServingCompiler: graph too large for the prefill "
                     "id namespace scheme");

@@ -24,9 +24,9 @@
  * *bucketed length*, so a short prompt stops paying for a
  * full-sequence forward pass. Disaggregated serving runs one compiler
  * per family over a shared PlanCache, with disjoint op-id namespaces
- * (Options::op_id_offset plus the per-length sub-namespace scheme
- * below) so every family and every prefill length bucket can share
- * one EngineState residency pool without op-id aliasing.
+ * (derived from the family — see kPrefillIdOffset) so every family
+ * and every prefill length bucket can share one EngineState residency
+ * pool without op-id aliasing.
  *
  * Thread-safe: replica sweeps share one instance (and its PlanCache)
  * across worker threads. The per-iteration lookup of an
@@ -57,14 +57,28 @@ enum class GraphKind {
     kPrefill,  ///< forward pass over the (bucketed) prompt length.
 };
 
+/// ServingCompiler::Options (declared at namespace scope so the
+/// constructor can default it with `= {}`).
+struct ServingCompilerOptions {
+    /// Graph family every bucket of the compiler builds; it also picks
+    /// the op-id namespace (see ServingCompiler::kPrefillIdOffset).
+    GraphKind kind = GraphKind::kDecode;
+
+    /// The prefill family.
+    static ServingCompilerOptions prefill()
+    {
+        return {GraphKind::kPrefill};
+    }
+};
+
 class ServingCompiler {
   public:
-    /// Conventional op-id offset for the prefill family: far above any
-    /// real graph's operator count, so prefill and decode programs
-    /// never alias in a shared residency pool. Prefill length buckets
-    /// are further sub-namespaced per power-of-two band: a program at
-    /// prompt length L is offset by
-    ///   op_id_offset + ceil(log2(L)) * kPrefillIdOffset,
+    /// Op-id offset of the prefill family (decode programs keep their
+    /// ids): far above any real graph's operator count, so prefill
+    /// and decode programs never alias in a shared residency pool.
+    /// Prefill length buckets are further sub-namespaced per
+    /// power-of-two band: a program at prompt length L is offset by
+    ///   (1 + ceil(log2(L))) * kPrefillIdOffset,
     /// so every bucket of the default power-of-two ladder owns a
     /// disjoint id range and stays resident independently. (Two
     /// non-power-of-two bucket lengths in one band would share a
@@ -73,23 +87,7 @@ class ServingCompiler {
     static constexpr int kPrefillIdOffset = 1 << 20;
 
     /// Serving-specific knobs (the CompileOptions cover the search).
-    struct Options {
-        /// Graph family every bucket of this compiler builds.
-        GraphKind kind = GraphKind::kDecode;
-        /// Added to every lowered SimOp id (see kPrefillIdOffset).
-        int op_id_offset = 0;
-
-        /// The prefill family with its conventional id namespace —
-        /// always pair the two, or prefill and decode entries alias
-        /// in a shared residency pool.
-        static Options prefill()
-        {
-            Options o;
-            o.kind = GraphKind::kPrefill;
-            o.op_id_offset = kPrefillIdOffset;
-            return o;
-        }
-    };
+    using Options = ServingCompilerOptions;
 
     /**
      * @p cache may be nullptr (no cross-instance amortization) and
@@ -97,16 +95,13 @@ class ServingCompiler {
      * model sequence length: the KV depth of every decode program and
      * the longest prompt a prefill bucket can ingest. @p jobs is the
      * compiler worker-thread knob; plans are bit-identical at any
-     * setting.
+     * setting. @p serving_opts picks the graph family (decode by
+     * default; Options::prefill() for prefill).
      */
     ServingCompiler(graph::ModelConfig model, int seq,
                     const hw::ChipConfig& cfg, CompileOptions opts,
-                    PlanCache* cache, int jobs = 1);
-    /// Same, with explicit serving knobs — Options::prefill() for the
-    /// prefill family's conventional id namespace.
-    ServingCompiler(graph::ModelConfig model, int seq,
-                    const hw::ChipConfig& cfg, CompileOptions opts,
-                    PlanCache* cache, int jobs, Options serving_opts);
+                    PlanCache* cache, int jobs = 1,
+                    Options serving_opts = {});
 
     /// Compiled program for the (batch, prompt_len) bucket
     /// (memoized). For the prefill family @p batch prompts, each of

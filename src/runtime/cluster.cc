@@ -51,8 +51,6 @@ validated(ClusterOptions o, const sim::Machine& machine)
 {
     util::check(o.replicas >= 1,
                 "Cluster: replica count must be >= 1");
-    util::check(o.router_token_time_s >= 0.0,
-                "Cluster: router_token_time_s must be >= 0");
     if (o.router == RouterPolicy::kSessionAffinity) {
         util::check(o.server.prefix_sharing,
                     "Cluster: session-affinity routing keys on shared "
@@ -86,8 +84,9 @@ validated(ClusterOptions o, const sim::Machine& machine)
         o.interconnect.link_bw = machine.config().inter_chip_bw;
     }
     // Fail fast on bad per-replica Server knobs, and keep the
-    // finalized bucket ladders so every replica (and route_into's
-    // prompt-length resolution) sees one canonical ServerOptions.
+    // finalized prompt-bucket ladder so every replica (and
+    // route_into's prompt-length resolution) sees one canonical
+    // ServerOptions.
     Server probe(machine, o.server);
     o.server = probe.options();
     return o;
@@ -125,7 +124,6 @@ Cluster::route_into(const std::vector<Request>& requests,
     Tier& pre_tier = p > 0 ? pre_only : whole;
     Tier& dec_tier = p > 0 ? dec_only : whole;
 
-    std::vector<double> free_at(n, 0.0);
     std::vector<int64_t> work(n, 0);
     int max_pid = -1;
     for (const Request& r : requests) {
@@ -139,45 +137,29 @@ Cluster::route_into(const std::vector<Request>& requests,
     std::vector<char> has(static_cast<size_t>(max_pid + 1) * n, 0);
 
     // One routing decision: the policy picks a replica of @p tier for
-    // a request arriving at @p arrival carrying @p pid (-1 = none)
-    // and an estimated @p est_tokens of service, then books the
-    // estimate into the router's load model.
-    auto pick = [&](Tier& tier, double arrival, int pid,
-                    int64_t est_tokens) {
+    // a request carrying @p pid (-1 = none) and an estimated
+    // @p est_tokens of service, then books the estimate into the
+    // router's load model.
+    auto pick = [&](Tier& tier, int pid, int64_t est_tokens) {
         int idx = tier.begin;
         switch (opts_.router) {
             case RouterPolicy::kRoundRobin:
                 idx = tier.begin + tier.rr;
                 tier.rr = (tier.rr + 1) % tier.size;
                 break;
-            case RouterPolicy::kLeastLoaded:
-                if (opts_.router_token_time_s > 0.0) {
-                    // Virtual free-at clock: backlog still booked at
-                    // this arrival instant; ties go to the lowest
-                    // replica id.
-                    double best = std::numeric_limits<double>::max();
-                    for (int i = tier.begin;
-                         i < tier.begin + tier.size; ++i) {
-                        const double backlog =
-                            std::max(free_at[i] - arrival, 0.0);
-                        if (backlog < best) {
-                            best = backlog;
-                            idx = i;
-                        }
-                    }
-                } else {
-                    // Fallback load model: fewest cumulative
-                    // assigned tokens.
-                    int64_t best = std::numeric_limits<int64_t>::max();
-                    for (int i = tier.begin;
-                         i < tier.begin + tier.size; ++i) {
-                        if (work[i] < best) {
-                            best = work[i];
-                            idx = i;
-                        }
+            case RouterPolicy::kLeastLoaded: {
+                // Fewest cumulative assigned tokens; ties go to the
+                // lowest replica id.
+                int64_t best = std::numeric_limits<int64_t>::max();
+                for (int i = tier.begin; i < tier.begin + tier.size;
+                     ++i) {
+                    if (work[i] < best) {
+                        best = work[i];
+                        idx = i;
                     }
                 }
                 break;
+            }
             case RouterPolicy::kSessionAffinity:
                 if (pid >= 0) {
                     idx = tier.begin +
@@ -190,9 +172,6 @@ Cluster::route_into(const std::vector<Request>& requests,
                 }
                 break;
         }
-        free_at[idx] = std::max(free_at[idx], arrival) +
-                       opts_.router_token_time_s *
-                           static_cast<double>(est_tokens);
         work[idx] += est_tokens;
         return idx;
     };
@@ -247,7 +226,7 @@ Cluster::route_into(const std::vector<Request>& requests,
             // deadline. Both halves keep the tenant — prefill work is
             // real work against its fairness share.
             pre_half.deadline_s = 0.0;
-            const int pi = pick(pre_tier, r.arrival, r.prefix_id, len);
+            const int pi = pick(pre_tier, r.prefix_id, len);
             tag_prefix(pre_half, pi);
             sub[pi].push_back(pre_half);
             ++prefill_counts[pi];
@@ -256,8 +235,7 @@ Cluster::route_into(const std::vector<Request>& requests,
             dec_half.phase = Phase::kDecode;
             dec_half.prefix_id = -1;
             dec_half.prefix_len = 0;
-            const int di = pick(dec_tier, r.arrival, -1,
-                                r.decode_tokens);
+            const int di = pick(dec_tier, -1, r.decode_tokens);
             dec_half.kv_migrate_tokens = static_cast<int>(len);
             dec_half.kv_migrate_stall = fabric_.transfer_seconds(
                 pi, di,
@@ -272,7 +250,7 @@ Cluster::route_into(const std::vector<Request>& requests,
         Tier& tier = prefill ? pre_tier : dec_tier;
         const int64_t est =
             (prefill ? len : 0) + r.decode_tokens;
-        const int idx = pick(tier, r.arrival, r.prefix_id, est);
+        const int idx = pick(tier, r.prefix_id, est);
         if (prefill) {
             tag_prefix(q, idx);
             ++prefill_counts[idx];

@@ -17,13 +17,10 @@
  *
  * Router policies:
  *  - round-robin: arrival order modulo the replica count.
- *  - least-loaded: join-shortest-queue on the router's load model.
- *    With router_token_time_s > 0 the router keeps a virtual
- *    free-at clock per replica (each assignment books its estimated
- *    service time) and picks the replica with the least backlog at
- *    the request's arrival; with the 0 default it picks the replica
- *    with the fewest cumulative assigned tokens. Both are front-end
- *    estimates — a real load balancer cannot see replica internals.
+ *  - least-loaded: join-shortest-queue on the router's load model,
+ *    the fewest cumulative assigned tokens (prompt + decode) — a
+ *    front-end estimate, since a real load balancer cannot see
+ *    replica internals.
  *  - session-affinity: a request's shared-prefix id hashes to a home
  *    replica, so every carrier of one prefix lands on the chip whose
  *    cache holds it (requires prefix_sharing); untagged requests fall
@@ -92,10 +89,6 @@ struct ClusterOptions {
     /// server.kv_budget > 0 and replicas >= 2 when set — decode-tier
     /// KV arrives by migration, which lives in the modeled pool).
     int prefill_replicas = 0;
-    /// Least-loaded's per-token service-time estimate (seconds). > 0
-    /// enables the virtual free-at clock; 0 (default) falls back to
-    /// cumulative assigned tokens.
-    double router_token_time_s = 0.0;
 };
 
 /// Cluster roll-up plus the per-replica reports it aggregates.

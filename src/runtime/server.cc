@@ -49,9 +49,22 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Default bucket ladder: powers of two up to @p max, validated.
+/// The batch bucket covering @p need on the ladder {1, 2, 4, ...,
+/// max}: the smallest power of two >= need, capped at @p max.
+int
+batch_bucket(int need, int max)
+{
+    int b = 1;
+    while (b < need && b < max) {
+        b *= 2;
+    }
+    return std::min(b, max);
+}
+
+/// Prompt-length bucket ladder: empty = powers of two up to @p max;
+/// sorted and validated either way.
 void
-finalize_buckets(std::vector<int>& buckets, int max, const char* what)
+finalize_prompt_buckets(std::vector<int>& buckets, int max)
 {
     if (buckets.empty()) {
         for (int b = 1; b < max; b *= 2) {
@@ -60,11 +73,11 @@ finalize_buckets(std::vector<int>& buckets, int max, const char* what)
         buckets.push_back(max);
     }
     std::sort(buckets.begin(), buckets.end());
-    util::check(buckets.front() >= 1, std::string("Server: ") + what +
-                                          " buckets must be positive");
+    util::check(buckets.front() >= 1,
+                "Server: prompt buckets must be positive");
     util::check(buckets.back() == max,
-                std::string("Server: largest ") + what +
-                    " bucket must equal the class's maximum");
+                "Server: largest prompt bucket must equal "
+                "max_prompt_len");
 }
 
 sim::EngineState::Options
@@ -452,7 +465,7 @@ class DisaggRun {
     /// prompt can push a tenant into debt it repays over windows.
     std::vector<double> deficit_;
     /// Per tenant: tokens granted per fairness window (shares scaled
-    /// to fairness_tokens).
+    /// to max_batch + max_prompt_len).
     std::vector<double> quantum_;
     /// Per tenant: work tokens executed (prompt residuals + decode).
     std::vector<int64_t> tenant_tokens_;
@@ -1188,8 +1201,8 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
     kv_charge(c.prefix_stream, c.migrate_stall);
-    int bucket = pick_bucket(opts_.prefill_buckets,
-                             static_cast<int>(c.members.size()));
+    int bucket = batch_bucket(static_cast<int>(c.members.size()),
+                              opts_.max_prefill_batch);
     // The claimed prompts share one program: the smallest length
     // bucket covering the longest of them — of the tokens actually
     // ingested, i.e. residual lengths once cached prefixes are
@@ -1331,8 +1344,8 @@ DisaggRun::run_decode_iteration(ClaimMode mode)
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
 
-    int bucket = pick_bucket(opts_.batch_buckets,
-                             static_cast<int>(batch.size()));
+    int bucket =
+        batch_bucket(static_cast<int>(batch.size()), opts_.max_batch);
     std::shared_ptr<const sim::SimProgram> program =
         decode_src_ ? decode_src_(bucket) : nullptr;
     util::check(program != nullptr,
@@ -1591,9 +1604,13 @@ DisaggRun::run()
                 ++tenant_deadline_reqs_[requests_[i].tenant];
             }
         }
-        // Per-window quanta: fairness_tokens split by normalized
-        // share. The Server constructor resolved fairness_tokens and
+        // Per-window quanta: the window's tokens split by normalized
+        // share. A window is one full decode batch plus one maximal
+        // prompt: enough that a lone tenant never stalls between
+        // windows, small enough that shares bite within a few
+        // iterations under contention. The Server constructor
         // validated the share vector (positive, one per tenant).
+        const int window_tokens = opts_.max_batch + opts_.max_prompt_len;
         std::vector<double> shares = opts_.tenant_shares;
         if (shares.empty()) {
             shares.assign(t, 1.0);
@@ -1605,7 +1622,7 @@ DisaggRun::run()
         quantum_.resize(t);
         for (int i = 0; i < t; ++i) {
             quantum_[i] =
-                static_cast<double>(opts_.fairness_tokens) * shares[i] /
+                static_cast<double>(window_tokens) * shares[i] /
                 wsum;
         }
         // Every tenant starts with a full window (not counted in
@@ -1894,6 +1911,8 @@ make_session_trace(const SessionTraceOptions& o, uint64_t seed)
                 "make_session_trace: negative session count");
     util::check(o.rate_per_s >= 0.0,
                 "make_session_trace: rate must be >= 0");
+    util::check(o.burst_factor >= 1.0 && o.burst_factor < 10.0,
+                "make_session_trace: burst_factor must be in [1, 10)");
     util::check(o.mean_turns >= 1.0,
                 "make_session_trace: mean_turns must be >= 1");
     util::check(o.think_time_s >= 0.0,
@@ -2254,14 +2273,11 @@ Server::Server(const sim::Machine& machine, ServerOptions opts)
                 "Server: tokens_per_request must be >= 1");
     util::check(opts_.max_prefill_batch >= 1,
                 "Server: max_prefill_batch must be >= 1");
-    finalize_buckets(opts_.batch_buckets, opts_.max_batch, "batch");
-    finalize_buckets(opts_.prefill_buckets, opts_.max_prefill_batch,
-                     "prefill");
     util::check(opts_.max_prompt_len >= 0,
                 "Server: max_prompt_len must be >= 0");
     if (opts_.max_prompt_len >= 1) {
-        finalize_buckets(opts_.prompt_buckets, opts_.max_prompt_len,
-                         "prompt");
+        finalize_prompt_buckets(opts_.prompt_buckets,
+                                opts_.max_prompt_len);
     } else {
         util::check(opts_.prompt_buckets.empty(),
                     "Server: prompt buckets need max_prompt_len");
@@ -2307,8 +2323,6 @@ Server::Server(const sim::Machine& machine, ServerOptions opts)
                     "by");
     }
     util::check(opts_.tenants >= 1, "Server: tenants must be >= 1");
-    util::check(opts_.fairness_tokens >= 0,
-                "Server: fairness_tokens must be >= 0 (0 auto-sizes)");
     util::check(opts_.preempt_budget >= 0,
                 "Server: preempt_budget must be >= 0 (0 disables "
                 "deadline preemption)");
@@ -2326,14 +2340,6 @@ Server::Server(const sim::Machine& machine, ServerOptions opts)
             util::check(w > 0.0,
                         "Server: tenant share weights must be "
                         "positive");
-        }
-        if (opts_.fairness_tokens == 0) {
-            // Auto-size a window to one full decode batch plus one
-            // maximal prompt: enough that a lone tenant never stalls
-            // between windows, small enough that shares bite within a
-            // few iterations under contention.
-            opts_.fairness_tokens =
-                opts_.max_batch + opts_.max_prompt_len;
         }
     }
 }
@@ -2413,8 +2419,8 @@ Server::serve(const std::vector<double>& arrivals,
         rep.peak_queue_depth = std::max(
             rep.peak_queue_depth, static_cast<int>(waiting.size()));
 
-        int bucket = pick_bucket(opts_.batch_buckets,
-                                 static_cast<int>(running.size()));
+        int bucket = batch_bucket(static_cast<int>(running.size()),
+                                  opts_.max_batch);
         std::shared_ptr<const sim::SimProgram> program = programs(bucket);
         util::check(program != nullptr,
                     "Server: ProgramSource returned no program");

@@ -49,8 +49,11 @@
  * same park/resume frames as the priority classes, bounded by a
  * per-request preemption budget. The default (slo off) rejects
  * tagged requests and is bit-identical to the two-class scheduler —
- * as is slo on over a single-tenant, no-deadline trace (the anchor
- * asserted in tests/slo_test.cc).
+ * as is slo on over a single-tenant, no-deadline, single-phase
+ * (all-prefill or decode-only) trace, the anchor asserted in
+ * tests/slo_test.cc. A mixed-phase trace can differ: decode queues
+ * then hold prefill graduates in completion order with slo off, but
+ * in id order with slo on.
  *
  * The ServingReport aggregates the paper-style serving metrics: tail
  * latency percentiles, time-to-first-token, tokens/s goodput, queue
@@ -221,8 +224,9 @@ void tag_tenants(std::vector<Request>& requests, int tenants,
 void tag_deadlines(std::vector<Request>& requests, double slo_s);
 
 /// Smallest of the sorted @p buckets covering @p need; the largest
-/// bucket when none does. The server's bucket-selection rule for
-/// decode batches, prefill batches, and prompt lengths alike.
+/// bucket when none does. The server's prompt-length bucket rule;
+/// batch buckets follow the same rule over the power-of-two ladder up
+/// to max_batch (decode) or max_prefill_batch (prefill).
 int pick_bucket(const std::vector<int>& buckets, int need);
 
 /**
@@ -274,20 +278,16 @@ std::vector<Request> make_session_trace(const SessionTraceOptions& opts,
 
 /// Serving knobs.
 struct ServerOptions {
-    /// Largest decode batch one iteration can run (slot count).
+    /// Largest decode batch one iteration can run (slot count). Decode
+    /// programs are compiled per batch bucket: powers of two up to
+    /// max_batch, the smallest covering the running batch.
     int max_batch = 32;
     /// Decode tokens each request needs before it completes (the
     /// plain-arrival serve() entry point; Request carries its own).
     int tokens_per_request = 1;
-    /// Batch sizes the plan cache holds compiled decode programs for;
-    /// the server picks the smallest bucket covering the running
-    /// batch. Empty = powers of two up to max_batch.
-    std::vector<int> batch_buckets;
-    /// Largest number of prompts one prefill iteration ingests.
+    /// Largest number of prompts one prefill iteration ingests
+    /// (bucketed like max_batch: powers of two up to it).
     int max_prefill_batch = 4;
-    /// Prefill program buckets; empty = powers of two up to
-    /// max_prefill_batch.
-    std::vector<int> prefill_buckets;
     /// Model sequence length: the longest prompt a prefill iteration
     /// can ingest, and what Request::prompt_len == 0 resolves to.
     /// Required (>= 1) whenever a trace contains prefill-phase
@@ -342,23 +342,23 @@ struct ServerOptions {
     /// SLO block in the report. Off (default) rejects tagged requests
     /// and is bit-identical to the two-class scheduler; on, a
     /// single-tenant no-deadline trace still reproduces it bit-for-
-    /// bit (the tests/slo_test.cc anchor).
+    /// bit when the trace is single-phase (the tests/slo_test.cc
+    /// anchor) — with prefill and decode mixed, slo re-sorts prefill
+    /// graduates in the decode queues by id, not completion order.
     bool slo = false;
     /// Tenant id domain [0, tenants) requests may carry. Must be >= 1;
     /// > 1 requires slo.
     int tenants = 1;
     /// Per-tenant fairness weights (relative, normalized internally).
     /// Empty (default) = equal shares; otherwise exactly `tenants`
-    /// positive entries. Requires slo when non-empty.
+    /// positive entries. Requires slo when non-empty. One fairness
+    /// window distributes max_batch + max_prompt_len work tokens in
+    /// proportion to the shares (deficit-round-robin): a tenant claims
+    /// batch slots only while its budget is positive, and the window
+    /// replenishes whenever waiting work exists but nothing is
+    /// claimable, so shares govern claim *order* under contention and
+    /// never idle the chip.
     std::vector<double> tenant_shares;
-    /// Token budget one fairness window distributes across tenants in
-    /// proportion to their shares (deficit-round-robin). A tenant
-    /// claims batch slots only while its budget is positive; the
-    /// window replenishes whenever waiting work exists but nothing is
-    /// claimable, so scheduling stays work-conserving — shares govern
-    /// claim *order* under contention, never idle the chip. 0
-    /// (default) auto-sizes to max_batch + max_prompt_len.
-    int fairness_tokens = 0;
     /// Deadline preemptions one request may *trigger* (each firing
     /// decrements the triggering request's budget; riders served by
     /// the same nested iteration spend nothing). 0 disables deadline
@@ -631,7 +631,7 @@ class Server {
         std::function<std::shared_ptr<const sim::SimProgram>(
             int batch, int prompt_len)>;
 
-    /// Validates and finalizes @p opts (bucket ladders, KV knobs);
+    /// Validates and finalizes @p opts (prompt-bucket ladder, KV knobs);
     /// bad combinations are fatal here, not mid-serve. @p machine
     /// must outlive the server.
     Server(const sim::Machine& machine, ServerOptions opts);
@@ -662,7 +662,7 @@ class Server {
                         const PrefillProgramSource& prefill_programs,
                         const ProgramSource& decode_programs) const;
 
-    /// The finalized options (default bucket ladders filled in).
+    /// The finalized options (default prompt-bucket ladder filled in).
     const ServerOptions& options() const { return opts_; }
 
   private:

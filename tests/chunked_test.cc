@@ -41,15 +41,9 @@ class ChunkedServingTest : public ::testing::Test {
         compiler::CompileOptions copts;
         copts.mode = mode;
         copts.max_orders = 6;
-        compiler::ServingCompiler::Options sopts;
-        sopts.kind = kind;
-        sopts.op_id_offset =
-            kind == compiler::GraphKind::kPrefill
-                ? compiler::ServingCompiler::kPrefillIdOffset
-                : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
                                          testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, sopts);
+                                         /*jobs=*/1, {kind});
     }
 
     /// Plain (KV-free) varlen serving options.

@@ -38,15 +38,9 @@ class ClusterPropertyTest : public ::testing::Test {
         compiler::CompileOptions copts;
         copts.mode = compiler::Mode::kElkFull;
         copts.max_orders = 6;
-        compiler::ServingCompiler::Options sopts;
-        sopts.kind = kind;
-        sopts.op_id_offset =
-            kind == compiler::GraphKind::kPrefill
-                ? compiler::ServingCompiler::kPrefillIdOffset
-                : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
                                          testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, sopts);
+                                         /*jobs=*/1, {kind});
     }
 
     /// KV + prefix serving options (session traces carry prefixes,
@@ -292,6 +286,24 @@ TEST(SessionTraceTest, DegenerateEdgesAreSortedAndStable)
             EXPECT_EQ(trace[i].prefix_len, again[i].prefix_len);
         }
     }
+}
+
+TEST(SessionTraceDeathTest, RejectsBurstFactorOutsideRange)
+{
+    runtime::SessionTraceOptions o;
+    o.sessions = 4;
+    o.rate_per_s = 100.0;
+    o.max_prompt_len = 64;
+    o.burst_factor = 0.5;  // would silently serve plain Poisson
+    EXPECT_DEATH(runtime::make_session_trace(o, 1),
+                 "make_session_trace: burst_factor");
+    o.burst_factor = 10.0;
+    EXPECT_DEATH(runtime::make_session_trace(o, 1),
+                 "make_session_trace: burst_factor");
+    o.rate_per_s = 0.0;  // closed loop: checked all the same
+    o.burst_factor = 50.0;
+    EXPECT_DEATH(runtime::make_session_trace(o, 1),
+                 "make_session_trace: burst_factor");
 }
 
 }  // namespace

@@ -106,15 +106,9 @@ class ClusterServingTest : public ::testing::Test {
         compiler::CompileOptions copts;
         copts.mode = mode;
         copts.max_orders = 6;
-        compiler::ServingCompiler::Options sopts;
-        sopts.kind = kind;
-        sopts.op_id_offset =
-            kind == compiler::GraphKind::kPrefill
-                ? compiler::ServingCompiler::kPrefillIdOffset
-                : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
                                          testing::tiny_chip(), copts, &cache_,
-                                         jobs, sopts);
+                                         jobs, {kind});
     }
 
     /// Machine-total KV bytes per token for the tiny test model.
@@ -293,32 +287,6 @@ TEST_F(ClusterServingTest, LeastLoadedBalancesAssignedWork)
     // giant's 100 — the last request swings back to replica 0.
     EXPECT_EQ(cluster.route(trace),
               (std::vector<int>{0, 1, 1, 1, 0}));
-}
-
-TEST_F(ClusterServingTest, LeastLoadedVirtualClockDrainsBacklog)
-{
-    sim::Machine machine(testing::tiny_chip());
-    runtime::ClusterOptions copts;
-    copts.replicas = 2;
-    copts.router = runtime::RouterPolicy::kLeastLoaded;
-    copts.server = plain_options();
-    copts.router_token_time_s = 1.0;  // 1 s per token, easy arithmetic
-    runtime::Cluster cluster(machine, copts);
-
-    // Two bursts far apart. Within a burst the backlog forces a
-    // spread; by the second burst every virtual clock has drained, so
-    // the tie breaks to replica 0 again — cumulative-work routing
-    // would remember the first burst forever.
-    std::vector<runtime::Request> trace;
-    const double arrivals[] = {0.0, 0.0, 1000.0, 1000.0};
-    for (double a : arrivals) {
-        runtime::Request r;
-        r.arrival = a;
-        r.phase = runtime::Phase::kDecode;
-        r.decode_tokens = 5;
-        trace.push_back(r);
-    }
-    EXPECT_EQ(cluster.route(trace), (std::vector<int>{0, 1, 0, 1}));
 }
 
 TEST_F(ClusterServingTest, SessionAffinityPinsPrefixesToHomes)

@@ -347,15 +347,9 @@ class DisaggTest : public ::testing::Test {
         compiler::CompileOptions copts;
         copts.mode = mode;
         copts.max_orders = 6;
-        compiler::ServingCompiler::Options sopts;
-        sopts.kind = kind;
-        sopts.op_id_offset =
-            kind == compiler::GraphKind::kPrefill
-                ? compiler::ServingCompiler::kPrefillIdOffset
-                : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), 128,
                                          testing::tiny_chip(), copts, &cache_,
-                                         jobs, sopts);
+                                         jobs, {kind});
     }
 
     compiler::PlanCache cache_;

@@ -43,15 +43,9 @@ class SloServingTest : public ::testing::Test {
         compiler::CompileOptions copts;
         copts.mode = mode;
         copts.max_orders = 6;
-        compiler::ServingCompiler::Options sopts;
-        sopts.kind = kind;
-        sopts.op_id_offset =
-            kind == compiler::GraphKind::kPrefill
-                ? compiler::ServingCompiler::kPrefillIdOffset
-                : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
                                          testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, sopts);
+                                         /*jobs=*/1, {kind});
     }
 
     /// Plain (KV-free) varlen serving options.
@@ -89,16 +83,22 @@ class SloServingTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // The acceptance anchor: slo on over a single-tenant, no-deadline
 // trace reproduces the slo-off scheduler bit-for-bit — across all
-// five design modes, on an all-prefill mixed-priority varlen trace.
-// (All-prefill keeps every wait queue id-sorted, where EDF with every
-// deadline at +inf degenerates to exactly the FIFO claim order.)
+// five design modes, on single-phase mixed-priority traces: an
+// all-prefill varlen one and a decode-only one. (A single phase keeps
+// every wait queue id-sorted, where EDF with every deadline at +inf
+// degenerates to exactly the FIFO claim order. Mixed-phase traces
+// are not covered: slo off appends prefill graduates to the decode
+// queues in completion order, slo on sorts them by id.)
 
 TEST_F(SloServingTest, SloSingleTenantIsBitIdenticalAcrossModes)
 {
-    auto trace = runtime::make_request_trace(
+    auto prefill_trace = runtime::make_request_trace(
         runtime::ArrivalTrace::poisson(10, 2500.0, 7), 3,
         /*prefill_frac=*/1.0, /*high_frac=*/0.25, 7);
-    runtime::tag_prompt_lengths(trace, kSeq, 32.0, 7);
+    runtime::tag_prompt_lengths(prefill_trace, kSeq, 32.0, 7);
+    auto decode_trace = runtime::make_request_trace(
+        runtime::ArrivalTrace::poisson(16, 2500.0, 11), 3,
+        /*prefill_frac=*/0.0, /*high_frac=*/0.25, 11);
     for (auto mode :
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
@@ -109,32 +109,35 @@ TEST_F(SloServingTest, SloSingleTenantIsBitIdenticalAcrossModes)
             return pc.program(b, len);
         };
         auto decode = [&](int b) { return dc.program(b); };
-
-        runtime::Server off(dc.machine(), plain_options());
-        auto off_rep = off.serve(trace, prefill, decode);
-
         runtime::ServerOptions slopts = plain_options();
         slopts.slo = true;  // tenants = 1, no shares, no deadlines
-        runtime::Server on(dc.machine(), slopts);
-        auto on_rep = on.serve(trace, prefill, decode);
 
-        EXPECT_FALSE(off_rep.slo);
-        ASSERT_TRUE(on_rep.slo);
-        ASSERT_EQ(on_rep.tenants, 1);
-        EXPECT_EQ(strip_slo_block(off_rep.serialize_bits(), 0),
-                  strip_slo_block(on_rep.serialize_bits(), 1))
-            << compiler::mode_name(mode);
-        EXPECT_EQ(on_rep.tokens, off_rep.tokens);
-        EXPECT_EQ(on_rep.makespan, off_rep.makespan);
-        EXPECT_EQ(on_rep.iterations, off_rep.iterations);
-        EXPECT_EQ(on_rep.preemptions, off_rep.preemptions);
-        EXPECT_EQ(on_rep.mean_latency, off_rep.mean_latency);
-        EXPECT_EQ(on_rep.deadline_requests, 0);
-        EXPECT_EQ(on_rep.deadline_misses, 0);
-        EXPECT_EQ(on_rep.deadline_preemptions, 0);
-        ASSERT_EQ(on_rep.tenant_shares.size(), 1u);
-        EXPECT_EQ(on_rep.tenant_shares[0].requests, off_rep.requests);
-        EXPECT_DOUBLE_EQ(on_rep.tenant_shares[0].token_share, 1.0);
+        for (const auto* trace : {&prefill_trace, &decode_trace}) {
+            const char* what =
+                trace == &prefill_trace ? "all-prefill" : "decode-only";
+            runtime::Server off(dc.machine(), plain_options());
+            auto off_rep = off.serve(*trace, prefill, decode);
+            runtime::Server on(dc.machine(), slopts);
+            auto on_rep = on.serve(*trace, prefill, decode);
+
+            EXPECT_FALSE(off_rep.slo);
+            ASSERT_TRUE(on_rep.slo);
+            ASSERT_EQ(on_rep.tenants, 1);
+            EXPECT_EQ(strip_slo_block(off_rep.serialize_bits(), 0),
+                      strip_slo_block(on_rep.serialize_bits(), 1))
+                << compiler::mode_name(mode) << " " << what;
+            EXPECT_EQ(on_rep.tokens, off_rep.tokens);
+            EXPECT_EQ(on_rep.makespan, off_rep.makespan);
+            EXPECT_EQ(on_rep.iterations, off_rep.iterations);
+            EXPECT_EQ(on_rep.preemptions, off_rep.preemptions);
+            EXPECT_EQ(on_rep.mean_latency, off_rep.mean_latency);
+            EXPECT_EQ(on_rep.deadline_requests, 0);
+            EXPECT_EQ(on_rep.deadline_misses, 0);
+            EXPECT_EQ(on_rep.deadline_preemptions, 0);
+            ASSERT_EQ(on_rep.tenant_shares.size(), 1u);
+            EXPECT_EQ(on_rep.tenant_shares[0].requests, off_rep.requests);
+            EXPECT_DOUBLE_EQ(on_rep.tenant_shares[0].token_share, 1.0);
+        }
     }
 }
 

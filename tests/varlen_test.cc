@@ -84,15 +84,9 @@ class VarlenTest : public ::testing::Test {
         compiler::CompileOptions copts;
         copts.mode = mode;
         copts.max_orders = 6;
-        compiler::ServingCompiler::Options sopts;
-        sopts.kind = kind;
-        sopts.op_id_offset =
-            kind == compiler::GraphKind::kPrefill
-                ? compiler::ServingCompiler::kPrefillIdOffset
-                : 0;
         return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
                                          testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, sopts);
+                                         /*jobs=*/1, {kind});
     }
 
     /// @p prompt_lens become prefill requests all arriving at t = 0.

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (stdlib only; CI `docs` job).
 
-Four classes of rot this catches:
+Six classes of rot this catches:
 
  1. Relative markdown links whose target file no longer exists
     (`[text](docs/SERVING.md)`, `[x](../README.md#anchor)`), in every
@@ -30,6 +30,12 @@ Four classes of rot this catches:
     field name must appear as a whole word in src/runtime/*.cc — the
     summary()/serialize_bits() implementations — so renaming or
     dropping a report field without updating the docs fails CI.
+ 6. Option-member rot: every `ServerOptions::x`, `ClusterOptions::x`,
+    `CompileOptions::x`, `SessionTraceOptions::x` or
+    `ServingCompiler::Options::x` reference in README.md and
+    docs/*.md must name a member declared (outside comments) in that
+    struct's body in src/**/*.h — so retiring a knob without updating
+    the docs fails CI.
 
 Usage:
     tools/check_docs.py              # check, exit 1 on any failure
@@ -73,6 +79,22 @@ MARKER_RE = re.compile(r"\b(TODO|FIXME)\b")
 # used by src/runtime/*.cc.
 REPORT_TABLE_DOCS = ("SERVING.md", "CLUSTER.md", "TENANCY.md")
 FIELD_RE = re.compile(r"`([A-Za-z][A-Za-z0-9_/]*)`")
+# Option structs whose members the docs name, keyed by the spelling
+# the docs use; the value is the struct name declared in src/**/*.h
+# (ServingCompiler::Options aliases a namespace-scope struct).
+OPTION_STRUCTS = {
+    "ServerOptions": "ServerOptions",
+    "ClusterOptions": "ClusterOptions",
+    "CompileOptions": "CompileOptions",
+    "SessionTraceOptions": "SessionTraceOptions",
+    "ServingCompiler::Options": "ServingCompilerOptions",
+}
+OPTION_REF_RE = re.compile(
+    r"\b(%s)::([A-Za-z_][A-Za-z0-9_]*)"
+    % "|".join(re.escape(k) for k in
+               sorted(OPTION_STRUCTS, key=len, reverse=True))
+)
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 
 
 def markdown_files():
@@ -173,6 +195,50 @@ def check_report_fields(md_path, runtime_src, errors):
                     )
 
 
+def struct_bodies(src_text):
+    """Declared struct name -> its body with comments stripped, for
+    every OPTION_STRUCTS target found in @p src_text."""
+    text = COMMENT_RE.sub("", src_text)
+    bodies = {}
+    for name in OPTION_STRUCTS.values():
+        match = re.search(r"\bstruct\s+%s\s*\{" % name, text)
+        if not match:
+            continue
+        depth, i = 1, match.end()
+        while depth and i < len(text):
+            depth += {"{": 1, "}": -1}.get(text[i], 0)
+            i += 1
+        bodies[name] = text[match.end() : i - 1]
+    return bodies
+
+
+def header_structs():
+    """struct_bodies() over every src/**/*.h."""
+    bodies = {}
+    for root, _, files in os.walk(os.path.join(REPO, "src")):
+        for name in sorted(files):
+            if name.endswith(".h"):
+                with open(os.path.join(root, name),
+                          encoding="utf-8") as f:
+                    bodies.update(struct_bodies(f.read()))
+    return bodies
+
+
+def check_option_members(md_path, bodies, errors):
+    """Every Struct::member reference must name a declared member."""
+    rel = os.path.relpath(md_path, REPO)
+    with open(md_path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            for owner, member in OPTION_REF_RE.findall(line):
+                body = bodies.get(OPTION_STRUCTS[owner], "")
+                if re.search(r"\b%s\b" % re.escape(member), body):
+                    continue
+                errors.append(
+                    f"{rel}:{lineno}: names '{owner}::{member}' but "
+                    "src/**/*.h declares no such member"
+                )
+
+
 def flag_checked(md_path):
     """User docs whose --flag mentions must resolve to parsed flags."""
     rel = os.path.relpath(md_path, REPO)
@@ -247,6 +313,7 @@ def main():
     binaries = known_binaries()
     flags = known_flags()
     runtime_src = runtime_source()
+    bodies = header_structs()
     errors = []
     named = set()
     for md in markdown_files():
@@ -259,6 +326,8 @@ def main():
         if flag_checked(md):
             check_flags(md, flags, errors)
         rel = os.path.relpath(md, REPO)
+        if rel == "README.md" or rel.startswith("docs" + os.sep):
+            check_option_members(md, bodies, errors)
         if rel.startswith("docs" + os.sep):
             check_markers(md, errors)
             if os.path.basename(md) in REPORT_TABLE_DOCS:

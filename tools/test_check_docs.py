@@ -1,4 +1,4 @@
-"""Tests of check_docs.py's binary-name rule.
+"""Tests of check_docs.py's binary-name and option-member rules.
 
     python3 tools/test_check_docs.py
 """
@@ -12,18 +12,35 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import check_docs  # noqa: E402
 
 
-def errors_for(text):
-    """The doc_binaries() errors for a markdown file holding @p text."""
+def run_check(check, text):
+    """The errors @p check(path, errors) reports for a markdown file
+    holding @p text."""
     with tempfile.NamedTemporaryFile("w", suffix=".md",
                                      delete=False) as f:
         f.write(text)
     try:
         errors = []
-        check_docs.doc_binaries(f.name, {"bench_perf": "bench/x.cc"},
-                                errors)
+        check(f.name, errors)
         return errors
     finally:
         os.unlink(f.name)
+
+
+def errors_for(text):
+    """The doc_binaries() errors for a markdown file holding @p text."""
+    return run_check(
+        lambda path, errors: check_docs.doc_binaries(
+            path, {"bench_perf": "bench/x.cc"}, errors),
+        text)
+
+
+def member_errors_for(text):
+    """The check_option_members() errors against the real headers."""
+    bodies = check_docs.header_structs()
+    return run_check(
+        lambda path, errors: check_docs.check_option_members(
+            path, bodies, errors),
+        text)
 
 
 class BinaryNameTest(unittest.TestCase):
@@ -39,6 +56,26 @@ class BinaryNameTest(unittest.TestCase):
 
     def test_known_bench_name_passes(self):
         self.assertEqual(errors_for("run ./bench_perf --jobs 1\n"), [])
+
+
+class OptionMemberTest(unittest.TestCase):
+    def test_declared_members_pass(self):
+        self.assertEqual(member_errors_for(
+            "`ServerOptions::max_batch`, `CompileOptions::max_orders` "
+            "and `ServingCompiler::Options::kind`\n"), [])
+
+    def test_unknown_member_errors(self):
+        self.assertEqual(len(member_errors_for(
+            "set `ServerOptions::nope`\n")), 1)
+
+    def test_commented_out_member_is_not_declared(self):
+        bodies = check_docs.struct_bodies(
+            "struct ServerOptions {\n"
+            "    // int nope = 0;\n"
+            "    int max_batch = 32;\n"
+            "};\n")
+        self.assertIn("max_batch", bodies["ServerOptions"])
+        self.assertNotIn("nope", bodies["ServerOptions"])
 
 
 if __name__ == "__main__":
