@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
+#include <queue>
 #include <random>
 #include <sstream>
 #include <utility>
@@ -96,7 +98,11 @@ engine_options(const ServerOptions& opts)
  * nothing longer than one iteration and unlocks its decode work),
  * high before normal within a class. Queue order is claim order:
  * arrival order, EDF with slo, and the length/KV-aware order under
- * chunking.
+ * chunking. Nothing re-sorts a queue: enqueue() inserts at the claim
+ * position, and under chunking promote_starved() moves each prompt
+ * that crosses the starvation cap into its queue's starved prefix.
+ * Starvation is measured on a prefill-claim clock, so the order of the
+ * prompts that are not crossing never changes between claims.
  *
  * Every iteration fills its batch through one claim walk, claim():
  * queue order, the slo mode and deficit gates, fairness windows while
@@ -215,8 +221,9 @@ class DisaggRun {
                ClaimMode mode, std::vector<int>& members, Admit&& admit);
     /// Most urgent queued deadline carrier (EDF order) that beats
     /// @p thresh and still holds trigger budget; -1 when none.
-    /// @p prefill reports whether it waits in a prefill queue.
-    int urgent_trigger(double thresh, bool* prefill) const;
+    /// @p prefill reports whether it waits in a prefill queue. Reads
+    /// trigger_heap_, dropping the stale entries it meets first.
+    int urgent_trigger(double thresh, bool* prefill);
     /// Completion bookkeeping shared by every completion site:
     /// latency, and (slo) deadline lateness and per-tenant misses.
     void record_completion(int r);
@@ -384,14 +391,14 @@ class DisaggRun {
 
     /// Length/KV-aware prefill order under chunking: starved prompts
     /// first (the bounded fairness window), then (effective deadline,
-    /// remaining length, id) — a total order, so sorting is
-    /// deterministic.
+    /// remaining length, id) — a total order, so each prompt has one
+    /// position. Every key field is fixed while the prompt waits.
     bool pre_before(int a, int b) const;
 
-    /// Re-sorts both prefill queues by pre_before — claim order is
-    /// queue order, and skips/remaining lengths move between claims.
-    /// Chunking only.
-    void order_prefill_queues();
+    /// Moves every prompt the last prefill claim pushed across the
+    /// starvation cap into the starved prefix of its queue. Chunking
+    /// only.
+    void promote_starved();
 
     /// KV-locality decode claim: fills free batch slots with
     /// KV-resident requests only; every spilled request passed over
@@ -476,6 +483,14 @@ class DisaggRun {
     std::vector<double> latenesses_;
     /// Per request: deadline preemptions it may still trigger.
     std::vector<int> preempt_left_;
+    /// (deadline, request) of every deadline carrier enqueued with
+    /// trigger budget while watch_deadlines_, EDF-first. Entries of
+    /// requests that left the queues or spent their budget are stale;
+    /// urgent_trigger() drops them when they surface.
+    std::priority_queue<std::pair<double, int>,
+                        std::vector<std::pair<double, int>>,
+                        std::greater<>>
+        trigger_heap_;
     int64_t fairness_windows_ = 0;
     int deadline_preemptions_ = 0;
     /// Min effective deadline across the currently executing
@@ -490,7 +505,7 @@ class DisaggRun {
     /// member below is inert while false — the bit-identity guard.
     bool chunk_on_ = false;
     /// Claim passes a waiting prompt may be passed over before the
-    /// bounded fairness window sorts it to the queue head — the cap
+    /// bounded fairness window moves it to the queue head — the cap
     /// that keeps length-aware claiming from starving giants.
     static constexpr int kChunkStarveLimit = 8;
     /// Per request: prompt tokens still to ingest (-1 = not yet
@@ -500,14 +515,31 @@ class DisaggRun {
     /// (the unseeded span of a missed prefix, ingested first — its KV
     /// lives in the prefix segment the first chunk seeded whole).
     std::vector<int> tail_skip_left_;
-    /// Per request: prefill claim passes that passed it over since it
-    /// was last claimed (>= kChunkStarveLimit makes it starved).
-    std::vector<int> pre_skips_;
+    /// Prefill claims taken so far: the clock starvation is measured
+    /// on. A waiting prompt has been passed over by every claim since
+    /// its epoch.
+    int64_t prefill_claims_ = 0;
+    /// Per request: prefill_claims_ when it last entered a prefill
+    /// queue. While it waits there it is starved once
+    /// prefill_claims_ - epoch >= kChunkStarveLimit.
+    std::vector<int64_t> pre_epoch_;
+    /// Per request: the starved bit pre_before orders by. Written only
+    /// while the prompt is out of its queue, so queue order never
+    /// shifts under the queue.
+    std::vector<char> pre_starved_;
+    /// (epoch, request) per prefill enqueue, in enqueue order: prompts
+    /// cross the cap in this order, so the crossers sit at the front.
+    /// Entries of prompts claimed since are stale and dropped there.
+    std::deque<std::pair<int64_t, int>> starve_fifo_;
     /// A prefill iteration re-queued a partially-ingested prompt: the
     /// next boundary yields one decode iteration if decode work waits.
     bool chunk_yield_ = false;
     /// KV-locality decode claiming on (ServerOptions::kv_locality).
     bool kv_locality_on_ = false;
+    /// Per request: the queue class it waits in. Set by enqueue(),
+    /// cleared by the claim walks that take it.
+    enum class Waiting : char { kNone, kPrefill, kDecode };
+    std::vector<Waiting> waiting_;
 };
 
 void
@@ -547,6 +579,24 @@ DisaggRun::enqueue(int r, bool prefill)
     const bool high = requests_[r].priority == Priority::kHigh;
     std::deque<int>& q =
         prefill ? (high ? pre_hi_ : pre_lo_) : (high ? dec_hi_ : dec_lo_);
+    waiting_[r] = prefill ? Waiting::kPrefill : Waiting::kDecode;
+    if (watch_deadlines_ && requests_[r].deadline_s > 0.0 &&
+        preempt_left_[r] > 0) {
+        trigger_heap_.emplace(requests_[r].deadline_s, r);
+    }
+    if (prefill && chunk_on_) {
+        // Enters unstarved at its claim-order position;
+        // promote_starved() moves it once the cap passes.
+        pre_epoch_[r] = prefill_claims_;
+        pre_starved_[r] = false;
+        starve_fifo_.emplace_back(prefill_claims_, r);
+        q.insert(std::upper_bound(q.begin(), q.end(), r,
+                                  [this](int a, int b) {
+                                      return pre_before(a, b);
+                                  }),
+                 r);
+        return;
+    }
     if (!slo_on_) {
         q.push_back(r);
         return;
@@ -599,6 +649,7 @@ DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
                     return;
                 }
                 members.push_back(q.front());
+                waiting_[q.front()] = Waiting::kNone;
                 q.pop_front();
             }
         };
@@ -626,6 +677,7 @@ DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
                 stopped = true;
             } else {
                 members.push_back(r);
+                waiting_[r] = Waiting::kNone;
                 it = q.erase(it);
             }
         }
@@ -663,10 +715,8 @@ DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
 bool
 DisaggRun::pre_before(int a, int b) const
 {
-    const bool sa = pre_skips_[a] >= kChunkStarveLimit;
-    const bool sb = pre_skips_[b] >= kChunkStarveLimit;
-    if (sa != sb) {
-        return sa;
+    if (pre_starved_[a] != pre_starved_[b]) {
+        return pre_starved_[a];
     }
     const double da = effective_deadline(a);
     const double db = effective_deadline(b);
@@ -684,11 +734,23 @@ DisaggRun::pre_before(int a, int b) const
 }
 
 void
-DisaggRun::order_prefill_queues()
+DisaggRun::promote_starved()
 {
     auto cmp = [this](int a, int b) { return pre_before(a, b); };
-    std::sort(pre_hi_.begin(), pre_hi_.end(), cmp);
-    std::sort(pre_lo_.begin(), pre_lo_.end(), cmp);
+    while (!starve_fifo_.empty() &&
+           prefill_claims_ - starve_fifo_.front().first >=
+               kChunkStarveLimit) {
+        const auto [epoch, r] = starve_fifo_.front();
+        starve_fifo_.pop_front();
+        if (waiting_[r] != Waiting::kPrefill || pre_epoch_[r] != epoch) {
+            continue;  // claimed since it was queued
+        }
+        std::deque<int>& q =
+            requests_[r].priority == Priority::kHigh ? pre_hi_ : pre_lo_;
+        q.erase(std::lower_bound(q.begin(), q.end(), r, cmp));
+        pre_starved_[r] = true;
+        q.insert(std::upper_bound(q.begin(), q.end(), r, cmp), r);
+    }
 }
 
 void
@@ -714,6 +776,7 @@ DisaggRun::claim_kv_resident(std::deque<int>& hi, std::deque<int>& lo,
                 continue;
             }
             members.push_back(r);
+            waiting_[r] = Waiting::kNone;
             it = q.erase(it);
         }
     };
@@ -722,28 +785,19 @@ DisaggRun::claim_kv_resident(std::deque<int>& hi, std::deque<int>& lo,
 }
 
 int
-DisaggRun::urgent_trigger(double thresh, bool* prefill) const
+DisaggRun::urgent_trigger(double thresh, bool* prefill)
 {
-    int best = -1;
-    bool best_pre = false;
-    auto scan = [&](const std::deque<int>& q, bool pre) {
-        for (int r : q) {
-            const double d = requests_[r].deadline_s;
-            if (d <= 0.0 || d >= thresh || preempt_left_[r] <= 0) {
-                continue;
-            }
-            if (best < 0 || edf_before(r, best)) {
-                best = r;
-                best_pre = pre;
-            }
+    // The first live entry is the EDF-first waiting carrier with
+    // budget, so no queue is scanned.
+    while (!trigger_heap_.empty()) {
+        const auto [d, r] = trigger_heap_.top();
+        if (waiting_[r] != Waiting::kNone && preempt_left_[r] > 0) {
+            *prefill = waiting_[r] == Waiting::kPrefill;
+            return d < thresh ? r : -1;
         }
-    };
-    scan(pre_hi_, true);
-    scan(pre_lo_, true);
-    scan(dec_hi_, false);
-    scan(dec_lo_, false);
-    *prefill = best_pre;
-    return best;
+        trigger_heap_.pop();
+    }
+    return -1;
 }
 
 void
@@ -1128,7 +1182,6 @@ DisaggRun::ingest_prompt(int r, PrefillClaim& c)
             ++rep_.chunked_prompts;
         }
         pre_left_[r] = remaining - ingest;
-        pre_skips_[r] = 0;
         ++rep_.prefill_chunks;
     }
     if (kv_on_) {
@@ -1151,12 +1204,6 @@ bool
 DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
                                  bool force_admit)
 {
-    if (chunk_on_) {
-        // Claim order is queue order: refresh the length/KV-aware
-        // order here too, so the preemption path (which claims without
-        // passing through the run() loop) sees it as well.
-        order_prefill_queues();
-    }
     PrefillClaim c{acquire_scratch(), acquire_scratch(), acquire_scratch()};
     auto release = [&] {
         release_scratch(std::move(c.fulls));
@@ -1188,15 +1235,11 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     util::check(!c.members.empty(),
                 "Server: a prefill iteration claimed no prompt");
     if (chunk_on_) {
-        // Bounded fairness window: every prompt still waiting after
-        // this claim moves one pass closer to starved status (and
-        // with it, the head of the claim order).
-        for (int r : pre_hi_) {
-            ++pre_skips_[r];
-        }
-        for (int r : pre_lo_) {
-            ++pre_skips_[r];
-        }
+        // Bounded fairness window: every prompt still waiting moves one
+        // pass closer to starved status (and with it, the head of the
+        // claim order).
+        ++prefill_claims_;
+        promote_starved();
     }
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
@@ -1497,7 +1540,9 @@ DisaggRun::run()
     kv_locality_on_ = opts_.kv_locality;
     pre_left_.assign(n, -1);
     tail_skip_left_.assign(n, 0);
-    pre_skips_.assign(n, 0);
+    pre_epoch_.assign(n, 0);
+    pre_starved_.assign(n, false);
+    waiting_.assign(n, Waiting::kNone);
     tokens_left_.resize(n);
     latencies_.assign(n, 0.0);
     ttfts_.reserve(n);
@@ -1655,7 +1700,6 @@ DisaggRun::run()
         const bool decode_work =
             !running_.empty() || !dec_hi_.empty() || !dec_lo_.empty();
         if (chunk_on_) {
-            order_prefill_queues();
             const bool yielded = chunk_yield_;
             chunk_yield_ = false;
             if (yielded && decode_work) {

@@ -377,7 +377,9 @@ struct ServerOptions {
     /// length-aware: the prefill queues order by (effective deadline,
     /// remaining length, id) under a bounded fairness window
     /// (kChunkStarveLimit passes), so short prompts and near-deadline
-    /// chunks claim first without starving giants. Must be <=
+    /// chunks claim first without starving giants. That order is kept
+    /// as prompts enter the queue and as they cross the cap, never
+    /// re-sorted, so no claim pays for sorting the backlog. Must be <=
     /// max_prompt_len and needs a multi-entry prompt-bucket ladder
     /// (with a single full-length bucket every chunk would pad to the
     /// full sequence — fatal). 0 (default) = off, bit-identical to

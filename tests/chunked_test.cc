@@ -5,11 +5,12 @@
  * chunk_plan() split math, TTFT firing on the final chunk, per-chunk
  * KV growth (ramped mean, unchanged peak) surviving a park/resume
  * cycle, decode interleaving between the chunks of a long prompt,
- * KV-locality skip accounting, and death tests for invalid chunk
- * sizes and locality without KV modeling.
+ * the starvation cap, KV-locality skip accounting, and death tests
+ * for invalid chunk sizes and locality without KV modeling.
  */
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "elk/plan_cache.h"
@@ -352,6 +353,66 @@ TEST_F(ChunkedServingTest, ChunksInterleaveWaitingDecode)
     // ...but the decode-phase requests (the latency median over this
     // trace) stop waiting for the whole 128-token prefill.
     EXPECT_LT(on.p50_latency, off.p50_latency);
+}
+
+// ---------------------------------------------------------------------------
+// The starvation cap
+
+// Length-aware claiming puts every 4-token prompt ahead of a 128-token
+// one, but a prompt passed over by 8 prefill claims is starved and
+// claims next. One prompt per claim, with a fresh short always waiting
+// (each short waits only a few claims, so it never starves itself):
+// the long prompt's chunks run on exactly every 9th claim.
+TEST_F(ChunkedServingTest, StarvedPromptClaimsEveryNinthPass)
+{
+    auto dc = make_compiler(compiler::GraphKind::kDecode,
+                            compiler::Mode::kElkFull);
+    auto pc = make_compiler(compiler::GraphKind::kPrefill,
+                            compiler::Mode::kElkFull);
+    constexpr int kChunk = 16;
+    constexpr int kLongChunks = kSeq / kChunk;
+    constexpr int kShorts = 9 * kLongChunks;
+    runtime::ServerOptions sopts = plain_options();
+    sopts.max_prefill_batch = 1;
+    sopts.prefill_chunk = kChunk;
+    // Weights re-preload every iteration, so each program always takes
+    // the same time and the arrival stream can be paced to it.
+    sopts.keep_resident = false;
+    std::vector<std::pair<int, int>> claims;  // (batch, len) per claim
+    auto serve = [&](const std::vector<runtime::Request>& trace) {
+        claims.clear();
+        runtime::Server s(dc.machine(), sopts);
+        return s.serve(
+            trace,
+            [&](int b, int len) {
+                claims.emplace_back(b, len);
+                return pc.program(b, len);
+            },
+            [&](int b) { return dc.program(b); });
+    };
+    runtime::Request short_req = long_prompt_trace().front();
+    short_req.prompt_len = 4;
+    const double short_s = serve({short_req}).makespan;
+    const double chunk_s = serve(long_prompt_trace()).makespan / kLongChunks;
+    ASSERT_GT(short_s, 0.0);
+
+    // After a head start of 4, shorts arrive at the rate a 9-claim
+    // cycle (8 shorts + 1 chunk) serves them, so the backlog of shorts
+    // only swings by about one around 4.
+    const double gap = short_s + chunk_s / 8;
+    auto trace = long_prompt_trace();
+    for (int i = 0; i < kShorts; ++i) {
+        short_req.arrival = i < 4 ? 0.0 : (i - 3) * gap;
+        trace.push_back(short_req);
+    }
+    auto rep = serve(trace);
+    EXPECT_EQ(rep.requests, 1 + kShorts);
+    ASSERT_EQ(claims.size(), static_cast<size_t>(kLongChunks + kShorts));
+    for (size_t i = 0; i < claims.size(); ++i) {
+        const bool long_turn = (i + 1) % 9 == 0 && i < 9 * kLongChunks;
+        EXPECT_EQ(claims[i], std::make_pair(1, long_turn ? kChunk : 4))
+            << "prefill claim " << i + 1;
+    }
 }
 
 // ---------------------------------------------------------------------------

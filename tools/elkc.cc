@@ -443,11 +443,22 @@ serve_main(int argc, char** argv, const char* argv0)
             "which only runs under SLO scheduling: pass --tenants >= "
             "2 or --slo S > 0 as well");
     }
-    // Chunked prefill splits prompts across the (batch, length) bucket
-    // grid; with the single full-length bucket of --prompt-dist full
-    // and no --prompt-buckets ladder, every chunk would pad to the
-    // full sequence. The Server constructor enforces the same rule on
-    // the finalized ladder; this check fires first with flag names.
+    // The Server constructor enforces the --prefill-chunk rules below
+    // too; these checks fire first, with flag names. Chunked prefill
+    // splits prompts across the (batch, length) bucket grid; with the
+    // single full-length bucket of --prompt-dist full and no
+    // --prompt-buckets ladder, every chunk would pad to the full
+    // sequence.
+    if (prefill_chunk > 0 && (prefill_chunk & (prefill_chunk - 1)) != 0) {
+        util::fatal("--prefill-chunk " + std::to_string(prefill_chunk) +
+                    " must be a power of two (chunks quantize onto the "
+                    "power-of-two prompt bucket grid)");
+    }
+    if (prefill_chunk > seq) {
+        util::fatal("--prefill-chunk " + std::to_string(prefill_chunk) +
+                    " must not exceed --seq " + std::to_string(seq) +
+                    " (the longest prompt)");
+    }
     if (prefill_chunk > 0 && prompt_buckets.size() == 1) {
         util::fatal(
             "--prefill-chunk needs a multi-entry prompt bucket ladder "
