@@ -49,36 +49,36 @@ mix64(uint64_t x)
 ClusterOptions
 validated(ClusterOptions o, const sim::Machine& machine)
 {
-    util::check(o.replicas >= 1,
-                "Cluster: replica count must be >= 1");
+    util::require(o.replicas >= 1,
+                  "Cluster: replica count must be >= 1");
     if (o.router == RouterPolicy::kSessionAffinity) {
-        util::check(o.server.prefix_sharing,
-                    "Cluster: session-affinity routing keys on shared "
-                    "prefix ids — it needs "
-                    "ServerOptions::prefix_sharing");
+        util::require(o.server.prefix_sharing,
+                      "Cluster: session-affinity routing keys on shared "
+                      "prefix ids — it needs "
+                      "ServerOptions::prefix_sharing");
     }
     if (o.migrate_kv) {
-        util::check(o.server.kv_budget > 0,
-                    "Cluster: KV migration needs KV modeling "
-                    "(kv_budget > 0) — migrated segments live in the "
-                    "modeled pool");
-        util::check(o.server.prefix_sharing,
-                    "Cluster: KV migration moves shared prefix "
-                    "segments — it needs "
-                    "ServerOptions::prefix_sharing");
+        util::require(o.server.kv_budget > 0,
+                      "Cluster: KV migration needs KV modeling "
+                      "(kv_budget > 0) — migrated segments live in the "
+                      "modeled pool");
+        util::require(o.server.prefix_sharing,
+                      "Cluster: KV migration moves shared prefix "
+                      "segments — it needs "
+                      "ServerOptions::prefix_sharing");
     }
-    util::check(o.prefill_replicas >= 0,
-                "Cluster: prefill_replicas must be >= 0");
+    util::require(o.prefill_replicas >= 0,
+                  "Cluster: prefill_replicas must be >= 0");
     if (o.prefill_replicas > 0) {
-        util::check(o.replicas >= 2 &&
-                        o.prefill_replicas < o.replicas,
-                    "Cluster: a prefill tier needs at least one "
-                    "decode replica left over (prefill_replicas < "
-                    "replicas, replicas >= 2)");
-        util::check(o.server.kv_budget > 0,
-                    "Cluster: a prefill tier ships KV to the decode "
-                    "tier over the interconnect — it needs KV "
-                    "modeling (kv_budget > 0)");
+        util::require(o.replicas >= 2 &&
+                          o.prefill_replicas < o.replicas,
+                      "Cluster: a prefill tier needs at least one "
+                      "decode replica left over (prefill_replicas < "
+                      "replicas, replicas >= 2)");
+        util::require(o.server.kv_budget > 0,
+                      "Cluster: a prefill tier ships KV to the decode "
+                      "tier over the interconnect — it needs KV "
+                      "modeling (kv_budget > 0)");
     }
     if (o.interconnect.link_bw <= 0.0) {
         o.interconnect.link_bw = machine.config().inter_chip_bw;
@@ -429,8 +429,6 @@ ClusterReport::serialize_bits() const
     for (const ServingReport& r : replica_reports) {
         out += r.serialize_bits();
     }
-    // The SLO roll-up trails the replica reports, mirroring the
-    // trailing-block convention of ServingReport::serialize_bits().
     append_bits(out, static_cast<uint8_t>(slo ? 1 : 0));
     append_bits(out, deadline_requests);
     append_bits(out, deadline_misses);

@@ -111,8 +111,8 @@ engine_options(const ServerOptions& opts)
  * when the KV ledger fits it (or it is oversized, or force-admitted),
  * and on admission runs the one per-member ingest step, ingest_prompt()
  * (prefix hit / migrate / miss, tail KV growth and pinning, the chunk
- * advance); with KV modeling off the same step runs with the ledger
- * off. A prompt that does not fit ends the claim. If that leaves the
+ * advance); with KV modeling off the ledger is empty and fits every
+ * prompt. A prompt that does not fit ends the claim. If that leaves the
  * claim empty, no program runs: the loop falls back to decode work,
  * or force-admits when there is none, exactly as when the head prompt
  * does not fit.
@@ -286,8 +286,9 @@ class DisaggRun {
         return len > 0 ? len : opts_.max_prompt_len;
     }
 
-    // --- KV residency (all no-ops while kv_on_ is false, which is
-    // --- what keeps kv_budget = 0 bit-identical to the pre-KV loop)
+    // --- KV residency. Only kv_on_ allocates segments; with
+    // --- kv_budget = 0 the pool stays empty, so the readers below
+    // --- admit every prompt and add nothing.
 
     /// Per-core bytes of @p tokens tokens of KV state.
     uint64_t kv_per_core(int64_t tokens) const
@@ -358,9 +359,9 @@ class DisaggRun {
     /// (@p completed).
     void kv_retire(int r, bool completed);
 
-    // --- prefix cache (all no-ops while prefix_on_ is false, which
-    // --- is what keeps the default bit-identical to the prefix-free
-    // --- scheduler)
+    // --- prefix cache. Driven by Request::prefix_id: an untagged
+    // --- request (the only kind without prefix sharing) never
+    // --- touches it.
 
     /// Engine pool id of prefix population entry @p pid — negative,
     /// so the shared class never collides with per-request ids.
@@ -376,7 +377,7 @@ class DisaggRun {
     int64_t prefix_covered(int r) const
     {
         const int pid = requests_[r].prefix_id;
-        if (!prefix_on_ || pid < 0 || prefix_tokens_[pid] == 0) {
+        if (pid < 0 || prefix_tokens_[pid] == 0) {
             return 0;
         }
         return std::min(static_cast<int64_t>(requests_[r].prefix_len),
@@ -450,9 +451,6 @@ class DisaggRun {
     std::vector<bool> kv_pinned_;
     util::WeightedMean kv_mean_;
 
-    /// Prefix sharing on (ServerOptions::prefix_sharing; implies
-    /// kv_on_ — the Server constructor enforces it).
-    bool prefix_on_ = false;
     /// Cached prefix population: tokens of the seeded shared segment
     /// per prefix id, 0 while unseeded.
     std::vector<int64_t> prefix_tokens_;
@@ -461,8 +459,9 @@ class DisaggRun {
     /// Per request: this run holds a kv_pin on its shared prefix.
     std::vector<bool> prefix_pinned_;
 
-    /// SLO scheduling on (ServerOptions::slo). Every member below is
-    /// inert while this is false — the bit-identity guard.
+    /// SLO scheduling on (ServerOptions::slo): EDF queue order, the
+    /// deficit gate and tenant accounting. Without it no request
+    /// carries a deadline, so the deadline members below stay empty.
     bool slo_on_ = false;
     /// Whether refresh_next_high() also watches deadline carriers:
     /// slo_on_ with a positive preemption budget.
@@ -501,8 +500,10 @@ class DisaggRun {
     /// preempted victim's min deadline for the nested iteration).
     double urgent_thresh_ = kInf;
 
-    /// Chunked prefill on (ServerOptions::prefill_chunk > 0). Every
-    /// member below is inert while false — the bit-identity guard.
+    /// Chunked prefill on (ServerOptions::prefill_chunk > 0): the
+    /// chunk split and the length-aware queue order. Without it no
+    /// prompt is ever part-ingested or in starve_fifo_, so the members
+    /// below never change claim order.
     bool chunk_on_ = false;
     /// Claim passes a waiting prompt may be passed over before the
     /// bounded fairness window moves it to the queue head — the cap
@@ -534,8 +535,6 @@ class DisaggRun {
     /// A prefill iteration re-queued a partially-ingested prompt: the
     /// next boundary yields one decode iteration if decode work waits.
     bool chunk_yield_ = false;
-    /// KV-locality decode claiming on (ServerOptions::kv_locality).
-    bool kv_locality_on_ = false;
     /// Per request: the queue class it waits in. Set by enqueue(),
     /// cleared by the claim walks that take it.
     enum class Waiting : char { kNone, kPrefill, kDecode };
@@ -641,37 +640,20 @@ DisaggRun::claim(std::deque<int>& hi, std::deque<int>& lo, int cap,
 {
     bool stopped = false;
     auto full = [&] { return static_cast<int>(members.size()) >= cap; };
-    if (!slo_on_) {
-        auto pop = [&](std::deque<int>& q) {
-            while (!stopped && !q.empty() && !full()) {
-                if (!admit(q.front())) {
-                    stopped = true;
-                    return;
-                }
-                members.push_back(q.front());
-                waiting_[q.front()] = Waiting::kNone;
-                q.pop_front();
-            }
-        };
-        pop(hi);
-        if (mode != ClaimMode::kHighOnly) {
-            pop(lo);
-        }
-        return;
-    }
-    // EDF + deficit-round-robin. A pass walks a queue in EDF order
-    // claiming eligible members whose tenant holds positive deficit;
-    // when slots remain and eligible work waits, a fairness window
-    // replenishes every deficit and the pass repeats — work-conserving:
-    // shares decide claim ORDER under contention, they never idle the
-    // chip. (A pass takes every claimable member, and deficits only
-    // change at execution, so repeating a pass without a window would
-    // take nobody.)
+    // Deficit-round-robin in queue order. A pass walks a queue
+    // claiming eligible members whose tenant holds positive deficit
+    // (slo only); when slots remain and eligible work waits, a fairness
+    // window replenishes every deficit and the pass repeats —
+    // work-conserving: shares decide claim ORDER under contention,
+    // they never idle the chip. (A pass takes every claimable member,
+    // and deficits only change at execution, so repeating a pass
+    // without a window would take nobody.) Without slo every member is
+    // eligible, so one pass takes the queue prefix and no window opens.
     auto pass = [&](std::deque<int>& q) {
         for (auto it = q.begin(); !stopped && it != q.end() && !full();) {
             const int r = *it;
             if (!claim_eligible(r, mode) ||
-                deficit_[requests_[r].tenant] <= 0.0) {
+                (slo_on_ && deficit_[requests_[r].tenant] <= 0.0)) {
                 ++it;
             } else if (!admit(r)) {
                 stopped = true;
@@ -805,7 +787,7 @@ DisaggRun::record_completion(int r)
 {
     latencies_[r] = now_ - requests_[r].arrival;
     ++completed_;
-    if (slo_on_ && requests_[r].deadline_s > 0.0) {
+    if (requests_[r].deadline_s > 0.0) {
         const double late = now_ - requests_[r].deadline_s;
         latenesses_.push_back(std::max(0.0, late));
         if (late > 0.0) {
@@ -847,7 +829,7 @@ DisaggRun::prompt_kv_need(int r) const
                kv_per_core(tail_before);
     }
     const int64_t len = effective_prompt_len(r);
-    const int pid = prefix_on_ ? requests_[r].prefix_id : -1;
+    const int pid = requests_[r].prefix_id;
     if (pid < 0) {
         return kv_per_core(len);
     }
@@ -880,7 +862,7 @@ DisaggRun::kv_prepare(const std::vector<int>& members)
     int64_t stream_tokens = 0;
     double migrate_stall = 0.0;
     for (int r : members) {
-        if (prefix_on_ && prefix_share_[r] >= 0) {
+        if (prefix_share_[r] >= 0) {
             // The shared prefix is read every iteration. It is
             // brought back (and pinned) before the private tail, so
             // the tail's own fetch can never evict it — eviction of a
@@ -1043,11 +1025,11 @@ DisaggRun::preempt_for_high()
         // cut its latency, and the spill cost is now modeled.
         run_prefill_iteration(ClaimMode::kHighOnly,
                               /*interruptible=*/false,
-                              /*force_admit=*/kv_on_);
+                              /*force_admit=*/true);
     } else if (!dec_hi_.empty()) {
         ++rep_.preemptions;
         run_decode_iteration(ClaimMode::kHighOnly);
-    } else if (slo_on_) {
+    } else {
         // No high-priority work: a deadline carrier may still have
         // tripped the watcher. It preempts only when it is more
         // urgent than every member of the running iteration AND still
@@ -1063,7 +1045,7 @@ DisaggRun::preempt_for_high()
             if (trig_pre) {
                 run_prefill_iteration(ClaimMode::kUrgent,
                                       /*interruptible=*/false,
-                                      /*force_admit=*/kv_on_);
+                                      /*force_admit=*/true);
             } else {
                 run_decode_iteration(ClaimMode::kUrgent);
             }
@@ -1108,9 +1090,7 @@ DisaggRun::account(const IterOutcome& o, bool decode, bool nested)
     hbm_mean_.add(o.duration, o.r.hbm_util);
     noc_mean_.add(o.duration, o.r.noc_util);
     depth_mean_.add(o.duration, static_cast<double>(waiting_total()));
-    if (kv_on_) {
-        kv_mean_.add(o.duration, static_cast<double>(state_.kv_bytes()));
-    }
+    kv_mean_.add(o.duration, static_cast<double>(state_.kv_bytes()));
     rep_.peak_sram_per_core =
         std::max(rep_.peak_sram_per_core, o.r.peak_sram_per_core);
     rep_.memory_exceeded |= o.r.memory_exceeded;
@@ -1132,7 +1112,7 @@ DisaggRun::ingest_prompt(int r, PrefillClaim& c)
         // priced like any KV refetch.
         int tail = len;
         remaining = len;
-        const int pid = prefix_on_ ? requests_[r].prefix_id : -1;
+        const int pid = requests_[r].prefix_id;
         if (pid >= 0) {
             const int64_t pseg = prefix_kv_id(pid);
             const int covered = static_cast<int>(prefix_covered(r));
@@ -1219,7 +1199,7 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     bool deferred = false;
     claim(pre_hi_, pre_lo_, opts_.max_prefill_batch, mode, c.members,
           [&](int r) {
-              if (kv_on_ && !kv_admits(r) &&
+              if (!kv_admits(r) &&
                   !(force_admit && c.members.empty())) {
                   ++rep_.deferred_admissions;
                   deferred = true;
@@ -1234,13 +1214,11 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     }
     util::check(!c.members.empty(),
                 "Server: a prefill iteration claimed no prompt");
-    if (chunk_on_) {
-        // Bounded fairness window: every prompt still waiting moves one
-        // pass closer to starved status (and with it, the head of the
-        // claim order).
-        ++prefill_claims_;
-        promote_starved();
-    }
+    // Bounded fairness window: every prompt still waiting moves one
+    // pass closer to starved status (and with it, the head of the claim
+    // order). Unchunked, starve_fifo_ stays empty.
+    ++prefill_claims_;
+    promote_starved();
     rep_.peak_queue_depth = std::max(
         rep_.peak_queue_depth, static_cast<int>(waiting_total()));
     kv_charge(c.prefix_stream, c.migrate_stall);
@@ -1269,15 +1247,12 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
         }
     }
     int len_bucket = pick_bucket(opts_.prompt_buckets, need_len);
-    if (prefix_on_) {
-        // Program-level savings: the length bucket these claims would
-        // have needed at their full prompt lengths, vs the residual
-        // bucket actually compiled.
-        const int full_bucket =
-            pick_bucket(opts_.prompt_buckets, need_len_full);
-        rep_.prefill_tokens_saved += static_cast<int64_t>(bucket) *
-                                     (full_bucket - len_bucket);
-    }
+    // Program-level savings: the length bucket these claims would have
+    // needed at their full prompt lengths, vs the residual bucket
+    // actually compiled (the same bucket when no prefix was cached).
+    const int full_bucket = pick_bucket(opts_.prompt_buckets, need_len_full);
+    rep_.prefill_tokens_saved +=
+        static_cast<int64_t>(bucket) * (full_bucket - len_bucket);
     std::shared_ptr<const sim::SimProgram> program =
         prefill_src_ ? prefill_src_(bucket, len_bucket) : nullptr;
     util::check(program != nullptr,
@@ -1307,10 +1282,8 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     iter_min_deadline_ = kInf;
     for (int r : c.members) {
         protected_iter |= requests_[r].priority == Priority::kHigh;
-        if (slo_on_) {
-            iter_min_deadline_ =
-                std::min(iter_min_deadline_, effective_deadline(r));
-        }
+        iter_min_deadline_ =
+            std::min(iter_min_deadline_, effective_deadline(r));
     }
     IterOutcome o =
         execute(std::move(program), interruptible && !protected_iter);
@@ -1326,10 +1299,8 @@ DisaggRun::run_prefill_iteration(ClaimMode mode, bool interruptible,
     // interconnect, so the local segment frees and the prefix share
     // drops immediately.
     for (int r : c.members) {
-        if (kv_on_) {
-            kv_release_pins(r);
-        }
-        if (chunk_on_ && pre_left_[r] > 0) {
+        kv_release_pins(r);
+        if (pre_left_[r] > 0) {
             // More chunks to ingest: back to the prefill queue (the
             // prefix share and the accumulated tail KV stay), no TTFT
             // yet — it fires when the final chunk retires. The next
@@ -1370,7 +1341,7 @@ DisaggRun::run_decode_iteration(ClaimMode mode)
     }
     std::vector<int>& batch = nested ? mini : running_;
     auto take_any = [](int) { return true; };
-    if (!nested && kv_locality_on_) {
+    if (!nested && opts_.kv_locality) {
         // Locality-aware membership: free slots fill with KV-resident
         // requests first; spilled requests run only when nothing
         // resident can (each pass-over counts one kv_locality_skips),
@@ -1401,9 +1372,9 @@ DisaggRun::run_decode_iteration(ClaimMode mode)
     iter_min_deadline_ = kInf;
     for (int r : batch) {
         protected_iter |= requests_[r].priority == Priority::kHigh;
+        iter_min_deadline_ =
+            std::min(iter_min_deadline_, effective_deadline(r));
         if (slo_on_) {
-            iter_min_deadline_ =
-                std::min(iter_min_deadline_, effective_deadline(r));
             ++tenant_tokens_[requests_[r].tenant];
             deficit_[requests_[r].tenant] -= 1.0;
         }
@@ -1494,14 +1465,10 @@ DisaggRun::finalize()
         std::sort(high.begin(), high.end());
         rep_.p95_high_latency = util::percentile_sorted(high, 95.0);
     }
-    if (kv_on_) {
-        rep_.kv_bytes_peak = state_.kv_bytes_peak();
-        rep_.mean_kv_bytes = kv_mean_.value();
-        rep_.kv_evictions = state_.kv_evictions();
-    }
-    if (prefix_on_) {
-        rep_.shared_kv_bytes = state_.kv_shared_bytes_peak();
-    }
+    rep_.kv_bytes_peak = state_.kv_bytes_peak();
+    rep_.mean_kv_bytes = kv_mean_.value();
+    rep_.kv_evictions = state_.kv_evictions();
+    rep_.shared_kv_bytes = state_.kv_shared_bytes_peak();
     if (slo_on_) {
         rep_.tenants = opts_.tenants;
         rep_.deadline_preemptions = deadline_preemptions_;
@@ -1531,13 +1498,11 @@ DisaggRun::run()
 {
     const int n = total_requests();
     kv_on_ = opts_.kv_budget > 0;
-    prefix_on_ = opts_.prefix_sharing;
     slo_on_ = opts_.slo;
     // Watching deadline carriers is only worth the park/resume churn
     // when a trigger could ever fire.
     watch_deadlines_ = slo_on_ && opts_.preempt_budget > 0;
     chunk_on_ = opts_.prefill_chunk > 0;
-    kv_locality_on_ = opts_.kv_locality;
     pre_left_.assign(n, -1);
     tail_skip_left_.assign(n, 0);
     pre_epoch_.assign(n, 0);
@@ -1575,7 +1540,7 @@ DisaggRun::run()
                         "[0, max_prompt_len]");
         }
         if (req.prefix_id >= 0) {
-            util::check(prefix_on_,
+            util::check(opts_.prefix_sharing,
                         "Server: prefix-tagged requests need "
                         "ServerOptions::prefix_sharing");
             util::check(req.phase == Phase::kPrefill,
@@ -1633,10 +1598,10 @@ DisaggRun::run()
     prefix_tokens_.assign(max_prefix + 1, 0);
     rep_.requests = n;
     rep_.kv_modeled = kv_on_;
-    rep_.prefix_sharing = prefix_on_;
+    rep_.prefix_sharing = opts_.prefix_sharing;
     rep_.slo = slo_on_;
     rep_.prefill_chunk = opts_.prefill_chunk;
-    rep_.kv_locality = kv_locality_on_;
+    rep_.kv_locality = opts_.kv_locality;
     if (slo_on_) {
         const int t = opts_.tenants;
         tenant_tokens_.assign(t, 0);
@@ -1684,10 +1649,8 @@ DisaggRun::run()
             double t_next = requests_[next_arrival_].arrival;
             if (t_next > now_) {
                 depth_mean_.add(t_next - now_, 0.0);
-                if (kv_on_) {
-                    kv_mean_.add(t_next - now_,
-                                 static_cast<double>(state_.kv_bytes()));
-                }
+                kv_mean_.add(t_next - now_,
+                             static_cast<double>(state_.kv_bytes()));
                 state_.run_to(t_next);
                 now_ = t_next;
             }
@@ -1699,19 +1662,15 @@ DisaggRun::run()
         }
         const bool decode_work =
             !running_.empty() || !dec_hi_.empty() || !dec_lo_.empty();
-        if (chunk_on_) {
-            const bool yielded = chunk_yield_;
-            chunk_yield_ = false;
-            if (yielded && decode_work) {
-                // A long prompt sits mid-ingestion: one decode
-                // iteration runs between its chunks — the head-of-line
-                // win chunking exists for.
-                ++rep_.chunk_decode_interleaves;
-                run_decode_iteration(ClaimMode::kAll);
-                continue;
-            }
+        if (std::exchange(chunk_yield_, false) && decode_work) {
+            // A long prompt sits mid-ingestion: one decode iteration
+            // runs between its chunks — the head-of-line win chunking
+            // exists for.
+            ++rep_.chunk_decode_interleaves;
+            run_decode_iteration(ClaimMode::kAll);
+            continue;
         }
-        const bool head_fits = !kv_on_ || prefill_admissible();
+        const bool head_fits = prefill_admissible();
         if (head_fits && run_prefill_iteration(ClaimMode::kAll,
                                                /*interruptible=*/true)) {
             continue;
@@ -2280,11 +2239,6 @@ ServingReport::serialize_bits() const
     append_bits(out, kv_migrations);
     append_bits(out, kv_migrated_tokens);
     append_bits(out, kv_migration_stall);
-    // The prefix, SLO, and chunk blocks stay the trailing suffix of
-    // the serialization (in this order): the feature-disabled
-    // bit-identity anchors in tests/prefix_test.cc, tests/slo_test.cc
-    // and tests/chunked_test.cc compare everything before their block
-    // by stripping fixed-size tails.
     append_bits(out, static_cast<uint8_t>(prefix_sharing ? 1 : 0));
     append_bits(out, prefix_hits);
     append_bits(out, prefix_hit_tokens);

@@ -347,36 +347,57 @@ EngineState::kv_find(int64_t id) const
     return static_cast<int>(it - kv_.begin());
 }
 
-int
-EngineState::kv_pick_victim(int64_t excluded_id)
+EngineState::VictimKey
+EngineState::victim_key(const ResidentSlot& slot) const
 {
-    // Ascending id order — the old map's iteration order — so policy
-    // ties resolve identically.
+    const bool scored = opts_.policy == ResidencyPolicy::kFrequencyAware;
+    return {scored ? entry_score(slot.entry) : 0.0, slot.entry.seq};
+}
+
+EngineState::VictimKey
+EngineState::victim_key(const KvSlot& slot) const
+{
+    const bool scored = opts_.policy == ResidencyPolicy::kFrequencyAware;
+    return {scored ? kv_score(slot.seg) : 0.0, slot.seg.seq};
+}
+
+bool
+EngineState::evicts_before(const VictimKey& a, const VictimKey& b) const
+{
+    if (opts_.policy == ResidencyPolicy::kFrequencyAware &&
+        a.score != b.score) {
+        return a.score < b.score;
+    }
+    return a.seq < b.seq;
+}
+
+template <typename Slot, typename Evictable>
+int
+EngineState::scan_victim(const std::vector<Slot>& slots,
+                         Evictable&& evictable) const
+{
     int victim = -1;
-    for (size_t i = 0; i < kv_.size(); ++i) {
-        const KvSegment& seg = kv_[i].seg;
-        if (!seg.resident || seg.pin_count > 0 ||
-            kv_[i].id == excluded_id) {
+    VictimKey best;
+    for (size_t i = 0; i < slots.size(); ++i) {
+        if (!evictable(slots[i])) {
             continue;
         }
-        if (victim < 0) {
+        const VictimKey key = victim_key(slots[i]);
+        if (victim < 0 || evicts_before(key, best)) {
             victim = static_cast<int>(i);
-            continue;
-        }
-        const KvSegment& best = kv_[victim].seg;
-        bool better;
-        if (opts_.policy == ResidencyPolicy::kFrequencyAware) {
-            double s = kv_score(seg);
-            double v = kv_score(best);
-            better = s < v || (s == v && seg.seq < best.seq);
-        } else {
-            better = seg.seq < best.seq;
-        }
-        if (better) {
-            victim = static_cast<int>(i);
+            best = key;
         }
     }
     return victim;
+}
+
+int
+EngineState::kv_pick_victim(int64_t excluded_id) const
+{
+    return scan_victim(kv_, [excluded_id](const KvSlot& slot) {
+        return slot.seg.resident && slot.seg.pin_count == 0 &&
+               slot.id != excluded_id;
+    });
 }
 
 void
@@ -660,34 +681,11 @@ EngineState::resident_find(int op_id) const
 }
 
 int
-EngineState::pick_victim()
+EngineState::pick_victim() const
 {
-    // Ascending op-id order — the old map's iteration order — so
-    // policy ties resolve identically.
-    int victim = -1;
-    for (size_t i = 0; i < resident_.size(); ++i) {
-        const ResidentEntry& entry = resident_[i].entry;
-        if (entry.pin_count > 0) {
-            continue;
-        }
-        if (victim < 0) {
-            victim = static_cast<int>(i);
-            continue;
-        }
-        const ResidentEntry& best = resident_[victim].entry;
-        bool better;
-        if (opts_.policy == ResidencyPolicy::kFrequencyAware) {
-            double s = entry_score(entry);
-            double v = entry_score(best);
-            better = s < v || (s == v && entry.seq < best.seq);
-        } else {
-            better = entry.seq < best.seq;
-        }
-        if (better) {
-            victim = static_cast<int>(i);
-        }
-    }
-    return victim;
+    return scan_victim(resident_, [](const ResidentSlot& slot) {
+        return slot.entry.pin_count == 0;
+    });
 }
 
 void
@@ -711,28 +709,16 @@ EngineState::relieve_pressure()
     const double limit =
         static_cast<double>(machine_.config().usable_sram_per_core());
     while (occupancy_ > limit) {
-        // Weights and KV segments compete: the policy's best victim
-        // across both classes goes first (lower seq under retire
-        // order, lower worth under frequency-aware, ties by seq —
-        // the seq counter is shared, so ties cannot cross classes).
-        int w = pick_victim();
-        int k = kv_pick_victim();
-        bool have_w = w >= 0;
-        bool have_k = k >= 0;
-        if (!have_w && !have_k) {
+        // Weights and KV segments compete: the policy's first victim
+        // across both classes goes.
+        const int w = pick_victim();
+        const int k = kv_pick_victim();
+        if (w < 0 && k < 0) {
             break;  // everything left is pinned by running programs
         }
-        bool take_kv;
-        if (!have_w || !have_k) {
-            take_kv = have_k;
-        } else if (opts_.policy == ResidencyPolicy::kFrequencyAware) {
-            double ws = entry_score(resident_[w].entry);
-            double ks = kv_score(kv_[k].seg);
-            take_kv = ks < ws ||
-                      (ks == ws && kv_[k].seg.seq < resident_[w].entry.seq);
-        } else {
-            take_kv = kv_[k].seg.seq < resident_[w].entry.seq;
-        }
+        const bool take_kv =
+            w < 0 || (k >= 0 && evicts_before(victim_key(kv_[k]),
+                                               victim_key(resident_[w])));
         if (take_kv) {
             kv_spill(k);
         } else {

@@ -530,9 +530,23 @@ class EngineState {
     static double entry_score(const ResidentEntry& entry);
     /// Pool index of op @p op_id's weight entry, -1 when absent.
     int resident_find(int op_id) const;
+    /// Where a weight entry or KV segment sits in the eviction order.
+    struct VictimKey {
+        double score = 0.0;  ///< worth; read under kFrequencyAware only.
+        uint64_t seq = 0;
+    };
+    /// The one eviction order of both pools: lower seq first under
+    /// kRetireOrder, lower (score, seq) under kFrequencyAware. Seqs
+    /// come from one counter, so ties never cross classes.
+    bool evicts_before(const VictimKey& a, const VictimKey& b) const;
+    /// Index of the slot of @p slots that evicts first among those
+    /// @p evictable accepts; -1 when none does.
+    template <typename Slot, typename Evictable>
+    int scan_victim(const std::vector<Slot>& slots,
+                    Evictable&& evictable) const;
     /// The next weight entry the policy would evict (unpinned, lowest
     /// seq/worth); -1 when everything is pinned.
-    int pick_victim();
+    int pick_victim() const;
     /// Drops the entry at @p idx from the resident set and the
     /// occupancy.
     void evict(int idx);
@@ -543,7 +557,7 @@ class EngineState {
     int kv_find(int64_t id) const;
     /// The resident, unpinned KV segment the policy would spill next
     /// (-1 when none), optionally excluding @p excluded_id.
-    int kv_pick_victim(int64_t excluded_id = -1);
+    int kv_pick_victim(int64_t excluded_id = -1) const;
     /// Spills the segment at @p idx to HBM: bytes leave SRAM, the
     /// segment stays owned (resident = false).
     void kv_spill(int idx);
@@ -602,6 +616,10 @@ class EngineState {
         int64_t id;
         KvSegment seg;
     };
+    /// The slot's VictimKey (its score only computed under
+    /// kFrequencyAware).
+    VictimKey victim_key(const ResidentSlot& slot) const;
+    VictimKey victim_key(const KvSlot& slot) const;
 
     // --- cross-program state ---
     double clock_base_ = 0.0;  ///< global seconds before this program.

@@ -76,6 +76,15 @@ check(bool cond, const std::string& msg)
     }
 }
 
+/// Validates user input; fatal (exit 1) with @p msg when violated.
+inline void
+require(bool cond, const std::string& msg)
+{
+    if (!cond) {
+        fatal(msg);
+    }
+}
+
 }  // namespace elk::util
 
 #endif  // ELK_UTIL_LOGGING_H

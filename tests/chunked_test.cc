@@ -22,30 +22,9 @@
 namespace elk {
 namespace {
 
-/// @p bits minus the trailing chunk/locality block — the only block
-/// that may differ between a chunk-off and a single-chunk serve of the
-/// same trace.
-std::string
-strip_chunk_block(const std::string& bits)
-{
-    EXPECT_GE(bits.size(), testing::kChunkBlock);
-    return bits.substr(0, bits.size() - testing::kChunkBlock);
-}
-
 class ChunkedServingTest : public ::testing::Test {
   protected:
     static constexpr int kSeq = 128;
-
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, {kind});
-    }
 
     /// Plain (KV-free) varlen serving options.
     runtime::ServerOptions
@@ -58,21 +37,14 @@ class ChunkedServingTest : public ::testing::Test {
         return sopts;
     }
 
-    /// Machine-total KV bytes per token for the tiny test model.
-    uint64_t
-    token_bytes() const
-    {
-        return graph::kv_bytes_per_token(testing::tiny_llm());
-    }
-
     /// ServerOptions with KV modeling on and room for a few
     /// full-length segments per core.
     runtime::ServerOptions
     kv_options() const
     {
         runtime::ServerOptions sopts = plain_options();
-        sopts.kv_bytes_per_token = token_bytes();
-        sopts.kv_budget = 4 * kSeq * token_bytes() / 64;
+        sopts.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
+        sopts.kv_budget = 4 * kSeq * testing::tiny_kv_bytes_per_token() / 64;
         return sopts;
     }
 
@@ -144,8 +116,10 @@ TEST_F(ChunkedServingTest, SingleChunkIsBitIdenticalAcrossModes)
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
           compiler::Mode::kIdeal}) {
-        auto dc = make_compiler(compiler::GraphKind::kDecode, mode);
-        auto pc = make_compiler(compiler::GraphKind::kPrefill, mode);
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, kSeq, &cache_);
+        auto pc = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, mode, kSeq, &cache_);
         auto serve = [&](int chunk) {
             runtime::ServerOptions sopts = plain_options();
             sopts.prefill_chunk = chunk;
@@ -157,9 +131,6 @@ TEST_F(ChunkedServingTest, SingleChunkIsBitIdenticalAcrossModes)
         };
         auto off = serve(0);
         auto on = serve(kSeq);
-        EXPECT_EQ(strip_chunk_block(off.serialize_bits()),
-                  strip_chunk_block(on.serialize_bits()))
-            << compiler::mode_name(mode);
         EXPECT_EQ(off.prefill_chunk, 0);
         EXPECT_EQ(on.prefill_chunk, kSeq);
         // Single-chunk prompts: one chunk claim per prefill prompt,
@@ -168,6 +139,10 @@ TEST_F(ChunkedServingTest, SingleChunkIsBitIdenticalAcrossModes)
         EXPECT_EQ(on.chunk_decode_interleaves, 0);
         EXPECT_GT(on.prefill_chunks, 0);
         EXPECT_EQ(off.prefill_chunks, 0);
+        on.prefill_chunk = 0;
+        on.prefill_chunks = 0;
+        EXPECT_EQ(off.serialize_bits(), on.serialize_bits())
+            << compiler::mode_name(mode);
     }
 }
 
@@ -176,10 +151,10 @@ TEST_F(ChunkedServingTest, SingleChunkIsBitIdenticalAcrossModes)
 // same order, so the KV counters match byte-for-byte too.
 TEST_F(ChunkedServingTest, SingleChunkWithKvIsBitIdentical)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto trace = runtime::make_request_trace(
         runtime::ArrivalTrace::poisson(12, 2500.0, 9), 3,
         /*prefill_frac=*/1.0, /*high_frac=*/0.0, 9);
@@ -194,10 +169,11 @@ TEST_F(ChunkedServingTest, SingleChunkWithKvIsBitIdentical)
     auto off = serve(0);
     auto on = serve(kSeq);
     ASSERT_TRUE(on.kv_modeled);
-    EXPECT_EQ(strip_chunk_block(off.serialize_bits()),
-              strip_chunk_block(on.serialize_bits()));
     EXPECT_EQ(on.kv_bytes_peak, off.kv_bytes_peak);
     EXPECT_EQ(on.deferred_admissions, off.deferred_admissions);
+    on.prefill_chunk = 0;
+    on.prefill_chunks = 0;
+    EXPECT_EQ(off.serialize_bits(), on.serialize_bits());
 }
 
 // ---------------------------------------------------------------------------
@@ -205,10 +181,10 @@ TEST_F(ChunkedServingTest, SingleChunkWithKvIsBitIdentical)
 
 TEST_F(ChunkedServingTest, TtftFiresWhenFinalChunkRetires)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto serve = [&](int chunk) {
         runtime::ServerOptions sopts = plain_options();
         sopts.prefill_chunk = chunk;
@@ -254,10 +230,10 @@ TEST_F(ChunkedServingTest, TtftFiresWhenFinalChunkRetires)
 // iteration.
 TEST_F(ChunkedServingTest, KvGrowsPerChunkRampingTheMean)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto serve = [&](int chunk) {
         runtime::ServerOptions sopts = kv_options();
         sopts.prefill_chunk = chunk;
@@ -284,10 +260,10 @@ TEST_F(ChunkedServingTest, KvGrowsPerChunkRampingTheMean)
 // checks would panic on any mis-sequenced KV call.
 TEST_F(ChunkedServingTest, KvGrowthSurvivesParkAndResume)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto trace = long_prompt_trace();
     runtime::Request high;
     high.arrival = 1e-4;  // lands mid-chunk-sequence
@@ -322,10 +298,10 @@ TEST_F(ChunkedServingTest, KvGrowthSurvivesParkAndResume)
 // the unchunked serve of the same trace.
 TEST_F(ChunkedServingTest, ChunksInterleaveWaitingDecode)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto trace = long_prompt_trace();
     for (int i = 0; i < 4; ++i) {
         runtime::Request r;
@@ -365,10 +341,10 @@ TEST_F(ChunkedServingTest, ChunksInterleaveWaitingDecode)
 // the long prompt's chunks run on exactly every 9th claim.
 TEST_F(ChunkedServingTest, StarvedPromptClaimsEveryNinthPass)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     constexpr int kChunk = 16;
     constexpr int kLongChunks = kSeq / kChunk;
     constexpr int kShorts = 9 * kLongChunks;
@@ -420,10 +396,10 @@ TEST_F(ChunkedServingTest, StarvedPromptClaimsEveryNinthPass)
 
 TEST_F(ChunkedServingTest, LocalitySkipsCountSpilledPassOvers)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     // Decode-phase arrivals start with their KV spilled in HBM (the
     // migrated-request model), so a locality-aware claim passes each
     // one over once before the work-conserving fallback admits it.

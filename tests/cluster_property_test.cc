@@ -32,17 +32,6 @@ class ClusterPropertyTest : public ::testing::Test {
   protected:
     static constexpr int kSeq = 128;
 
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = compiler::Mode::kElkFull;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, {kind});
-    }
-
     /// KV + prefix serving options (session traces carry prefixes,
     /// and affinity routing requires prefix_sharing).
     runtime::ServerOptions
@@ -52,10 +41,8 @@ class ClusterPropertyTest : public ::testing::Test {
         sopts.max_batch = 4;
         sopts.max_prefill_batch = 2;
         sopts.max_prompt_len = kSeq;
-        sopts.kv_bytes_per_token =
-            graph::kv_bytes_per_token(testing::tiny_llm());
-        sopts.kv_budget =
-            4 * kSeq * sopts.kv_bytes_per_token / 64;
+        sopts.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
+        sopts.kv_budget = 4 * kSeq * sopts.kv_bytes_per_token / 64;
         sopts.prefix_sharing = true;
         return sopts;
     }
@@ -133,8 +120,10 @@ TEST_F(ClusterPropertyTest, RoutingPartitionsEveryTrace)
 // token demand.
 TEST_F(ClusterPropertyTest, ServeConservesRequestsAndTokens)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
 

@@ -99,25 +99,6 @@ class ClusterServingTest : public ::testing::Test {
   protected:
     static constexpr int kSeq = 128;
 
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode,
-                  int jobs = 1)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         jobs, {kind});
-    }
-
-    /// Machine-total KV bytes per token for the tiny test model.
-    uint64_t
-    token_bytes() const
-    {
-        return graph::kv_bytes_per_token(testing::tiny_llm());
-    }
-
     /// ServerOptions with KV modeling + prefix sharing on and room
     /// for a few full-length segments per core.
     runtime::ServerOptions
@@ -127,8 +108,8 @@ class ClusterServingTest : public ::testing::Test {
         sopts.max_batch = 4;
         sopts.max_prefill_batch = 2;
         sopts.max_prompt_len = kSeq;
-        sopts.kv_bytes_per_token = token_bytes();
-        sopts.kv_budget = 4 * kSeq * token_bytes() / 64;
+        sopts.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
+        sopts.kv_budget = 4 * kSeq * testing::tiny_kv_bytes_per_token() / 64;
         sopts.prefix_sharing = true;
         return sopts;
     }
@@ -219,8 +200,10 @@ TEST_F(ClusterServingTest, OneReplicaRoundRobinIsBitIdenticalAcrossModes)
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
           compiler::Mode::kIdeal}) {
-        auto dc = make_compiler(compiler::GraphKind::kDecode, mode);
-        auto pc = make_compiler(compiler::GraphKind::kPrefill, mode);
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, kSeq, &cache_);
+        auto pc = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, mode, kSeq, &cache_);
         auto prefill = [&](int b, int len) {
             return pc.program(b, len);
         };
@@ -341,10 +324,10 @@ TEST_F(ClusterServingTest, SessionAffinityPinsPrefixesToHomes)
 // re-prefills (a local miss): one fewer hit, no interconnect traffic.
 TEST_F(ClusterServingTest, MigrationImportsPrefixAtPricedStall)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
     auto trace = shared_prefix_trace(8, /*pid=*/0, /*prefix_len=*/96,
@@ -369,7 +352,7 @@ TEST_F(ClusterServingTest, MigrationImportsPrefixAtPricedStall)
     // replica 1, which lacks the prefix replica 0 homed.
     EXPECT_EQ(migrated.kv_migrations, 1);
     EXPECT_EQ(migrated.kv_migrated_tokens, 96);
-    const uint64_t bytes = 96ull * token_bytes();
+    const uint64_t bytes = 96ull * testing::tiny_kv_bytes_per_token();
     runtime::ClusterOptions copts;
     copts.replicas = 2;
     copts.server = prefix_options();
@@ -403,10 +386,10 @@ TEST_F(ClusterServingTest, MigrationImportsPrefixAtPricedStall)
 // and pays one migration per request.
 TEST_F(ClusterServingTest, PrefillTierFeedsDecodeTierOverTheWire)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto trace = shared_prefix_trace(6, /*pid=*/0, /*prefix_len=*/32,
                                      /*prompt_len=*/64,
                                      /*decode_tokens=*/3);
@@ -439,7 +422,8 @@ TEST_F(ClusterServingTest, PrefillTierFeedsDecodeTierOverTheWire)
     EXPECT_GT(dec.kv_migration_stall, 0.0);
     EXPECT_EQ(rep.tokens, 18);
     EXPECT_EQ(rep.interconnect_bytes,
-              static_cast<int64_t>(6 * 64 * token_bytes()));
+              static_cast<int64_t>(6 * 64 *
+                                   testing::tiny_kv_bytes_per_token()));
 }
 
 // A prefill-only request (decode_tokens == 0) completes at prompt
@@ -447,10 +431,10 @@ TEST_F(ClusterServingTest, PrefillTierFeedsDecodeTierOverTheWire)
 // decode class and its KV frees immediately.
 TEST_F(ClusterServingTest, PrefillOnlyRequestsCompleteAtIngestion)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     std::vector<runtime::Request> trace;
     for (int i = 0; i < 4; ++i) {
         runtime::Request r;
@@ -479,10 +463,10 @@ TEST_F(ClusterServingTest, PrefillOnlyRequestsCompleteAtIngestion)
 // summary renders.
 TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto mixed = runtime::make_request_trace(
         runtime::ArrivalTrace::poisson(12, 2000.0, 11), 2,
         /*prefill_frac=*/0.6, /*high_frac=*/0.0, 11);
@@ -526,10 +510,10 @@ TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
 // deadline preemptions, and the same tenant summary lines.
 TEST_F(ClusterServingTest, OneReplicaSloRollUpMatchesReplica)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     runtime::ClusterOptions copts;
     copts.replicas = 1;
     copts.server = slo_options();
@@ -571,10 +555,10 @@ TEST_F(ClusterServingTest, OneReplicaSloRollUpMatchesReplica)
 // its replicas, and its serialization is pinned to a committed digest.
 TEST_F(ClusterServingTest, SloRollUpSumsReplicaTenants)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     runtime::ClusterOptions copts;
     copts.replicas = 3;
     copts.router = runtime::RouterPolicy::kLeastLoaded;
@@ -634,10 +618,12 @@ TEST_F(ClusterServingTest, SloRollUpSumsReplicaTenants)
 TEST_F(ClusterServingTest, ParallelReplicasMatchSerialReference)
 {
     constexpr int kReplicas = 8;
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull, /*jobs=*/2);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull, /*jobs=*/2);
+    auto dc = testing::serving_compiler(compiler::GraphKind::kDecode,
+                                        compiler::Mode::kElkFull, kSeq,
+                                        &cache_, /*jobs=*/2);
+    auto pc = testing::serving_compiler(compiler::GraphKind::kPrefill,
+                                        compiler::Mode::kElkFull, kSeq,
+                                        &cache_, /*jobs=*/2);
     runtime::SessionTraceOptions so;
     so.sessions = 16;
     so.rate_per_s = 1500.0;
@@ -721,12 +707,19 @@ TEST_F(ClusterServingTest, ParallelReplicasMatchSerialReference)
 TEST_F(ClusterServingTest, DeathOnMisconfiguration)
 {
     sim::Machine machine(testing::tiny_chip());
+    // Bad ClusterOptions are user errors: a worded fatal (exit 1),
+    // never an internal panic.
+    auto rejects = [&](const runtime::ClusterOptions& copts,
+                       const std::string& what) {
+        EXPECT_EXIT(runtime::Cluster(machine, copts),
+                    ::testing::ExitedWithCode(1),
+                    "\\[elk FATAL\\] Cluster: .*" + what);
+    };
     {
         runtime::ClusterOptions copts;
         copts.replicas = 0;
         copts.server = plain_options();
-        EXPECT_DEATH(runtime::Cluster(machine, copts),
-                     "replica count");
+        rejects(copts, "replica count");
     }
     {
         // Session affinity keys on prefix ids: prefix_sharing off is
@@ -735,8 +728,7 @@ TEST_F(ClusterServingTest, DeathOnMisconfiguration)
         copts.replicas = 2;
         copts.router = runtime::RouterPolicy::kSessionAffinity;
         copts.server = plain_options();
-        EXPECT_DEATH(runtime::Cluster(machine, copts),
-                     "prefix_sharing");
+        rejects(copts, "prefix_sharing");
     }
     {
         // Migration without KV modeling is fatal.
@@ -744,7 +736,7 @@ TEST_F(ClusterServingTest, DeathOnMisconfiguration)
         copts.replicas = 2;
         copts.migrate_kv = true;
         copts.server = plain_options();
-        EXPECT_DEATH(runtime::Cluster(machine, copts), "kv_budget");
+        rejects(copts, "kv_budget");
     }
     {
         // A prefill tier needs KV modeling (the decode tier's KV
@@ -753,7 +745,7 @@ TEST_F(ClusterServingTest, DeathOnMisconfiguration)
         copts.replicas = 2;
         copts.prefill_replicas = 1;
         copts.server = plain_options();
-        EXPECT_DEATH(runtime::Cluster(machine, copts), "kv_budget");
+        rejects(copts, "kv_budget");
     }
     {
         // ... and at least one decode replica left over.
@@ -761,8 +753,7 @@ TEST_F(ClusterServingTest, DeathOnMisconfiguration)
         copts.replicas = 2;
         copts.prefill_replicas = 2;
         copts.server = prefix_options();
-        EXPECT_DEATH(runtime::Cluster(machine, copts),
-                     "decode replica");
+        rejects(copts, "decode replica");
     }
     {
         // Server-level: a migration tag without KV modeling is fatal

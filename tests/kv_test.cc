@@ -292,24 +292,6 @@ TEST(KvSegmentDeathTest, DoubleAllocAndPinnedFreeDie)
 
 class KvServingTest : public ::testing::Test {
   protected:
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), 128,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         1, {kind});
-    }
-
-    /// Machine-total KV bytes per token for the tiny test model.
-    uint64_t
-    token_bytes() const
-    {
-        return graph::kv_bytes_per_token(testing::tiny_llm());
-    }
-
     compiler::PlanCache cache_;
 };
 
@@ -326,8 +308,10 @@ TEST_F(KvServingTest, ZeroBudgetIsBitIdenticalAcrossModes)
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
           compiler::Mode::kIdeal}) {
-        auto dc = make_compiler(compiler::GraphKind::kDecode, mode);
-        auto pc = make_compiler(compiler::GraphKind::kPrefill, mode);
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, 128, &cache_);
+        auto pc = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, mode, 128, &cache_);
 
         // Decode-only: the plain serve() loop is the reference.
         runtime::ServerOptions sopts;
@@ -354,7 +338,7 @@ TEST_F(KvServingTest, ZeroBudgetIsBitIdenticalAcrossModes)
         base.max_prefill_batch = 2;
         base.max_prompt_len = 128;
         runtime::ServerOptions inert = base;
-        inert.kv_bytes_per_token = token_bytes();
+        inert.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
         auto serve_mixed = [&](const runtime::ServerOptions& o) {
             runtime::Server s(dc.machine(), o);
             return s.serve(
@@ -373,10 +357,10 @@ TEST_F(KvServingTest, ZeroBudgetIsBitIdenticalAcrossModes)
 // still completes deterministically.
 TEST_F(KvServingTest, TightBudgetDefersAdmissionsDeterministically)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, 128, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, 128, &cache_);
     auto requests = runtime::prefill_requests(
         runtime::ArrivalTrace::poisson(6, 2000.0, 5), 3);
 
@@ -384,10 +368,10 @@ TEST_F(KvServingTest, TightBudgetDefersAdmissionsDeterministically)
     sopts.max_batch = 4;
     sopts.max_prefill_batch = 2;
     sopts.max_prompt_len = 128;
-    sopts.kv_bytes_per_token = token_bytes();
-    // One full-length segment per core is 128 tokens x token_bytes /
+    sopts.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
+    // One full-length segment per core is 128 tokens x bytes per token /
     // 64 cores; budget 1.5 segments => the second prompt defers.
-    uint64_t seg = 128 * token_bytes() / 64;
+    uint64_t seg = 128 * testing::tiny_kv_bytes_per_token() / 64;
     sopts.kv_budget = seg + seg / 2;
 
     runtime::Server server(dc.machine(), sopts);
@@ -412,10 +396,10 @@ TEST_F(KvServingTest, TightBudgetDefersAdmissionsDeterministically)
 // the permanent-thrash regime, visible as refetches and stall time.
 TEST_F(KvServingTest, OversizedSegmentsThrashButComplete)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkDyn);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkDyn);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkDyn, 128, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkDyn, 128, &cache_);
     auto requests = runtime::prefill_requests(
         runtime::ArrivalTrace::closed_loop(4), 3);
 
@@ -423,7 +407,7 @@ TEST_F(KvServingTest, OversizedSegmentsThrashButComplete)
     sopts.max_batch = 4;
     sopts.max_prefill_batch = 2;
     sopts.max_prompt_len = 128;
-    sopts.kv_bytes_per_token = token_bytes();
+    sopts.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
     sopts.kv_budget = 1024;  // well under one 128-token segment
 
     runtime::Server server(dc.machine(), sopts);
@@ -442,10 +426,10 @@ TEST_F(KvServingTest, OversizedSegmentsThrashButComplete)
 // past backpressure, and the serve stays deterministic.
 TEST_F(KvServingTest, PreemptionWithKvPinsVictimSegments)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, 128, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, 128, &cache_);
 
     std::vector<runtime::Request> requests;
     for (int i = 0; i < 4; ++i) {
@@ -466,8 +450,8 @@ TEST_F(KvServingTest, PreemptionWithKvPinsVictimSegments)
     sopts.max_batch = 4;
     sopts.max_prefill_batch = 2;
     sopts.max_prompt_len = 128;
-    sopts.kv_bytes_per_token = token_bytes();
-    uint64_t seg = 128 * token_bytes() / 64;
+    sopts.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
+    uint64_t seg = 128 * testing::tiny_kv_bytes_per_token() / 64;
     sopts.kv_budget = 3 * seg;  // the VIP's segment needs a spill
 
     runtime::Server server(dc.machine(), sopts);

@@ -340,18 +340,6 @@ TEST(ResidencyPolicyTest, ReuseCountProtectsHotEntriesUnderPressure)
 
 class DisaggTest : public ::testing::Test {
   protected:
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode,
-                  int jobs = 1)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), 128,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         jobs, {kind});
-    }
-
     compiler::PlanCache cache_;
 };
 
@@ -365,7 +353,8 @@ TEST_F(DisaggTest, DegenerateTraceMatchesPlainServeAllModes)
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
           compiler::Mode::kIdeal}) {
-        auto dc = make_compiler(compiler::GraphKind::kDecode, mode);
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, 128, &cache_);
         runtime::ServerOptions sopts;
         sopts.max_batch = 4;
         sopts.tokens_per_request = 3;
@@ -388,10 +377,10 @@ TEST_F(DisaggTest, DegenerateTraceMatchesPlainServeAllModes)
 // a mixed prefill/decode trace.
 TEST_F(DisaggTest, PreemptionOnWithoutHighTrafficIsBitIdentical)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, 128, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, 128, &cache_);
     auto requests = runtime::prefill_requests(
         runtime::ArrivalTrace::poisson(10, 2000.0, 3), 3);
 
@@ -423,10 +412,10 @@ TEST_F(DisaggTest, PreemptionOnWithoutHighTrafficIsBitIdentical)
 // (parked victim, nested prefill), without it waits for boundaries.
 TEST_F(DisaggTest, HighPriorityArrivalPreemptsAndCutsItsLatency)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, 128, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, 128, &cache_);
 
     std::vector<runtime::Request> requests;
     for (int i = 0; i < 4; ++i) {
@@ -479,10 +468,10 @@ TEST_F(DisaggTest, HighPriorityArrivalPreemptsAndCutsItsLatency)
 // namespaces), so steady decode preloads still hit.
 TEST_F(DisaggTest, DecodeResidencySurvivesPrefillInterleaving)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, 128, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, 128, &cache_);
 
     // Staggered prefill arrivals force prefill iterations between
     // decode iterations of the earlier requests.
@@ -513,8 +502,8 @@ TEST_F(DisaggTest, DecodeResidencySurvivesPrefillInterleaving)
 // report deterministic (two identical runs serialize identically).
 TEST_F(DisaggTest, FrequencyPolicyServesDeterministically)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkDyn);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkDyn, 128, &cache_);
     auto requests = runtime::decode_requests(
         runtime::ArrivalTrace::poisson(10, 2500.0, 11), 4);
     runtime::ServerOptions sopts;
@@ -542,8 +531,8 @@ TEST_F(DisaggTest, FrequencyPolicyServesDeterministically)
 // engine has never recorded and so never replays.
 TEST_F(DisaggTest, HighArrivalAtRepeatedIterationEndMatchesUnmemoized)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, 128, &cache_);
     runtime::ServerOptions sopts;
     sopts.max_batch = 4;
     sopts.tokens_per_request = 10;  // the reference loop's probe length

@@ -25,24 +25,6 @@
 namespace elk {
 namespace {
 
-/// serialize_bits() without the trailing prefix block, the empty SLO
-/// block behind it (both reports
-/// compared here have slo off, so that tail is fixed-size too), and
-/// the chunk/locality block behind that (both have chunking off):
-/// what the sharing-disabled anchor compares.
-std::string
-bits_before_prefix_block(const runtime::ServingReport& rep)
-{
-    std::string bits = rep.serialize_bits();
-    EXPECT_FALSE(rep.slo);
-    EXPECT_EQ(rep.prefill_chunk, 0);
-    constexpr size_t kTail = testing::kPrefixBlock +
-                             testing::kSloBlockEmpty +
-                             testing::kChunkBlock;
-    EXPECT_GE(bits.size(), kTail);
-    return bits.substr(0, bits.size() - kTail);
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level: the refcounted shared-segment lifecycle
 
@@ -286,24 +268,6 @@ class PrefixServingTest : public ::testing::Test {
   protected:
     static constexpr int kSeq = 128;
 
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, {kind});
-    }
-
-    /// Machine-total KV bytes per token for the tiny test model.
-    uint64_t
-    token_bytes() const
-    {
-        return graph::kv_bytes_per_token(testing::tiny_llm());
-    }
-
     /// ServerOptions with KV modeling on and room for a few
     /// full-length segments per core.
     runtime::ServerOptions
@@ -313,8 +277,8 @@ class PrefixServingTest : public ::testing::Test {
         sopts.max_batch = 4;
         sopts.max_prefill_batch = 2;
         sopts.max_prompt_len = kSeq;
-        sopts.kv_bytes_per_token = token_bytes();
-        sopts.kv_budget = 4 * kSeq * token_bytes() / 64;
+        sopts.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
+        sopts.kv_budget = 4 * kSeq * testing::tiny_kv_bytes_per_token() / 64;
         return sopts;
     }
 
@@ -340,11 +304,11 @@ class PrefixServingTest : public ::testing::Test {
     compiler::PlanCache cache_;
 };
 
-// The acceptance anchor: prefix sharing disabled (the default) runs
-// none of the new code. With sharing forced ON over a trace with no
-// prefix tags, every byte of the serialization before the trailing
-// prefix block matches the sharing-OFF serve of the same trace, and
-// the prefix counters are zero — across all five design modes.
+// The acceptance anchor: the prefix cache is driven by prefix tags, so
+// with sharing forced ON over a trace with no tags the prefix counters
+// stay zero and, its flag aside, the report matches the sharing-OFF
+// serve of the same trace byte for byte — across all five design
+// modes.
 TEST_F(PrefixServingTest, DisabledSharingIsBitIdenticalAcrossModes)
 {
     auto mixed = runtime::make_request_trace(
@@ -355,8 +319,10 @@ TEST_F(PrefixServingTest, DisabledSharingIsBitIdenticalAcrossModes)
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
           compiler::Mode::kIdeal}) {
-        auto dc = make_compiler(compiler::GraphKind::kDecode, mode);
-        auto pc = make_compiler(compiler::GraphKind::kPrefill, mode);
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, kSeq, &cache_);
+        auto pc = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, mode, kSeq, &cache_);
         auto serve = [&](bool sharing) {
             runtime::ServerOptions sopts = kv_options();
             sopts.prefix_sharing = sharing;
@@ -368,9 +334,6 @@ TEST_F(PrefixServingTest, DisabledSharingIsBitIdenticalAcrossModes)
         };
         auto off = serve(false);
         auto on = serve(true);
-        EXPECT_EQ(bits_before_prefix_block(off),
-                  bits_before_prefix_block(on))
-            << compiler::mode_name(mode);
         EXPECT_FALSE(off.prefix_sharing);
         EXPECT_TRUE(on.prefix_sharing);
         for (const auto& rep : {off, on}) {
@@ -379,6 +342,9 @@ TEST_F(PrefixServingTest, DisabledSharingIsBitIdenticalAcrossModes)
             EXPECT_EQ(rep.prefill_tokens_saved, 0);
             EXPECT_EQ(rep.shared_kv_bytes, 0u);
         }
+        on.prefix_sharing = false;
+        EXPECT_EQ(off.serialize_bits(), on.serialize_bits())
+            << compiler::mode_name(mode);
     }
 }
 
@@ -388,10 +354,10 @@ TEST_F(PrefixServingTest, DisabledSharingIsBitIdenticalAcrossModes)
 // shows up in the peak accounting.
 TEST_F(PrefixServingTest, HitsSkipCoveredPrefillTokens)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto tagged = shared_prefix_trace(8, /*prefix_len=*/96,
                                       /*prompt_len=*/112,
                                       /*decode_tokens=*/2);
@@ -433,17 +399,17 @@ TEST_F(PrefixServingTest, HitsSkipCoveredPrefillTokens)
 // correctly (hits for every later carrier).
 TEST_F(PrefixServingTest, DecodeGrowsPrivateTailsNotThePrefix)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkDyn);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkDyn);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkDyn, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkDyn, kSeq, &cache_);
     auto trace = shared_prefix_trace(6, /*prefix_len=*/64,
                                      /*prompt_len=*/80,
                                      /*decode_tokens=*/8);
     runtime::ServerOptions sopts = kv_options();
     // Tight: the prefix plus a tail or two — growth and refetch churn
     // under pressure.
-    sopts.kv_budget = 2 * kSeq * token_bytes() / 64;
+    sopts.kv_budget = 2 * kSeq * testing::tiny_kv_bytes_per_token() / 64;
     sopts.prefix_sharing = true;
     runtime::Server server(dc.machine(), sopts);
     auto serve_once = [&] {
@@ -464,10 +430,10 @@ TEST_F(PrefixServingTest, DecodeGrowsPrivateTailsNotThePrefix)
 // with hits well above the distinct-prefix floor.
 TEST_F(PrefixServingTest, SessionTraceServesDeterministically)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     runtime::SessionTraceOptions topts;
     topts.sessions = 10;
     topts.rate_per_s = 400.0;
@@ -502,10 +468,10 @@ TEST_F(PrefixServingTest, SessionTraceServesDeterministically)
 
 TEST_F(PrefixServingTest, ServerRejectsPrefixMisuse)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kBasic);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kBasic);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kBasic, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kBasic, kSeq, &cache_);
 
     // Sharing without KV modeling: the shared segments would have
     // nowhere to live.

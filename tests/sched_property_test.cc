@@ -136,24 +136,6 @@ class SchedPropertyTest : public ::testing::Test {
   protected:
     static constexpr int kSeq = 128;
 
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode,
-                  int jobs, compiler::PlanCache* cache)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         testing::tiny_chip(), copts, cache,
-                                         jobs, {kind});
-    }
-
-    uint64_t
-    token_bytes() const
-    {
-        return graph::kv_bytes_per_token(testing::tiny_llm());
-    }
-
     /// Draws the configuration for index @p i — every choice comes
     /// off one seeded mt19937_64, so a failing index reproduces from
     /// its printed seed alone.
@@ -175,14 +157,15 @@ class SchedPropertyTest : public ::testing::Test {
                                  : sim::ResidencyPolicy::kFrequencyAware;
 
         // KV budget: off, tight (segments spill), or roomy.
-        const uint64_t per_seg = kSeq * token_bytes() / 64;
+        const uint64_t per_seg =
+            kSeq * testing::tiny_kv_bytes_per_token() / 64;
         switch (rng() % 3) {
         case 0: break;  // modeling off
         case 1: o.kv_budget = 2 * per_seg; break;
         case 2: o.kv_budget = 6 * per_seg; break;
         }
         if (o.kv_budget > 0) {
-            o.kv_bytes_per_token = token_bytes();
+            o.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
             o.kv_locality = rng() % 2 == 0;
             o.prefix_sharing = rng() % 2 == 0;
         }
@@ -317,14 +300,14 @@ TEST_F(SchedPropertyTest, RandomConfigsConserveAndReproduce)
         Config cfg = draw_config(i);
         SCOPED_TRACE(cfg.describe());
 
-        auto dc1 = make_compiler(compiler::GraphKind::kDecode,
-                                 cfg.mode, /*jobs=*/1, &cache1_);
-        auto pc1 = make_compiler(compiler::GraphKind::kPrefill,
-                                 cfg.mode, /*jobs=*/1, &cache1_);
-        auto dc4 = make_compiler(compiler::GraphKind::kDecode,
-                                 cfg.mode, /*jobs=*/4, &cache4_);
-        auto pc4 = make_compiler(compiler::GraphKind::kPrefill,
-                                 cfg.mode, /*jobs=*/4, &cache4_);
+        auto dc1 = testing::serving_compiler(
+            compiler::GraphKind::kDecode, cfg.mode, kSeq, &cache1_);
+        auto pc1 = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, cfg.mode, kSeq, &cache1_);
+        auto dc4 = testing::serving_compiler(
+            compiler::GraphKind::kDecode, cfg.mode, kSeq, &cache4_, 4);
+        auto pc4 = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, cfg.mode, kSeq, &cache4_, 4);
         auto rep = serve(cfg, dc1, pc1);
         const std::string bits = rep.serialize_bits();
 
@@ -366,8 +349,8 @@ TEST_F(SchedPropertyTest, SloKvDeferralNeverRunsEmptyPrefill)
     o.max_batch = 4;
     o.max_prefill_batch = 2;
     o.max_prompt_len = kSeq;
-    o.kv_bytes_per_token = token_bytes();
-    o.kv_budget = 2 * kSeq * token_bytes() / 64;
+    o.kv_bytes_per_token = testing::tiny_kv_bytes_per_token();
+    o.kv_budget = 2 * kSeq * testing::tiny_kv_bytes_per_token() / 64;
     o.slo = true;
     o.tenants = 2;
     o.tenant_shares = {4.0, 1.0};
@@ -380,10 +363,10 @@ TEST_F(SchedPropertyTest, SloKvDeferralNeverRunsEmptyPrefill)
     runtime::tag_deadlines(cfg.trace, /*slo_s=*/5e-3);
     SCOPED_TRACE(cfg.describe());
 
-    auto dc = make_compiler(compiler::GraphKind::kDecode, cfg.mode,
-                            /*jobs=*/1, &cache1_);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill, cfg.mode,
-                            /*jobs=*/1, &cache1_);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, cfg.mode, kSeq, &cache1_, /*jobs=*/1);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, cfg.mode, kSeq, &cache1_, /*jobs=*/1);
     auto rep = serve(cfg, dc, pc);
     expect_conserves(cfg, rep);
     EXPECT_GT(rep.deferred_admissions, 0);

@@ -267,19 +267,10 @@ class ServerTest : public ::testing::Test {
   protected:
     ServerTest()
         : cache_(),
-          sc_(make_serving_compiler(1))
+          sc_(testing::serving_compiler(compiler::GraphKind::kDecode,
+                                        compiler::Mode::kElkFull, 512,
+                                        &cache_))
     {
-    }
-
-    compiler::ServingCompiler
-    make_serving_compiler(int jobs)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = compiler::Mode::kElkFull;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), 512,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         jobs);
     }
 
     runtime::ServingReport
@@ -348,12 +339,9 @@ TEST_F(ServerTest, PoissonReportBitIdenticalAcrossCompilerJobs)
 
     auto serial = serve(sc_, sopts, arrivals);
     compiler::PlanCache fresh_cache;
-    compiler::CompileOptions copts;
-    copts.mode = compiler::Mode::kElkFull;
-    copts.max_orders = 6;
-    compiler::ServingCompiler parallel_sc(testing::tiny_llm(), 512,
-                                          testing::tiny_chip(), copts,
-                                          &fresh_cache, 4);
+    auto parallel_sc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, 512,
+        &fresh_cache, /*jobs=*/4);
     auto parallel = serve(parallel_sc, sopts, arrivals);
     EXPECT_EQ(serial.serialize_bits(), parallel.serialize_bits());
     EXPECT_EQ(serial.requests, 16);

@@ -20,33 +20,9 @@
 namespace elk {
 namespace {
 
-/// @p bits minus the trailing SLO block carrying @p tenants entries
-/// and the chunk/locality block behind it (chunking is off on both
-/// sides of the anchor), leaving everything in front to compare.
-std::string
-strip_slo_block(const std::string& bits, int tenants)
-{
-    const size_t tail = testing::kSloBlockEmpty +
-                        tenants * testing::kTenantEntry +
-                        testing::kChunkBlock;
-    EXPECT_GE(bits.size(), tail);
-    return bits.substr(0, bits.size() - tail);
-}
-
 class SloServingTest : public ::testing::Test {
   protected:
     static constexpr int kSeq = 128;
-
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, {kind});
-    }
 
     /// Plain (KV-free) varlen serving options.
     runtime::ServerOptions
@@ -103,8 +79,10 @@ TEST_F(SloServingTest, SloSingleTenantIsBitIdenticalAcrossModes)
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
           compiler::Mode::kIdeal}) {
-        auto dc = make_compiler(compiler::GraphKind::kDecode, mode);
-        auto pc = make_compiler(compiler::GraphKind::kPrefill, mode);
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, kSeq, &cache_);
+        auto pc = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, mode, kSeq, &cache_);
         auto prefill = [&](int b, int len) {
             return pc.program(b, len);
         };
@@ -123,9 +101,6 @@ TEST_F(SloServingTest, SloSingleTenantIsBitIdenticalAcrossModes)
             EXPECT_FALSE(off_rep.slo);
             ASSERT_TRUE(on_rep.slo);
             ASSERT_EQ(on_rep.tenants, 1);
-            EXPECT_EQ(strip_slo_block(off_rep.serialize_bits(), 0),
-                      strip_slo_block(on_rep.serialize_bits(), 1))
-                << compiler::mode_name(mode) << " " << what;
             EXPECT_EQ(on_rep.tokens, off_rep.tokens);
             EXPECT_EQ(on_rep.makespan, off_rep.makespan);
             EXPECT_EQ(on_rep.iterations, off_rep.iterations);
@@ -137,6 +112,16 @@ TEST_F(SloServingTest, SloSingleTenantIsBitIdenticalAcrossModes)
             ASSERT_EQ(on_rep.tenant_shares.size(), 1u);
             EXPECT_EQ(on_rep.tenant_shares[0].requests, off_rep.requests);
             EXPECT_DOUBLE_EQ(on_rep.tenant_shares[0].token_share, 1.0);
+            EXPECT_EQ(on_rep.slo_attainment, 1.0);
+            // SLO's own fields aside, the reports match byte for byte.
+            auto gated = on_rep;
+            gated.slo = false;
+            gated.tenants = 0;
+            gated.slo_attainment = 0.0;
+            gated.fairness_windows = 0;
+            gated.tenant_shares.clear();
+            EXPECT_EQ(off_rep.serialize_bits(), gated.serialize_bits())
+                << compiler::mode_name(mode) << " " << what;
         }
     }
 }
@@ -153,10 +138,10 @@ TEST_F(SloServingTest, SloSingleTenantIsBitIdenticalAcrossModes)
 // the front of the queue.
 TEST_F(SloServingTest, EdfClaimsTightestDeadlineFirst)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
 
@@ -194,10 +179,10 @@ TEST_F(SloServingTest, EdfClaimsTightestDeadlineFirst)
 // per-tenant roll-up (one tenant per request) pins down which.
 TEST_F(SloServingTest, EdfTiesBreakOnRequestId)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
 
@@ -234,10 +219,10 @@ TEST_F(SloServingTest, EdfTiesBreakOnRequestId)
 // exactly one tenant row.
 TEST_F(SloServingTest, FairnessSharesConserveWorkTokens)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kStatic);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kStatic);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kStatic, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kStatic, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
 
@@ -306,10 +291,10 @@ TEST_F(SloServingTest, TagTenantsIsSeededAndRangeBounded)
 // always a subset of the total.
 TEST_F(SloServingTest, PreemptBudgetBoundsDeadlinePreemptions)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
 
@@ -350,10 +335,10 @@ using SloDeathTest = SloServingTest;
 
 TEST_F(SloDeathTest, RejectsTaggedRequestsWithoutSlo)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kBasic);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kBasic);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kBasic, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kBasic, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
 
@@ -372,10 +357,10 @@ TEST_F(SloDeathTest, RejectsTaggedRequestsWithoutSlo)
 
 TEST_F(SloDeathTest, RejectsBadTenantAndDeadlineTags)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kBasic);
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kBasic);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kBasic, kSeq, &cache_);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kBasic, kSeq, &cache_);
     auto prefill = [&](int b, int len) { return pc.program(b, len); };
     auto decode = [&](int b) { return dc.program(b); };
 

@@ -2,17 +2,19 @@
  * @file
  * Shared fixtures for compiler- and serving-level tests: a small
  * LLM-like graph, the scaled-down chip it compiles for, the plan
- * context / library plumbing around them, and the byte layout of
- * ServingReport::serialize_bits()'s trailing feature blocks.
+ * context / library plumbing around them, and the serving compiler
+ * built over both.
  */
 #ifndef ELK_TESTS_TEST_HELPERS_H
 #define ELK_TESTS_TEST_HELPERS_H
 
-#include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "cost/exec_cost.h"
+#include "elk/plan_cache.h"
 #include "elk/schedule_ir.h"
+#include "elk/serving_compiler.h"
 #include "graph/model_builder.h"
 #include "graph/model_config.h"
 #include "hw/topology.h"
@@ -67,21 +69,25 @@ tiny_chip()
     return chip;
 }
 
-// Byte sizes of ServingReport::serialize_bits()'s trailing blocks. The
-// prefix, SLO and chunk/locality blocks are the fixed suffix of the
-// serialization, in that order (chunk last), so a feature-off anchor
-// compares everything in front of a block by stripping these counts.
+/// A @p kind ServingCompiler for tiny_llm() at sequence length @p seq
+/// on tiny_chip(), with the order search capped at 6 for speed.
+inline compiler::ServingCompiler
+serving_compiler(compiler::GraphKind kind, compiler::Mode mode, int seq,
+                 compiler::PlanCache* cache, int jobs = 1)
+{
+    compiler::CompileOptions copts;
+    copts.mode = mode;
+    copts.max_orders = 6;
+    return compiler::ServingCompiler(tiny_llm(), seq, tiny_chip(), copts,
+                                     cache, jobs, {kind});
+}
 
-/// Prefix block: u8 flag + four 8-byte counters.
-constexpr size_t kPrefixBlock = 1 + 4 * 8;
-/// SLO block with no tenant entries: u8 flag, three int counts, three
-/// doubles, deadline_preemptions, fairness_windows, entry count.
-constexpr size_t kSloBlockEmpty = 1 + 3 * 4 + 3 * 8 + 4 + 8 + 4;
-/// One TenantShare entry of the SLO block.
-constexpr size_t kTenantEntry = 4 + 4 + 8 + 8 + 4 + 4 + 8;
-/// Chunk/locality block: prefill_chunk + three int64 counters +
-/// kv_locality byte + kv_locality_skips.
-constexpr size_t kChunkBlock = 4 + 3 * 8 + 1 + 8;
+/// Machine-total KV bytes per token of tiny_llm().
+inline uint64_t
+tiny_kv_bytes_per_token()
+{
+    return graph::kv_bytes_per_token(tiny_llm());
+}
 
 /// Owns a graph plus the full plan context / library around it.
 struct CompilerHarness {

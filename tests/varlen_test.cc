@@ -78,17 +78,6 @@ TEST(TagPromptLengthsTest, SeededBoundedAndPhaseIndependent)
 
 class VarlenTest : public ::testing::Test {
   protected:
-    compiler::ServingCompiler
-    make_compiler(compiler::GraphKind kind, compiler::Mode mode)
-    {
-        compiler::CompileOptions copts;
-        copts.mode = mode;
-        copts.max_orders = 6;
-        return compiler::ServingCompiler(testing::tiny_llm(), kSeq,
-                                         testing::tiny_chip(), copts, &cache_,
-                                         /*jobs=*/1, {kind});
-    }
-
     /// @p prompt_lens become prefill requests all arriving at t = 0.
     static std::vector<runtime::Request>
     prompts(const std::vector<int>& prompt_lens, int decode_tokens = 1)
@@ -122,10 +111,10 @@ class VarlenTest : public ::testing::Test {
 
 TEST_F(VarlenTest, PaddingWasteAccountsActualVsBucketTokens)
 {
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkDyn);
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkDyn);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkDyn, kSeq, &cache_);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkDyn, kSeq, &cache_);
     runtime::ServerOptions sopts;
     sopts.max_batch = 4;
     sopts.max_prefill_batch = 4;
@@ -146,10 +135,10 @@ TEST_F(VarlenTest, PaddingWasteAccountsActualVsBucketTokens)
 
 TEST_F(VarlenTest, ExactFitPromptsPadNothing)
 {
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkDyn);
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkDyn);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkDyn, kSeq, &cache_);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkDyn, kSeq, &cache_);
     runtime::ServerOptions sopts;
     sopts.max_batch = 4;
     sopts.max_prefill_batch = 2;
@@ -175,8 +164,10 @@ TEST_F(VarlenTest, FullLengthTraceMatchesForcedFullPrefillAllModes)
          {compiler::Mode::kBasic, compiler::Mode::kStatic,
           compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
           compiler::Mode::kIdeal}) {
-        auto pc = make_compiler(compiler::GraphKind::kPrefill, mode);
-        auto dc = make_compiler(compiler::GraphKind::kDecode, mode);
+        auto pc = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, mode, kSeq, &cache_);
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, kSeq, &cache_);
         runtime::ServerOptions bucketed;
         bucketed.max_batch = 4;
         bucketed.max_prefill_batch = 2;
@@ -206,10 +197,10 @@ TEST_F(VarlenTest, FullLengthTraceMatchesForcedFullPrefillAllModes)
 // TTFT and padded tokens, completing the same work.
 TEST_F(VarlenTest, ShortPromptsLowerTtftAndPaddingVsFullLength)
 {
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkFull);
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkFull);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkFull, kSeq, &cache_);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkFull, kSeq, &cache_);
     auto requests = prompts({5, 12, 9, 16, 7, 3}, /*decode_tokens=*/2);
 
     runtime::ServerOptions bucketed;
@@ -240,10 +231,10 @@ TEST_F(VarlenTest, ShortPromptsLowerTtftAndPaddingVsFullLength)
 
 TEST_F(VarlenTest, PlanCacheKeysPartitionPrefillLengthBuckets)
 {
-    auto pc = make_compiler(compiler::GraphKind::kPrefill,
-                            compiler::Mode::kElkDyn);
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kElkDyn);
+    auto pc = testing::serving_compiler(
+        compiler::GraphKind::kPrefill, compiler::Mode::kElkDyn, kSeq, &cache_);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kElkDyn, kSeq, &cache_);
     auto p16 = pc.program(1, 16);
     auto p128 = pc.program(1, kSeq);
     auto d4 = dc.program(4);
@@ -299,8 +290,8 @@ TEST_F(VarlenTest, MakePlanKeySeparatesSequenceLengths)
 
 TEST_F(VarlenTest, DecodeFamilyRejectsShortLengths)
 {
-    auto dc = make_compiler(compiler::GraphKind::kDecode,
-                            compiler::Mode::kBasic);
+    auto dc = testing::serving_compiler(
+        compiler::GraphKind::kDecode, compiler::Mode::kBasic, kSeq, &cache_);
     EXPECT_DEATH(dc.program(1, 16), "model sequence length");
 }
 
