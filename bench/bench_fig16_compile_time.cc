@@ -13,7 +13,10 @@
  * bit-identical to --jobs 1 (pipeline_test verifies this), so wall
  * clock is the only difference. wall(s) measures hardware analysis +
  * plan library + scheduling end to end; compile(s) is the scheduling
- * portion (CompileResult::compile_seconds).
+ * portion (CompileResult::compile_seconds). candidates_scheduled counts
+ * the schedule-elk tuning candidates actually scheduled (out of 40);
+ * it and every column but jobs, wall(s) and compile(s) are
+ * deterministic.
  */
 #include <chrono>
 
@@ -30,7 +33,8 @@ main(int argc, char** argv)
                                    : std::vector<int>{2, 4, 8, 16, 32, 64};
 
     util::Table table({"model", "batch", "jobs", "wall(s)", "compile(s)",
-                       "orders_tested", "N", "P", "K"});
+                       "orders_tested", "candidates_scheduled", "N", "P",
+                       "K"});
 
     for (const auto& model : bench::llm_models()) {
         for (int batch : batches) {
@@ -45,7 +49,7 @@ main(int argc, char** argv)
             double wall = std::chrono::duration<double>(t1 - t0).count();
             table.add(model.name, batch, comp.jobs(), wall,
                       result.compile_seconds, result.stats.orders_tested,
-                      result.stats.n_ops, result.stats.max_plans,
+                      result.stats.candidates_scheduled, result.stats.n_ops, result.stats.max_plans,
                       result.stats.max_fit_window);
         }
     }

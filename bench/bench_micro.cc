@@ -74,9 +74,10 @@ BM_MemoryAllocator(benchmark::State& state)
     live.pop_back();
     std::vector<int> exec_idx(live.size(), 0), floor(live.size(), 0);
     uint64_t budget = f.comp.context().sram_budget();
+    compiler::AllocatorScratch scratch;
     for (auto _ : state) {
-        auto choice =
-            alloc.allocate(current, live, exec_idx, floor, budget);
+        auto choice = alloc.allocate(current, live, exec_idx, floor,
+                                     budget, scratch);
         benchmark::DoNotOptimize(choice);
     }
 }

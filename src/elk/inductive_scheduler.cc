@@ -51,6 +51,18 @@ InductiveScheduler::preload_duration(int op_id,
     return std::max(dram, delivery);
 }
 
+std::vector<int>
+InductiveScheduler::anchor_table(double overhead_weight) const
+{
+    std::vector<int> table;
+    for (const auto& per_exec : library_.preload_fronts()) {
+        for (const auto& front : per_exec) {
+            table.push_back(policy_start(front, overhead_weight));
+        }
+    }
+    return table;
+}
+
 std::optional<ExecutionPlan>
 InductiveScheduler::schedule_in_order(const ScheduleOptions& opts) const
 {
@@ -147,6 +159,7 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
     // policy anchor per exec plan (-1 = not computed yet).
     std::vector<int> live, live_exec, live_floor, own_anchor;
     std::vector<double> chain;
+    AllocatorScratch alloc_scratch;
 
     for (int i = m - 1; i >= 0; --i) {
         const int first = lo[i];
@@ -201,7 +214,7 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
                 break;
             }
             AllocationChoice alloc = allocator_.allocate(
-                i, live, live_exec, live_floor, budget);
+                i, live, live_exec, live_floor, budget, alloc_scratch);
             if (!alloc.feasible) {
                 break;  // larger frontiers only add live operators
             }

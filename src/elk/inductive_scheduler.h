@@ -42,7 +42,8 @@ struct ScheduleOptions {
      * 0 starts at full broadcast (overhead hides under execution in
      * compute-bound regimes), large values start at scatter (fabric is
      * precious in bandwidth-bound regimes). The compiler sweeps this
-     * offline and keeps the best simulated plan.
+     * offline over kOverheadWeights (pass.h) and keeps the best
+     * simulated plan.
      */
     double overhead_weight = 1.0;
 };
@@ -69,6 +70,15 @@ class InductiveScheduler {
     /// Convenience: schedule with the identity (execution) order.
     std::optional<ExecutionPlan> schedule_in_order(
         const ScheduleOptions& opts = {}) const;
+
+    /**
+     * The policy anchor under @p overhead_weight of every distinct
+     * preload front in the library (PlanLibrary::preload_fronts()
+     * order). The anchor is the only thing the weight decides, so two
+     * weights with equal tables schedule every order identically, at
+     * any window and op limit.
+     */
+    std::vector<int> anchor_table(double overhead_weight) const;
 
     /// Estimated preload duration of op given its preload plan
     /// (max of HBM roofline and interconnect delivery, paper §4.2).

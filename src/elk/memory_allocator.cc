@@ -28,7 +28,7 @@ AllocationChoice
 MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
                           const std::vector<int>& live_exec_idx,
                           const std::vector<int>& live_floor_idx,
-                          uint64_t budget) const
+                          uint64_t budget, AllocatorScratch& scratch) const
 {
     util::check(live_ops.size() == live_exec_idx.size() &&
                     live_ops.size() == live_floor_idx.size(),
@@ -44,8 +44,10 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
     // is a running total: a downgrade swaps one plan's space for its
     // successor's. delta[j] caches live op j's next-downgrade delta
     // (-infinity at its smallest plan); only a downgrade of j moves it.
-    std::vector<const std::vector<plan::PreloadPlan>*> fronts(k);
-    std::vector<double> delta(k);
+    auto& fronts = scratch.fronts;
+    auto& delta = scratch.delta;
+    fronts.resize(k);
+    delta.resize(k);
     auto preload_delta = [&](size_t j) {
         const auto& front = *fronts[j];
         int idx = choice.preload_idx[j];

@@ -34,6 +34,18 @@ struct AllocationChoice {
     uint64_t used_space = 0;  ///< per-core bytes after allocation.
 };
 
+/**
+ * Working storage of one allocate() call: each live op's resolved
+ * preload front and its cached next-downgrade delta. The caller owns
+ * it and passes the same object to every call of a hot loop, so the
+ * buffers are allocated once instead of per call; allocate() resizes
+ * and overwrites them, and nothing carries from one call to the next.
+ */
+struct AllocatorScratch {
+    std::vector<const std::vector<plan::PreloadPlan>*> fronts;
+    std::vector<double> delta;
+};
+
 /// The §4.3 greedy allocator over Pareto fronts.
 class MemoryAllocator {
   public:
@@ -53,12 +65,15 @@ class MemoryAllocator {
      *                       (monotone-tightening floor committed by
      *                       later scheduling steps; pass 0s if none).
      * @param budget         per-core SRAM bytes available.
+     * @param scratch        the call's working storage (see
+     *                       AllocatorScratch); one per thread.
      */
     AllocationChoice allocate(int current_op,
                               const std::vector<int>& live_ops,
                               const std::vector<int>& live_exec_idx,
                               const std::vector<int>& live_floor_idx,
-                              uint64_t budget) const;
+                              uint64_t budget,
+                              AllocatorScratch& scratch) const;
 
   private:
     const PlanLibrary& library_;

@@ -71,6 +71,10 @@ struct SearchStats {
     int heavy_per_layer = 0;///< H.
     int heavy_fit = 0;      ///< C.
     int orders_tested = 0;  ///< candidate preload orders evaluated.
+    /// schedule-elk (window, weight) tuning candidates actually
+    /// scheduled and simulated, out of windows x kOverheadWeights;
+    /// weights that share an anchor table reuse the first one's run.
+    int candidates_scheduled = 0;
 };
 
 /**
@@ -107,6 +111,11 @@ struct CompileState {
     /// Scheduler knobs tuned by schedule-elk's offline sweep; the
     /// preload-order-search pass schedules candidates with them.
     std::optional<ScheduleOptions> tuned_schedule;
+    /// Simulated total time of the plan schedule-elk left in `plan`,
+    /// so preload-order-search compares against it without simulating
+    /// that plan again. It lives here, not in the plan's
+    /// est_total_time, which is serialized and keeps its own meaning.
+    std::optional<double> tuned_sim_time;
     std::optional<ExecutionPlan> plan;
     SearchStats stats;
 };
@@ -166,6 +175,23 @@ class CompilerPipeline {
 
     std::vector<std::unique_ptr<Pass>> passes_;
 };
+
+/// The overhead weights (ScheduleOptions::overhead_weight) that
+/// schedule-elk's offline sweep tries at every window, in candidate
+/// order.
+inline constexpr double kOverheadWeights[] = {0.0, 0.25, 1.0, 4.0, 1e9};
+
+/// The preload windows schedule-elk's sweep tries: @p max_window, then
+/// repeatedly two thirds of the previous one, down to 1.
+std::vector<int> sweep_windows(int max_window);
+
+/**
+ * For each weight of kOverheadWeights, the index of the first weight
+ * whose InductiveScheduler::anchor_table over @p sched's library is
+ * equal to its own (itself when none earlier is). Weights in one group
+ * schedule identically, so schedule-elk runs only the first of each.
+ */
+std::vector<int> overhead_weight_groups(const InductiveScheduler& sched);
 
 /// The paper's K for a plan library: the longest run of consecutive
 /// operators whose minimum preload spaces fit on-chip together.

@@ -13,6 +13,7 @@
 #include "elk/pass.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -62,6 +63,35 @@ max_fit_window(const PlanLibrary& library)
         best = std::max(best, right - left + 1);
     }
     return best;
+}
+
+std::vector<int>
+sweep_windows(int max_window)
+{
+    std::vector<int> windows;
+    for (int w = max_window; w >= 1; w = w * 2 / 3) {
+        windows.push_back(w);
+        if (w == 1) {
+            break;
+        }
+    }
+    return windows;
+}
+
+std::vector<int>
+overhead_weight_groups(const InductiveScheduler& sched)
+{
+    std::vector<std::vector<int>> tables;
+    std::vector<int> group;
+    for (double weight : kOverheadWeights) {
+        tables.push_back(sched.anchor_table(weight));
+        int first = 0;
+        while (tables[first] != tables.back()) {
+            ++first;
+        }
+        group.push_back(first);
+    }
+    return group;
 }
 
 namespace {
@@ -395,26 +425,35 @@ class ElkSchedulePass : public Pass {
         // contention, so the preload depth cap is itself a tuning
         // knob: schedule the identity order at a few caps and keep
         // the best simulated plan (offline tuning, like the Static
-        // size search). Every (window, weight) candidate is
-        // independent — the parallel fan-out.
+        // size search). Candidate c is (window c / kWeights, weight
+        // c % kWeights). A weight only picks policy anchors, so a
+        // weight whose anchor table equals an earlier weight's
+        // schedules the same plan: only the first weight of each
+        // group is scheduled and simulated — the parallel fan-out —
+        // and the rest copy its time. A copy sits after its original,
+        // so the first-minimum merge never picks it.
+        constexpr int kWeights = static_cast<int>(std::size(kOverheadWeights));
+        const std::vector<int> group = overhead_weight_groups(sched);
         std::vector<ScheduleOptions> candidates;
-        for (int w = opts.max_window; w >= 1; w = w * 2 / 3) {
-            for (double weight : {0.0, 0.25, 1.0, 4.0, 1e9}) {
+        std::vector<int> scheduled;  // candidate indices that run
+        for (int w : sweep_windows(opts.max_window)) {
+            for (int k = 0; k < kWeights; ++k) {
+                if (group[k] == k) {
+                    scheduled.push_back(static_cast<int>(candidates.size()));
+                }
                 ScheduleOptions wopts = sopts;
                 wopts.max_window = w;
-                wopts.overhead_weight = weight;
+                wopts.overhead_weight = kOverheadWeights[k];
                 candidates.push_back(wopts);
-            }
-            if (w == 1) {
-                break;
             }
         }
 
         const sim::Machine& machine = *state.machine;
         std::vector<std::optional<ExecutionPlan>> plans(candidates.size());
         std::vector<double> times(candidates.size(), kInf);
-        for_each_candidate(state, static_cast<int>(candidates.size()),
-                           [&](int c) {
+        for_each_candidate(state, static_cast<int>(scheduled.size()),
+                           [&](int s) {
+            const int c = scheduled[s];
             auto cand = sched.schedule_in_order(candidates[c]);
             if (!cand) {
                 return;
@@ -425,34 +464,36 @@ class ElkSchedulePass : public Pass {
                     .total_time;
             plans[c] = std::move(cand);
         });
+        for (int c = 0; c < static_cast<int>(candidates.size()); ++c) {
+            const int k = c % kWeights;
+            times[c] = times[c - k + group[k]];
+        }
 
         int best = argmin_first(times);
         util::check(best >= 0, "Elk: identity preload order infeasible");
         sopts = candidates[best];
         std::optional<ExecutionPlan> in_order = std::move(plans[best]);
+        // times[best] is *in_order's simulated total time already.
+        double in_order_time = times[best];
 
         // The uniform preload/execution split is one more point of
         // Elk's trade-off space (a fixed frontier with fixed spaces);
         // include it in the sweep so the dynamic search never
-        // regresses below it.
-        {
-            sim::Engine engine(machine);
-            // times[best] is *in_order's simulated total time already
-            // (same plan, same deterministic machine) — no re-run.
-            double in_order_time = times[best];
-            ExecutionPlan uniform = schedule_static(state);
-            double uniform_time =
-                engine.run(runtime::lower_to_sim(graph, uniform, ctx))
-                    .total_time;
-            if (uniform_time < in_order_time) {
-                in_order = std::move(uniform);
-            }
+        // regresses below it. schedule_static stores its winner's
+        // simulated time in est_total_time.
+        ExecutionPlan uniform = schedule_static(state);
+        if (uniform.est_total_time < in_order_time) {
+            in_order_time = uniform.est_total_time;
+            in_order = std::move(uniform);
         }
         in_order->mode = "Elk-Dyn";
         if (state.opts.mode == Mode::kElkDyn) {
             state.stats.orders_tested = 1;
         }
+        state.stats.candidates_scheduled =
+            static_cast<int>(scheduled.size());
         state.tuned_schedule = sopts;
+        state.tuned_sim_time = in_order_time;
         state.plan = std::move(in_order);
     }
 };
@@ -474,7 +515,8 @@ class PreloadOrderSearchPass : public Pass {
     run(CompileState& state) const override
     {
         util::check(state.plan.has_value() &&
-                        state.tuned_schedule.has_value(),
+                        state.tuned_schedule.has_value() &&
+                        state.tuned_sim_time.has_value(),
                     "preload-order-search: schedule-elk must run first");
         const graph::Graph& graph = *state.graph;
         const PlanLibrary& library = *state.library;
@@ -528,9 +570,8 @@ class PreloadOrderSearchPass : public Pass {
             double full_time =
                 engine.run(runtime::lower_to_sim(graph, *full, ctx))
                     .total_time;
-            double identity_time =
-                engine.run(runtime::lower_to_sim(graph, *in_order, ctx))
-                    .total_time;
+            // schedule-elk already simulated the identity plan.
+            double identity_time = *state.tuned_sim_time;
             if (identity_time < full_time) {
                 full = std::move(in_order);
             }

@@ -102,15 +102,17 @@ ExecutionPlan::serialize_bits() const
 
 namespace {
 
-/// Signature key for plan sharing across identical operators.
+/// Signature key for plan sharing across identical operators: every
+/// operator field plan::compute_plan_metrics and the preload
+/// enumeration read.
 std::string
 signature(const graph::Operator& op)
 {
     std::ostringstream key;
     key << static_cast<int>(op.kind) << ":" << op.batch << ":" << op.m
         << ":" << op.n << ":" << op.k << ":" << op.param_bytes << ":"
-        << op.stream_bytes << ":" << op.w_share_rows << ":"
-        << op.dtype_bytes;
+        << op.stream_bytes << ":" << op.act_out_bytes << ":"
+        << op.w_share_rows << ":" << op.dtype_bytes;
     return key.str();
 }
 

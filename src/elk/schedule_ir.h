@@ -49,7 +49,8 @@ struct ExecutionPlan {
 
 /**
  * Caches Pareto plan fronts per operator. Operators with identical
- * signatures (kind + dims + byte counts) share one entry, which keeps
+ * signatures (kind + dims + every byte count the plan metrics read,
+ * act_out_bytes included) share one entry, which keeps
  * enumeration cost sub-linear in model size (paper §5 scalability).
  */
 class PlanLibrary {
@@ -76,6 +77,17 @@ class PlanLibrary {
      */
     const std::vector<plan::PreloadPlan>& preload_plans(int id,
                                                         int exec_idx) const;
+
+    /**
+     * Every distinct preload-state front, [signature][exec plan index]
+     * in first-seen signature order: each front preload_plans() can
+     * return appears here exactly once.
+     */
+    const std::vector<std::vector<std::vector<plan::PreloadPlan>>>&
+    preload_fronts() const
+    {
+        return preload_fronts_;
+    }
 
     /// The paper's P: maximum Pareto plans across operators.
     int max_plans_per_op() const;

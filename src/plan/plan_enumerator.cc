@@ -94,6 +94,21 @@ per_core_peer_bw(const PlanContext& ctx, long cores_used)
     return std::min(ctx.cfg->inter_core_link_bw, fair_share);
 }
 
+/**
+ * One feasible execute plan as enumeration keeps it: its two Pareto
+ * axes (exec_space, time_cost()) and the decision variables that
+ * rebuild the whole ExecPlan through compute_plan_metrics.
+ */
+struct PlanPoint {
+    uint64_t exec_space;
+    double time_cost;
+    int parts_rows;
+    int parts_cols;
+    int parts_k;
+    int repl_a;
+    int repl_w;
+};
+
 }  // namespace
 
 bool
@@ -255,7 +270,13 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
     const bool mm = graph::uses_matmul_pipeline(op.kind);
     const long contraction = mm ? op.k : 1;
 
-    std::vector<ExecPlan> plans;
+    // Feasible plans are kept as compact points (the two Pareto axes
+    // plus the decision variables) in enumeration order; only the
+    // front's survivors are rebuilt as full ExecPlans below. The sort
+    // sees the same (space, time) keys in the same order as a sort of
+    // whole plans would, so it makes the same comparisons and yields
+    // the same permutation, exact ties included.
+    std::vector<PlanPoint> points;
     auto rows_parts = candidate_parts(rows, total_cores);
     for (int pr : rows_parts) {
         auto cols_parts = row_reduction_kind(op.kind)
@@ -297,7 +318,9 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
                         plan.repl_a = ra;
                         plan.repl_w = rw;
                         if (compute_plan_metrics(op, ctx, plan)) {
-                            plans.push_back(plan);
+                            points.push_back({plan.exec_space,
+                                              plan.time_cost(), pr, pc, pk,
+                                              ra, rw});
                         }
                     }
                 }
@@ -305,11 +328,21 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
         }
     }
 
-    auto front = pareto_front(
-        std::move(plans), [](const ExecPlan& p) { return p.exec_space; },
-        [](const ExecPlan& p) { return p.time_cost(); });
-    util::check(!front.empty(),
+    auto kept = pareto_front(
+        std::move(points), [](const PlanPoint& p) { return p.exec_space; },
+        [](const PlanPoint& p) { return p.time_cost; });
+    util::check(!kept.empty(),
                 "no feasible execution plan for operator " + op.name);
+    std::vector<ExecPlan> front(kept.size());
+    for (size_t i = 0; i < kept.size(); ++i) {
+        ExecPlan& plan = front[i];
+        plan.parts_rows = kept[i].parts_rows;
+        plan.parts_cols = kept[i].parts_cols;
+        plan.parts_k = kept[i].parts_k;
+        plan.repl_a = kept[i].repl_a;
+        plan.repl_w = kept[i].repl_w;
+        compute_plan_metrics(op, ctx, plan);
+    }
     return front;
 }
 

@@ -44,6 +44,9 @@ class AllocatorTest : public ::testing::Test {
     }
 
     testing::CompilerHarness h_;
+    /// Shared by every call of a test, as the scheduler shares one
+    /// across a schedule() call.
+    AllocatorScratch scratch_;
 };
 
 TEST_F(AllocatorTest, EmptyLiveSetPicksFastestPlan)
@@ -51,7 +54,7 @@ TEST_F(AllocatorTest, EmptyLiveSetPicksFastestPlan)
     MemoryAllocator alloc(*h_.library);
     int op = find_matmul();
     auto choice =
-        alloc.allocate(op, {}, {}, {}, h_.ctx.sram_budget());
+        alloc.allocate(op, {}, {}, {}, h_.ctx.sram_budget(), scratch_);
     ASSERT_TRUE(choice.feasible);
     EXPECT_EQ(choice.exec_idx, 0);
     EXPECT_DOUBLE_EQ(choice.exec_time,
@@ -69,7 +72,8 @@ TEST_F(AllocatorTest, ResultAlwaysFitsBudget)
     for (uint64_t budget :
          {h_.ctx.sram_budget(), h_.ctx.sram_budget() / 2,
           h_.ctx.sram_budget() / 4}) {
-        auto choice = alloc.allocate(cur, live, exec_idx, floor, budget);
+        auto choice =
+            alloc.allocate(cur, live, exec_idx, floor, budget, scratch_);
         if (choice.feasible) {
             EXPECT_LE(choice.used_space, budget);
         }
@@ -84,10 +88,10 @@ TEST_F(AllocatorTest, SmallerBudgetNeverFaster)
     live.pop_back();
     std::vector<int> exec_idx(live.size(), 0);
     std::vector<int> floor(live.size(), 0);
-    auto big =
-        alloc.allocate(cur, live, exec_idx, floor, h_.ctx.sram_budget());
+    auto big = alloc.allocate(cur, live, exec_idx, floor,
+                              h_.ctx.sram_budget(), scratch_);
     auto small = alloc.allocate(cur, live, exec_idx, floor,
-                                h_.ctx.sram_budget() / 3);
+                                h_.ctx.sram_budget() / 3, scratch_);
     if (big.feasible && small.feasible) {
         EXPECT_LE(big.exec_time + big.total_distribute_time,
                   small.exec_time + small.total_distribute_time + 1e-12);
@@ -98,7 +102,7 @@ TEST_F(AllocatorTest, InfeasibleWhenBudgetTiny)
 {
     MemoryAllocator alloc(*h_.library);
     int cur = find_matmul();
-    auto choice = alloc.allocate(cur, {}, {}, {}, 16);
+    auto choice = alloc.allocate(cur, {}, {}, {}, 16, scratch_);
     EXPECT_FALSE(choice.feasible);
 }
 
@@ -113,7 +117,7 @@ TEST_F(AllocatorTest, FloorRespected)
                    h_.library->preload_plans(live[0], 0).size()) -
                1;
     auto choice = alloc.allocate(cur, live, {0}, {last},
-                                 h_.ctx.sram_budget());
+                                 h_.ctx.sram_budget(), scratch_);
     ASSERT_TRUE(choice.feasible);
     EXPECT_GE(choice.preload_idx[0], last);
 }
@@ -131,7 +135,8 @@ TEST_F(AllocatorTest, DowngradesPreloadBeforeCripplingExec)
     std::vector<int> exec_idx(live.size(), 0);
     std::vector<int> floor(live.size(), 0);
     uint64_t budget = h_.ctx.sram_budget();
-    auto choice = alloc.allocate(cur, live, exec_idx, floor, budget);
+    auto choice =
+        alloc.allocate(cur, live, exec_idx, floor, budget, scratch_);
     ASSERT_TRUE(choice.feasible);
     int slowest =
         static_cast<int>(h_.library->exec_plans(cur).size()) - 1;
@@ -172,7 +177,8 @@ TEST_F(AllocatorTest, RandomRequestsKeepExactFootprint)
             h_.ctx.sram_budget() / 8 +
             rng() % (h_.ctx.sram_budget() - h_.ctx.sram_budget() / 8);
 
-        auto choice = alloc.allocate(cur, live, exec_idx, floor, budget);
+        auto choice =
+            alloc.allocate(cur, live, exec_idx, floor, budget, scratch_);
 
         ASSERT_EQ(choice.preload_idx.size(), k);
         ASSERT_LT(choice.exec_idx,
@@ -186,6 +192,14 @@ TEST_F(AllocatorTest, RandomRequestsKeepExactFootprint)
             resum += front[choice.preload_idx[j]].preload_space;
         }
         EXPECT_EQ(choice.used_space, resum);
+        // The reused scratch carries nothing over: a fresh one agrees.
+        AllocatorScratch fresh;
+        auto again =
+            alloc.allocate(cur, live, exec_idx, floor, budget, fresh);
+        EXPECT_EQ(again.feasible, choice.feasible);
+        EXPECT_EQ(again.exec_idx, choice.exec_idx);
+        EXPECT_EQ(again.preload_idx, choice.preload_idx);
+        EXPECT_EQ(again.used_space, choice.used_space);
         if (choice.feasible) {
             EXPECT_LE(choice.used_space, budget);
             ++feasible;

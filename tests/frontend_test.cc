@@ -58,6 +58,24 @@ TEST(GraphIoTest, FileRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(GraphIoTest, OpsDifferingOnlyInActOutBytesGetTheirOwnFronts)
+{
+    // Two loaded MatMuls that differ only in act_out_bytes. On a
+    // multi-chip config the output crosses chips, so every plan's
+    // exec_time includes act_out_bytes / inter_chip_bw, and one shared
+    // front would price the second op with the first op's output.
+    graph::Graph g = from_egf(
+        "elk-graph-v1 m\n"
+        "op small MatMul 0 1 32 512 512 2 0 524288 0 32768 32768\n"
+        "op large MatMul 0 1 32 512 512 2 0 524288 0 32768 131072\n");
+    hw::ChipConfig chip = testing::tiny_chip();
+    chip.num_chips = 4;
+    testing::CompilerHarness h(std::move(g), chip);
+    EXPECT_NE(h.library->exec_plans(0)[0].exec_time,
+              h.library->exec_plans(1)[0].exec_time);
+    EXPECT_EQ(h.library->num_signatures(), 2);
+}
+
 TEST(GraphIoDeathTest, RejectsBadMagic)
 {
     EXPECT_DEATH(from_egf("not-a-graph foo"), "bad magic");

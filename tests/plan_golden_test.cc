@@ -5,6 +5,9 @@
  * five modes), for real Llama2-13B serving buckets, and for direct
  * InductiveScheduler::schedule calls over seeded preload orders and a
  * grid of scheduling knobs. Infeasible orders digest as "nullopt".
+ * The Llama2-13B buckets also pin every field of their execute-state
+ * fronts and schedule-elk's candidate count, and a property checks
+ * that overhead weights with equal anchor tables schedule alike.
  * A scheduler or allocator refactor must keep every digest; regenerate
  * the tables only for an intended change of compiled plans. A mismatch
  * prints the case and the actual digest.
@@ -161,6 +164,48 @@ TEST(PlanGoldenTest, TinySchedulerCorpus)
     }
 }
 
+/**
+ * The premise of schedule-elk's deduplicated sweep: at every sweep
+ * window, each weight that overhead_weight_groups() folds into an
+ * earlier one schedules a plan bit-identical to that weight's. Returns
+ * the number of folded (window, weight) pairs checked.
+ */
+int
+expect_weight_groups_schedule_alike(const PlanLibrary& library,
+                                    const std::string& what)
+{
+    const InductiveScheduler sched(library);
+    const std::vector<int> group = overhead_weight_groups(sched);
+    EXPECT_EQ(group.size(), std::size(kOverheadWeights));
+    int folded = 0;
+    for (int w : sweep_windows(CompileOptions{}.max_window)) {
+        for (int k = 0; k < static_cast<int>(group.size()); ++k) {
+            EXPECT_LE(group[k], k);
+            if (group[k] == k) {
+                continue;
+            }
+            ScheduleOptions first;
+            first.max_window = w;
+            first.overhead_weight = kOverheadWeights[group[k]];
+            ScheduleOptions folded_in = first;
+            folded_in.overhead_weight = kOverheadWeights[k];
+            EXPECT_EQ(digest_of(sched.schedule_in_order(folded_in)).value(),
+                      digest_of(sched.schedule_in_order(first)).value())
+                << what << " window " << w << ": weight "
+                << kOverheadWeights[k] << " vs "
+                << kOverheadWeights[group[k]];
+            ++folded;
+        }
+    }
+    return folded;
+}
+
+TEST(PlanGoldenTest, TinyWeightGroupsScheduleAlike)
+{
+    auto h = testing::CompilerHarness::tiny();
+    EXPECT_GT(expect_weight_groups_schedule_alike(*h.library, "tiny"), 0);
+}
+
 // --- Llama2-13B serving buckets -------------------------------------------
 
 /// One real serving bucket on the POD4 chip.
@@ -192,6 +237,68 @@ constexpr uint64_t kBucketDigests[][2] = {
     {0x3b2c099d57ae0675ull, 0x949aad1fe445770bull},
 };
 
+/// Per bucket: SearchStats::candidates_scheduled of both modes, out of
+/// the sweep's 8 windows x 5 weights = 40 candidates.
+constexpr int kBucketCandidatesScheduled[] = {8, 24};
+
+/**
+ * Per bucket: every field of every execute-state front, op by op. The
+ * fronts also pin the exact-tie order: where two factorizations tie on
+ * (exec_space, time_cost) exactly, the front keeps whichever the sort
+ * placed first, which depends on the enumeration order and on the
+ * comparator alone.
+ */
+constexpr uint64_t kBucketFrontDigests[] = {
+    0xf2d7ad18f3fe85d3ull,
+    0xd68d5ed8c3231982ull,
+};
+
+util::Fnv1a
+exec_front_digest(const PlanLibrary& library)
+{
+    util::Fnv1a digest;
+    for (int i = 0; i < library.graph().size(); ++i) {
+        const auto& front = library.exec_plans(i);
+        digest.mix_value(static_cast<uint64_t>(front.size()));
+        for (const plan::ExecPlan& p : front) {
+            digest.mix_value(p.parts_rows);
+            digest.mix_value(p.parts_cols);
+            digest.mix_value(p.parts_k);
+            digest.mix_value(p.repl_a);
+            digest.mix_value(p.repl_w);
+            digest.mix_value(p.tile_rows);
+            digest.mix_value(p.tile_cols);
+            digest.mix_value(p.tile_k);
+            digest.mix_value(p.a_need);
+            digest.mix_value(p.w_need);
+            digest.mix_value(p.out_bytes);
+            digest.mix_value(p.group_a);
+            digest.mix_value(p.group_w);
+            digest.mix_value(p.exec_space);
+            digest.mix_value(p.fetch_bytes);
+            digest.mix_value(p.reduce_bytes);
+            digest.mix_value(p.hbm_stream_bytes);
+            digest.mix_value(p.compute_time);
+            digest.mix_value(p.exec_time);
+            digest.mix_value(p.fabric_time);
+        }
+    }
+    return digest;
+}
+
+TEST(PlanGoldenTest, Llama2BucketExecFronts)
+{
+    const hw::ChipConfig chip = hw::ChipConfig::ipu_pod4();
+    for (size_t b = 0; b < std::size(kBuckets); ++b) {
+        const graph::Graph graph = bucket_graph(kBuckets[b]);
+        Compiler compiler(graph, chip, nullptr, /*jobs=*/4);
+        auto actual = exec_front_digest(compiler.library());
+        EXPECT_EQ(actual.value(), kBucketFrontDigests[b])
+            << kBuckets[b].name << " exec fronts digest 0x"
+            << actual.hex();
+    }
+}
+
 /// Per bucket: the scheduler corpus over the bucket's own library.
 constexpr ScheduleCase kBucketScheduleCases[][2] = {
     {{28, 1.0, 0, 0x4e3000b59c1865e5ull},
@@ -210,11 +317,19 @@ TEST(PlanGoldenTest, Llama2BucketsCompileAndSchedule)
         for (size_t m = 0; m < std::size(modes); ++m) {
             CompileOptions opts;
             opts.mode = modes[m];
-            auto actual = digest_of(compiler.compile(opts).plan);
+            const CompileResult result = compiler.compile(opts);
+            auto actual = digest_of(result.plan);
             EXPECT_EQ(actual.value(), kBucketDigests[b][m])
                 << kBuckets[b].name << " " << mode_name(modes[m])
                 << " digest 0x" << actual.hex();
+            EXPECT_EQ(result.stats.candidates_scheduled,
+                      kBucketCandidatesScheduled[b])
+                << kBuckets[b].name << " " << mode_name(modes[m]);
+            EXPECT_LT(result.stats.candidates_scheduled, 40);
         }
+        EXPECT_GT(expect_weight_groups_schedule_alike(compiler.library(),
+                                                      kBuckets[b].name),
+                  0);
 
         const InductiveScheduler sched(compiler.library());
         const auto orders = seeded_orders(compiler.library(), 4);
