@@ -328,6 +328,7 @@ Cluster::serve(const std::vector<Request>& requests,
         rep.kv_migrations += r.kv_migrations;
         rep.kv_migrated_tokens += r.kv_migrated_tokens;
         rep.kv_migration_stall += r.kv_migration_stall;
+        rep.engine_replays += r.engine_replays;
         min_tokens = std::min(min_tokens, r.tokens);
         max_tokens = std::max(max_tokens, r.tokens);
     }
@@ -394,6 +395,7 @@ ClusterReport::summary() const
             << deadline_preemptions << " deadline preemptions"
             << tenant_share_lines(tenant_shares);
     }
+    out << "\n  engine memo  : " << engine_replays << " engine replays";
     for (size_t i = 0; i < replica_reports.size(); ++i) {
         const ServingReport& r = replica_reports[i];
         out << "\n  replica " << i << "    : "

@@ -122,6 +122,10 @@ struct ClusterReport {
     int64_t kv_migrations = 0;
     int64_t kv_migrated_tokens = 0;
     double kv_migration_stall = 0.0;
+    /// Engine runs replayed from the iteration memo (sum of replica
+    /// counters). A work counter, not a result: serialize_bits()
+    /// leaves it out.
+    int64_t engine_replays = 0;
     /// SLO roll-up (present when the replicas run ServerOptions::slo):
     /// deadline carriers and misses summed across replicas, the worst
     /// replica's p99 lateness (an SLO is only as good as the slowest

@@ -1451,6 +1451,7 @@ DisaggRun::finalize()
     }
     rep_.resident_bytes = state_.resident_bytes();
     rep_.preloads_skipped = state_.resident_hits();
+    rep_.engine_replays = state_.replays();
 
     if (!ttfts_.empty()) {
         rep_.mean_ttft = util::mean(ttfts_);
@@ -2125,7 +2126,8 @@ ServingReport::summary() const
         << "  decode preload ms: first " << ms(first_decode_preload)
         << ", steady " << ms(steady_decode_preload) << " ("
         << resident_bytes / 1024 << " KB/core resident, "
-        << preloads_skipped << " preloads skipped)";
+        << preloads_skipped << " preloads skipped)\n"
+        << "  engine memo  : " << engine_replays << " engine replays";
     if (prefill_iterations > 0) {
         out << "\n  ttft ms      : mean " << ms(mean_ttft) << "  p50 "
             << ms(p50_ttft) << "  p95 " << ms(p95_ttft) << "  max "

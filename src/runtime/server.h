@@ -444,6 +444,11 @@ struct ServingReport {
     uint64_t resident_bytes = 0;
     /// Preloads satisfied from resident weights (no HBM traffic).
     int64_t preloads_skipped = 0;
+    /// Engine runs completed from the iteration memo instead of
+    /// stepped (EngineState::replays()). A work counter, not a result:
+    /// serialize_bits() leaves it out, so a memoized serve and one that
+    /// steps every run stay bit-identical.
+    int64_t engine_replays = 0;
 
     // --- disaggregation / preemption ---
     int prefill_iterations = 0;
@@ -588,9 +593,9 @@ struct ServingReport {
     /// Multi-line human summary.
     std::string summary() const;
 
-    /// Byte-exact serialization of every metric (IEEE bit patterns);
-    /// equal strings iff the reports are bit-identical — the --jobs
-    /// determinism check.
+    /// Byte-exact serialization of every metric (IEEE bit patterns),
+    /// all but the engine_replays work counter; equal strings iff the
+    /// reports are bit-identical — the --jobs determinism check.
     std::string serialize_bits() const;
 };
 

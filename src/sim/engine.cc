@@ -14,6 +14,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Bit-exact equality of two timing vectors.
+bool
+same_timing(const std::vector<OpTiming>& a, const std::vector<OpTiming>& b)
+{
+    if (a.size() != b.size()) {
+        return false;
+    }
+    for (size_t i = 0; i < a.size(); ++i) {
+        const double x[] = {a[i].pre_start, a[i].pre_end, a[i].exec_start,
+                            a[i].exec_end};
+        const double y[] = {b[i].pre_start, b[i].pre_end, b[i].exec_start,
+                            b[i].exec_end};
+        if (a[i].op_id != b[i].op_id || std::memcmp(x, y, sizeof(x)) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
 }  // namespace
 
 void
@@ -149,18 +168,13 @@ EngineState::begin_memo(std::shared_ptr<const SimProgram> program,
     }
     recording_ = false;
     evict_stale(*p);
-    // The key covers the weights only: KV-bearing runs stay unmemoized.
-    const bool memoizable = kv_.empty();
-    uint64_t hash = 0;
+    const uint64_t hash = memo_key(p);
     const MemoEntry* hit = nullptr;
-    if (memoizable) {
-        hash = memo_key(p);
-        for (const MemoEntry& m : memo_) {
-            if (m.hash == hash && m.program.get() == p &&
-                m.key == memo_key_) {
-                hit = &m;
-                break;
-            }
+    for (const MemoEntry& m : memo_) {
+        if (m.hash == hash && m.program.get() == p && m.key == memo_key_ &&
+            memo_applies(m)) {
+            hit = &m;
+            break;
         }
     }
     load(*p);
@@ -172,9 +186,11 @@ EngineState::begin_memo(std::shared_ptr<const SimProgram> program,
         replay(*hit);
         return true;
     }
-    if (memoizable && hit == nullptr) {
+    if (hit == nullptr) {
         recording_ = true;
+        rec_pressured_ = false;
         rec_hash_ = hash;
+        rec_base_ = occupancy_;
         rec_pre_ = resident_;
         rec_seq_ = resident_seq_;
         rec_hits_ = resident_hits_;
@@ -440,7 +456,7 @@ EngineState::kv_alloc(int64_t id, uint64_t per_core_bytes)
         [](const KvSlot& slot, int64_t key) { return slot.id < key; });
     util::check(pos == kv_.end() || pos->id != id,
                 "EngineState: kv_alloc() of an existing segment");
-    recording_ = false;  // the run no longer starts from a KV-free pool
+    recording_ = false;  // see the KV section of engine.h
     KvSlot slot;
     slot.id = id;
     slot.seg.bytes = per_core_bytes;
@@ -464,6 +480,7 @@ EngineState::kv_alloc(int64_t id, uint64_t per_core_bytes)
 bool
 EngineState::kv_fetch(int64_t id)
 {
+    recording_ = false;
     const int idx = kv_find(id);
     util::check(idx >= 0,
                 "EngineState: kv_fetch() of an unowned segment");
@@ -490,6 +507,7 @@ EngineState::kv_fetch(int64_t id)
 void
 EngineState::kv_grow(int64_t id, uint64_t per_core_bytes)
 {
+    recording_ = false;
     const int idx = kv_find(id);
     util::check(idx >= 0,
                 "EngineState: kv_grow() of an unowned segment");
@@ -523,6 +541,7 @@ EngineState::kv_grow(int64_t id, uint64_t per_core_bytes)
 void
 EngineState::kv_pin(int64_t id)
 {
+    recording_ = false;
     const int idx = kv_find(id);
     util::check(idx >= 0 && kv_[idx].seg.resident,
                 "EngineState: kv_pin() needs a resident segment");
@@ -543,6 +562,7 @@ EngineState::kv_unpin(int64_t id)
 void
 EngineState::kv_free(int64_t id)
 {
+    recording_ = false;
     const int idx = kv_find(id);
     util::check(idx >= 0,
                 "EngineState: kv_free() of an unowned segment");
@@ -598,6 +618,7 @@ EngineState::kv_share_count(int64_t id) const
 void
 EngineState::kv_evict(int64_t id)
 {
+    recording_ = false;
     const int idx = kv_find(id);
     util::check(idx >= 0,
                 "EngineState: kv_evict() of an unowned segment");
@@ -663,6 +684,11 @@ EngineState::check_pool_invariants() const
                 "EngineState: kv_resident_bytes_ drifted from the pool");
     util::check(shared_bytes == kv_shared_bytes_,
                 "EngineState: kv_shared_bytes_ drifted from the pool");
+    // The memo shifts occupancy by differences, which is exact only
+    // while it is an integer byte sum below 2^53.
+    util::check(occupancy_ == std::floor(occupancy_) &&
+                    std::fabs(occupancy_) < 9007199254740992.0,
+                "EngineState: occupancy_ left the exact integer range");
 #endif
 }
 
@@ -708,6 +734,14 @@ EngineState::relieve_pressure()
     }
     const double limit =
         static_cast<double>(machine_.config().usable_sram_per_core());
+    if (recording_ && occupancy_ > limit) {
+        // From here on the run reads every victim's key and the exact
+        // occupancy; a memo entry cannot key the KV pool.
+        rec_pressured_ = true;
+        if (!kv_.empty()) {
+            recording_ = false;
+        }
+    }
     while (occupancy_ > limit) {
         // Weights and KV segments compete: the policy's first victim
         // across both classes goes.
@@ -809,16 +843,15 @@ EngineState::retire_op(int i)
 uint64_t
 EngineState::memo_key(const SimProgram* program)
 {
-    // Everything a run's arithmetic reads from outside its program:
-    // the occupancy bits, the budgets, the policy, and each weight
-    // entry — its recency as a rank among the entries (new seqs always
-    // exceed old ones, so only their order is ever compared), its hits
-    // only where the policy scores them. KV-free pools only.
+    // Everything a pressure-free run's arithmetic reads from outside
+    // its program: the budgets, the policy, and each weight entry —
+    // its recency as a rank among the entries (new seqs always exceed
+    // old ones, so only their order is ever compared), its hits only
+    // where the policy scores them. The occupancy is not part of the
+    // key: memo_applies() guards it, and KV segments enter a run only
+    // through it.
     const bool scored = opts_.policy == ResidencyPolicy::kFrequencyAware;
-    uint64_t occupancy_bits;
-    std::memcpy(&occupancy_bits, &occupancy_, sizeof(occupancy_bits));
-    memo_key_.assign({occupancy_bits, opts_.residency_budget,
-                      opts_.kv_budget,
+    memo_key_.assign({opts_.residency_budget, opts_.kv_budget,
                       static_cast<uint64_t>(opts_.policy)});
     for (const ResidentSlot& slot : resident_) {
         uint64_t rank = 0;
@@ -837,6 +870,21 @@ EngineState::memo_key(const SimProgram* program)
     h.mix_value(program);
     h.mix(memo_key_.data(), memo_key_.size() * sizeof(uint64_t));
     return h.value();
+}
+
+bool
+EngineState::memo_applies(const MemoEntry& m) const
+{
+    if (m.pressured) {
+        return kv_.empty() &&
+               std::memcmp(&occupancy_, &m.base, sizeof(double)) == 0;
+    }
+    // Shifted by occupancy_ - base, every pressure check of the run
+    // sees at most this: the exact complement of relieve_pressure()'s
+    // test, so no check fires and the KV pool is never read.
+    const double limit =
+        static_cast<double>(machine_.config().usable_sram_per_core());
+    return occupancy_ + (m.peak - m.base) <= limit;
 }
 
 void
@@ -860,12 +908,19 @@ EngineState::replay(const MemoEntry& m)
         replay_scratch_.push_back(slot);
     }
     resident_.swap(replay_scratch_);
+    // Occupancy is an integer byte sum below 2^53, so stepping from
+    // another base moves every value by exactly the difference.
+    const double shift = occupancy_ - m.base;
     resident_bytes_ = m.resident_bytes;
-    occupancy_ = m.occupancy;
+    occupancy_ = m.occupancy + shift;
     resident_seq_ += m.seq_delta;
     resident_hits_ += m.hits_delta;
     resident_evictions_ += m.evictions_delta;
+    std::vector<OpTiming> timing = std::move(f_.result.timing);
     f_.result = m.result;
+    timing.assign(m.timing->begin(), m.timing->end());
+    f_.result.timing = std::move(timing);
+    f_.result.peak_sram_per_core = static_cast<uint64_t>(m.peak + shift);
     f_.t = m.t_final;
     f_.t_complete = m.t_final;
     f_.complete = true;
@@ -874,15 +929,46 @@ EngineState::replay(const MemoEntry& m)
     check_pool_invariants();
 }
 
+std::shared_ptr<const std::vector<OpTiming>>
+EngineState::intern_timing(const std::vector<OpTiming>& timing)
+{
+    util::Fnv1a h;
+    for (const OpTiming& t : timing) {
+        h.mix_value(t.op_id);
+        h.mix_value(t.pre_start);
+        h.mix_value(t.pre_end);
+        h.mix_value(t.exec_start);
+        h.mix_value(t.exec_end);
+    }
+    for (const InternedTiming& it : timings_) {
+        if (it.hash == h.value() && same_timing(*it.timing, timing)) {
+            return it.timing;
+        }
+    }
+    // Drop the vectors no memo entry holds any more.
+    timings_.erase(std::remove_if(timings_.begin(), timings_.end(),
+                                  [](const InternedTiming& it) {
+                                      return it.timing.use_count() == 1;
+                                  }),
+                   timings_.end());
+    timings_.push_back(
+        {h.value(), std::make_shared<const std::vector<OpTiming>>(timing)});
+    return timings_.back().timing;
+}
+
 void
-EngineState::record(const SimResult& result)
+EngineState::record(SimResult& result)
 {
     recording_ = false;
     MemoEntry m;
     m.program = f_.owner;
     m.hash = rec_hash_;
     m.key = memo_key_;
+    // A moved-from vector is empty: the entry's result holds no timing.
+    std::vector<OpTiming> timing = std::move(result.timing);
     m.result = result;
+    result.timing = std::move(timing);
+    m.timing = intern_timing(result.timing);
     m.t_final = f_.t_complete;
     for (const ResidentSlot& slot : resident_) {
         MemoSlot ms;
@@ -906,7 +992,14 @@ EngineState::record(const SimResult& result)
         m.post.push_back(ms);
     }
     m.resident_bytes = resident_bytes_;
+    m.base = rec_base_;
+    m.peak = f_.peak;
     m.occupancy = occupancy_;
+    // A peak above the limit is pressure even when no check saw it:
+    // relieve_pressure() returns early on an empty pool.
+    const double limit =
+        static_cast<double>(machine_.config().usable_sram_per_core());
+    m.pressured = rec_pressured_ || f_.peak > limit;
     m.seq_delta = resident_seq_ - rec_seq_;
     m.hits_delta = resident_hits_ - rec_hits_;
     m.evictions_delta = resident_evictions_ - rec_evictions_;

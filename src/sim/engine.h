@@ -177,18 +177,24 @@ class EngineState {
 
     /**
      * begin() through the iteration memo. After the stale eviction,
-     * the (program, residency pool) pair is looked up among earlier
-     * runs of this state. On a hit whose completion clock (now() when
-     * the run's last event fires) lies strictly before @p watch, the
-     * run is replayed whole: the pool, its counters and the clock land
-     * exactly where stepping would have left them, done() is true,
-     * finish() returns the memoized result, and this returns true.
-     * Otherwise the program is loaded as by begin() and this returns
-     * false; if the caller then drives it to finish() by step() alone,
-     * unparked, with no KV segment in the pool, the run is recorded.
-     * The state keeps @p program alive while it is loaded or parked,
-     * and while the memo holds it; a program the memo holds is not
-     * validated again. See docs/ENGINE.md, "Iteration memo".
+     * the (program, weight pool) pair is looked up among earlier runs
+     * of this state. A hit applies when its run never met SRAM
+     * pressure and still fits under the usable SRAM from the current
+     * occupancy, or when it did meet pressure and the pool is KV-free
+     * at the recorded occupancy. On an applicable hit whose completion
+     * clock (now() when the run's last event fires) lies strictly
+     * before @p watch, the run is replayed whole: the pool, its
+     * counters, the occupancy and the clock land exactly where
+     * stepping would have left them, done() is true, finish() returns
+     * the memoized result, and this returns true. Otherwise the
+     * program is loaded as by begin() and this returns false; if the
+     * caller then drives it to finish() by step() alone, unparked and
+     * with no occupancy-moving KV call in between (see the KV section),
+     * the run is recorded, unless pressure eviction fired while the
+     * pool held KV segments. The state keeps
+     * @p program alive while it is loaded or parked, and while the
+     * memo holds it; a program the memo holds is not validated again.
+     * See docs/ENGINE.md, "Iteration memo".
      */
     bool begin_memo(std::shared_ptr<const SimProgram> program, double watch);
 
@@ -300,7 +306,10 @@ class EngineState {
     // the engine owns the byte accounting and the eviction decisions.
     // A spilled segment stays owned (its bytes live in HBM) until
     // kv_free(); re-admitting it is kv_fetch(), whose HBM transfer
-    // time the caller charges (see runtime::Server).
+    // time the caller charges (see runtime::Server). A KV call that
+    // moves the occupancy or the recency counter (alloc, fetch, grow,
+    // pin, free, evict) cancels the memo recording of a loaded run:
+    // its post-state would no longer follow from its key.
 
     /**
      * Creates the segment @p id at @p per_core_bytes and tries to
@@ -458,14 +467,29 @@ class EngineState {
         std::shared_ptr<const SimProgram> program;
         uint64_t hash = 0;
         std::vector<uint64_t> key;  ///< canonical pre-pool, see memo_key().
-        SimResult result;           ///< finish()'s return value.
+        SimResult result;           ///< finish()'s return value, no timing.
+        /// result.timing, shared with every entry of equal content.
+        std::shared_ptr<const std::vector<OpTiming>> timing;
         double t_final = 0.0;       ///< local clock at completion.
         std::vector<MemoSlot> post;
         uint64_t resident_bytes = 0;
-        double occupancy = 0.0;
+        double base = 0.0;       ///< occupancy at the run's begin.
+        double peak = 0.0;       ///< the run's peak occupancy.
+        double occupancy = 0.0;  ///< occupancy at completion.
+        /// Some pressure check saw occupancy above the usable SRAM (or
+        /// the peak lies above it): the run read the whole pool and its
+        /// exact occupancy, so it replays only from a KV-free pool at
+        /// the base's bits.
+        bool pressured = false;
         uint64_t seq_delta = 0;
         int64_t hits_delta = 0;
         int64_t evictions_delta = 0;
+    };
+
+    /// A timing vector of the memo with its content hash.
+    struct InternedTiming {
+        uint64_t hash = 0;
+        std::shared_ptr<const std::vector<OpTiming>> timing;
     };
 
     /**
@@ -574,13 +598,20 @@ class EngineState {
     /// Folds the previous program's span into the clock base and
     /// loads @p program into a fresh frame.
     void load(const SimProgram& program);
-    /// Fills memo_key_ with the pool's canonical form; returns its
-    /// hash (mixed with @p program's address).
+    /// Fills memo_key_ with the weight pool's canonical form; returns
+    /// its hash (mixed with @p program's address).
     uint64_t memo_key(const SimProgram* program);
+    /// True when @p m may complete a run from the current pool: its
+    /// headroom guard holds (pressure-free), or the pool is KV-free at
+    /// its base occupancy (pressured).
+    bool memo_applies(const MemoEntry& m) const;
     /// Completes the loaded frame from @p m (see begin_memo()).
     void replay(const MemoEntry& m);
     /// Stores the run that just finished with @p result.
-    void record(const SimResult& result);
+    void record(SimResult& result);
+    /// The memo's shared copy of @p timing (one per distinct content).
+    std::shared_ptr<const std::vector<OpTiming>>
+    intern_timing(const std::vector<OpTiming>& timing);
     /// Spills unpinned KV in policy order until @p need extra bytes
     /// fit the KV budget; false when pinned segments are in the way
     /// (or @p need alone exceeds the budget). @p excluded_id is never
@@ -650,11 +681,18 @@ class EngineState {
     /// The key of the latest begin_memo() — the recording run's.
     std::vector<uint64_t> memo_key_;
     std::vector<ResidentSlot> replay_scratch_;  ///< replay()'s new pool.
-    /// The loaded run is being recorded: begun by begin_memo() on a
-    /// KV-free pool with no memo hit, and since then only stepped.
+    /// The memo's timing vectors, each content once (intern_timing()).
+    std::vector<InternedTiming> timings_;
+    /// The loaded run is being recorded: begun by begin_memo() with no
+    /// applicable memo hit, and since then only stepped.
     bool recording_ = false;
-    /// The recorded run's key hash, pre-pool and counters.
+    /// A pressure check of the recorded run saw occupancy above the
+    /// usable SRAM.
+    bool rec_pressured_ = false;
+    /// The recorded run's key hash, base occupancy, pre-pool and
+    /// counters.
     uint64_t rec_hash_ = 0;
+    double rec_base_ = 0.0;
     std::vector<ResidentSlot> rec_pre_;
     uint64_t rec_seq_ = 0;
     int64_t rec_hits_ = 0;

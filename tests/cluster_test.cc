@@ -458,9 +458,9 @@ TEST_F(ClusterServingTest, PrefillOnlyRequestsCompleteAtIngestion)
     EXPECT_DOUBLE_EQ(rep.mean_latency, rep.mean_ttft);
 }
 
-// Cluster roll-up consistency on a real serve: tokens and migration
-// counters sum across replicas, the serialization is stable, and the
-// summary renders.
+// Cluster roll-up consistency on a real serve: tokens, migration and
+// engine replay counters sum across replicas, the serialization is
+// stable, and the summary renders.
 TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
 {
     auto dc = testing::serving_compiler(
@@ -484,12 +484,15 @@ TEST_F(ClusterServingTest, RollUpSumsReplicaReports)
     int64_t tokens = 0;
     double makespan = 0.0;
     int routed = 0;
+    int64_t replays = 0;
     for (const auto& r : rep.replica_reports) {
         tokens += r.tokens;
         makespan = std::max(makespan, r.makespan);
         routed += r.requests;
+        replays += r.engine_replays;
     }
     EXPECT_EQ(rep.tokens, tokens);
+    EXPECT_EQ(rep.engine_replays, replays);
     EXPECT_EQ(rep.makespan, makespan);
     EXPECT_EQ(rep.routed, routed);
     EXPECT_EQ(rep.requests, 12);

@@ -2,15 +2,19 @@
  * @file
  * The engine's iteration memo (EngineState::begin_memo): a replayed
  * run leaves the state exactly where stepping would have — result
- * bits, clock, pool and counters — across stale and pressure
- * eviction, both residency policies and a park/resume in the middle;
- * the watch rule is strict; KV-bearing and parked runs are never
- * recorded; a freed program's address never aliases a new program;
- * and a program the state has not seen is still validated.
+ * bits, clock, weight and KV pools and counters — across stale and
+ * pressure eviction, both residency policies, KV segments that come,
+ * grow and go between runs, and a park/resume in the middle; the
+ * SRAM headroom guard is exact to the byte; a run that met pressure
+ * replays only from a KV-free pool at its own occupancy; the watch
+ * rule is strict; parked runs are never recorded; a freed program's
+ * address never aliases a new program; and a program the state has
+ * not seen is still validated.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -64,9 +68,10 @@ small_program(double dram)
     return make_program(0, {4096, 4096, 4096}, {1, 1, 1}, dram, 8192);
 }
 
-/// One step of a schedule: optionally a new residency budget, then
-/// one program run — interrupted by @p nested at the first step
-/// boundary at least @p watch_in past the run's start, when set.
+/// One step of a schedule: optionally KV calls and a new residency
+/// budget, then one program run — interrupted by @p nested at the
+/// first step boundary at least @p watch_in past the run's start, when
+/// set.
 struct Scheduled {
     Scheduled(std::shared_ptr<const SimProgram> run,
               std::shared_ptr<const SimProgram> interrupter = nullptr)
@@ -78,6 +83,8 @@ struct Scheduled {
     std::shared_ptr<const SimProgram> nested;
     double watch_in = 0.0;
     uint64_t budget = 0;  ///< set before the run when non-zero.
+    /// KV calls made before the run, when set.
+    std::function<void(EngineState&)> kv;
 };
 
 /// Drives @p run on @p state: plain begin()/step() when !@p memo, the
@@ -85,6 +92,9 @@ struct Scheduled {
 SimResult
 drive(EngineState& state, const Scheduled& run, bool memo)
 {
+    if (run.kv) {
+        run.kv(state);
+    }
     if (run.budget != 0) {
         state.set_residency_budget(run.budget);
     }
@@ -113,31 +123,55 @@ drive(EngineState& state, const Scheduled& run, bool memo)
     return state.finish();
 }
 
+/// Asserts two states indistinguishable through their counters.
+void
+expect_same_state(const EngineState& a, const EngineState& b)
+{
+    EXPECT_EQ(a.now(), b.now());
+    EXPECT_EQ(a.resident_op_ids(), b.resident_op_ids());
+    EXPECT_EQ(a.resident_bytes(), b.resident_bytes());
+    EXPECT_EQ(a.resident_hits(), b.resident_hits());
+    EXPECT_EQ(a.resident_evictions(), b.resident_evictions());
+    EXPECT_EQ(a.kv_bytes(), b.kv_bytes());
+    EXPECT_EQ(a.kv_bytes_peak(), b.kv_bytes_peak());
+    EXPECT_EQ(a.kv_evictions(), b.kv_evictions());
+}
+
+/// What the memo state went through over a schedule.
+struct ScheduleStats {
+    int64_t replays = 0;
+    int64_t kv_replays = 0;  ///< replays of runs begun with KV in SRAM.
+    int64_t kv_evictions = 0;
+};
+
 /// Runs @p schedule on two states — plain on one, through the memo on
 /// the other — asserting after every run that they are identical.
-/// Returns the memo state's replays.
-int64_t
+ScheduleStats
 expect_replay_exact(const Machine& machine, EngineState::Options opts,
                     const std::vector<Scheduled>& schedule)
 {
     EngineState a(machine, opts);
     EngineState b(machine, opts);
+    ScheduleStats stats;
     for (size_t i = 0; i < schedule.size(); ++i) {
+        const int64_t before = b.replays();
         SimResult ra = drive(a, schedule[i], /*memo=*/false);
         SimResult rb = drive(b, schedule[i], /*memo=*/true);
+        // A replayed run never touches the KV pool.
+        if (b.replays() > before && b.kv_bytes() > 0) {
+            ++stats.kv_replays;
+        }
         SCOPED_TRACE(i);
         EXPECT_EQ(ra.serialize_bits(), rb.serialize_bits());
-        EXPECT_EQ(a.now(), b.now());
-        EXPECT_EQ(a.resident_op_ids(), b.resident_op_ids());
-        EXPECT_EQ(a.resident_bytes(), b.resident_bytes());
-        EXPECT_EQ(a.resident_hits(), b.resident_hits());
-        EXPECT_EQ(a.resident_evictions(), b.resident_evictions());
+        expect_same_state(a, b);
         if (::testing::Test::HasFailure()) {
             break;
         }
     }
     EXPECT_EQ(a.replays(), 0);
-    return b.replays();
+    stats.replays = b.replays();
+    stats.kv_evictions = b.kv_evictions();
+    return stats;
 }
 
 constexpr uint64_t kKiB = 1024;  // tiny(16): 60 KiB usable SRAM per core
@@ -214,7 +248,73 @@ TEST_P(EngineMemoTest, ReplayMatchesSteppingExactly)
         run.budget = i == 200 ? 20 * kKiB : 0;
         schedule.push_back(run);
     }
-    EXPECT_GT(expect_replay_exact(machine_, options(), schedule), 0);
+    EXPECT_GT(expect_replay_exact(machine_, options(), schedule).replays, 0);
+}
+
+// The same equivalence with KV segments allocated, grown and freed
+// between runs: pressure-free runs replay at whatever occupancy the
+// segments leave (shifting the peak), and runs whose pressure relief
+// weighs KV segments against weights are stepped.
+TEST_P(EngineMemoTest, KvBearingRunsReplayExactly)
+{
+    const std::vector<std::shared_ptr<const SimProgram>> programs = {
+        decode_a_, decode_a_, decode_b_, decode_lo_, decode_hi_, prefill_};
+    uint32_t rng = 777;
+    auto draw = [&rng](size_t n) {
+        rng = rng * 1664525u + 1013904223u;
+        return static_cast<size_t>(rng >> 16) % n;
+    };
+    std::vector<int64_t> live;  // segment ids in existence
+    int64_t next_id = 0;
+    std::vector<Scheduled> schedule;
+    for (int i = 0; i < 400; ++i) {
+        Scheduled run{programs[draw(programs.size())]};
+        if (draw(16) == 0) {
+            run.nested = decode_lo_;
+            run.watch_in = 1e-4 * static_cast<double>(draw(8));
+        }
+        // Odd byte counts: the occupancy takes values no weight
+        // footprint sums to.
+        const uint64_t bytes = draw(6 * kKiB) + 1;
+        switch (draw(4)) {
+            case 0:
+                if (live.size() < 4) {
+                    const int64_t id = next_id++;
+                    live.push_back(id);
+                    run.kv = [id, bytes](EngineState& s) {
+                        s.kv_alloc(id, bytes);
+                    };
+                }
+                break;
+            case 1:
+                if (!live.empty()) {
+                    const int64_t id = live[draw(live.size())];
+                    run.kv = [id, bytes](EngineState& s) {
+                        s.kv_grow(id, bytes / 4);
+                    };
+                }
+                break;
+            case 2:
+                if (!live.empty()) {
+                    const size_t k = draw(live.size());
+                    const int64_t id = live[k];
+                    live.erase(live.begin() + static_cast<long>(k));
+                    run.kv = [id](EngineState& s) { s.kv_free(id); };
+                }
+                break;
+            default:
+                break;
+        }
+        schedule.push_back(run);
+    }
+    const ScheduleStats stats =
+        expect_replay_exact(machine_, options(), schedule);
+    EXPECT_GT(stats.kv_evictions, 0);  // pressure weighed KV too
+    if (GetParam() == ResidencyPolicy::kRetireOrder) {
+        // (Under kFrequencyAware the growing hit counts keep almost
+        // every key of this schedule apart.)
+        EXPECT_GT(stats.kv_replays, 0);
+    }
 }
 
 // Same entries, opposite recency: the following pressure eviction
@@ -231,9 +331,11 @@ TEST_P(EngineMemoTest, RecencyOrderSeparatesKeys)
 // which decides the next pressure eviction.
 TEST_P(EngineMemoTest, ReplayKeepsUntouchedRecency)
 {
-    const int64_t replays = expect_replay_exact(
-        machine_, options(),
-        {{decode_a_}, {decode_lo_}, {decode_a_}, {decode_lo_}, {pressure_}});
+    const int64_t replays =
+        expect_replay_exact(
+            machine_, options(),
+            {{decode_a_}, {decode_lo_}, {decode_a_}, {decode_lo_}, {pressure_}})
+            .replays;
     if (GetParam() == ResidencyPolicy::kRetireOrder) {
         // (Under kFrequencyAware the growing hit counts keep every key
         // of this short schedule apart.)
@@ -269,6 +371,45 @@ TEST_P(EngineMemoTest, ParkedPinsSeparateKeys)
     expect_replay_exact(machine_, options(),
                         {{victim}, {victim}, {pressure_}, {victim}, {victim},
                          interrupted});
+}
+
+// A run whose pressure relief fired read the exact occupancy. A
+// parked victim's first preload adds 4 KiB here, so the same pressure
+// run from the same weight pool must evict one more entry, not replay
+// the run recorded without the victim.
+TEST_P(EngineMemoTest, PressuredRunReplaysOnlyAtItsOccupancy)
+{
+    auto victim =
+        make_program(200, {4 * kKiB, 4 * kKiB}, {1, 1}, dram_, 4 * kKiB);
+    Scheduled interrupted{victim, pressure_};
+    const int64_t replays =
+        expect_replay_exact(machine_, options(),
+                            {{decode_a_}, {pressure_}, {decode_a_},
+                             {pressure_}, {decode_a_}, interrupted})
+            .replays;
+    if (GetParam() == ResidencyPolicy::kRetireOrder) {
+        // The second pressure run starts where the first did.
+        EXPECT_GT(replays, 0);
+    }
+}
+
+// A run whose pressure relief weighed a KV segment is not recorded:
+// the memo keys weights only. Here the segment is the oldest entry,
+// so the pressure run spills it and four weights. A parked victim's
+// preload later rebuilds the same occupancy from a KV-free pool, where
+// stepping must evict five weights instead.
+TEST_P(EngineMemoTest, PressureOverKvIsNotRecorded)
+{
+    auto victim =
+        make_program(200, {4 * kKiB, 4 * kKiB}, {1, 1}, dram_, 4 * kKiB);
+    Scheduled with_kv{decode_a_};
+    with_kv.kv = [](EngineState& s) { s.kv_alloc(1, 4 * kKiB); };
+    Scheduled kv_freed{decode_a_};
+    kv_freed.kv = [](EngineState& s) { s.kv_free(1); };
+    const ScheduleStats stats = expect_replay_exact(
+        machine_, options(),
+        {with_kv, {pressure_}, kv_freed, Scheduled{victim, pressure_}});
+    EXPECT_EQ(stats.kv_evictions, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -310,9 +451,9 @@ TEST(EngineMemoWatchTest, ReplaysOnlyStrictlyBeforeTheWatch)
     EXPECT_EQ(state.replays(), 1);
 }
 
-// Parked runs, and runs from a pool holding KV segments, are never
-// recorded; a KV-bearing pool never replays a KV-free recording.
-TEST(EngineMemoRecordTest, KvBearingAndParkedRunsAreNotRecorded)
+// A parked run is never recorded: its steps interleave with another
+// program's, so its post-state is not a function of its key.
+TEST(EngineMemoRecordTest, ParkedRunsAreNotRecorded)
 {
     Machine machine(hw::ChipConfig::tiny(16));
     auto prog = small_program(machine.config().hbm_total_bw * 1e-4);
@@ -333,21 +474,68 @@ TEST(EngineMemoRecordTest, KvBearingAndParkedRunsAreNotRecorded)
     }
     state.finish();
 
-    state.kv_alloc(7, 1024);
-    run();
-    run();
-    EXPECT_EQ(state.replays(), 0);
-    state.kv_free(7);
-
     const SimResult recorded = run();
     EXPECT_EQ(state.replays(), 0);
     EXPECT_EQ(run().serialize_bits(), recorded.serialize_bits());
     EXPECT_EQ(state.replays(), 1);
+}
 
-    state.kv_alloc(7, 1024);
-    const SimResult with_kv = run();
-    EXPECT_EQ(state.replays(), 1);
-    EXPECT_GT(with_kv.peak_sram_per_core, recorded.peak_sram_per_core);
+// The headroom guard is exact to the byte. small_program peaks 8 KiB
+// (one execute space) above its base. Recorded next to a 1000-byte
+// KV segment, it replays once the segment has grown to leave exactly
+// 8 KiB of usable SRAM, its peak shifted to the limit. One byte more
+// and its first execute's pressure check fires and spills the
+// segment, so it must step.
+TEST(EngineMemoHeadroomTest, GuardIsExactToTheByte)
+{
+    Machine machine(hw::ChipConfig::tiny(16));
+    const uint64_t limit = machine.config().usable_sram_per_core();
+    const uint64_t growth = 8 * kKiB;
+    auto prog = small_program(machine.config().hbm_total_bw * 1e-4);
+    EngineState a(machine);  // zero budget: KV is the whole pool
+    EngineState b(machine);
+    auto both = [&](const std::function<void(EngineState&)>& kv,
+                    int64_t replays) {
+        kv(a);
+        kv(b);
+        const SimResult ra = drive(a, Scheduled{prog}, /*memo=*/false);
+        const SimResult rb = drive(b, Scheduled{prog}, /*memo=*/true);
+        EXPECT_EQ(ra.serialize_bits(), rb.serialize_bits());
+        expect_same_state(a, b);
+        EXPECT_EQ(b.replays(), replays);
+        return rb;
+    };
+
+    both([](EngineState& s) { s.kv_alloc(1, 1000); }, 0);
+    const SimResult at_headroom = both(
+        [&](EngineState& s) { s.kv_grow(1, limit - growth - 1000); }, 1);
+    EXPECT_EQ(at_headroom.peak_sram_per_core, limit);
+    EXPECT_EQ(b.kv_evictions(), 0);
+
+    both([](EngineState& s) { s.kv_grow(1, 1); }, 1);
+    EXPECT_EQ(b.kv_evictions(), 1);
+    EXPECT_FALSE(b.kv_resident(1));
+}
+
+// On an empty pool relieve_pressure() returns before its check, so a
+// run that overflows SRAM there counts as pressured by its peak alone:
+// it replays at its own occupancy instead of being recorded again on
+// every run.
+TEST(EngineMemoRecordTest, OverflowOnAnEmptyPoolReplays)
+{
+    Machine machine(hw::ChipConfig::tiny(16));
+    auto prog = make_program(0, {4 * kKiB}, {1},
+                             machine.config().hbm_total_bw * 1e-4, 70 * kKiB);
+    const SimResult plain = Engine(machine).run(*prog);
+    ASSERT_TRUE(plain.memory_exceeded);
+    EngineState state(machine);  // zero budget, no KV: the pool stays empty
+    for (int i = 0; i < 3; ++i) {
+        state.begin_memo(prog, kInf);
+        while (state.step()) {
+        }
+        EXPECT_EQ(state.finish().serialize_bits(), plain.serialize_bits());
+    }
+    EXPECT_EQ(state.replays(), 2);
 }
 
 // The memo holds each recorded program, so a program built after the

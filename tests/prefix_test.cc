@@ -466,6 +466,60 @@ TEST_F(PrefixServingTest, SessionTraceServesDeterministically)
     EXPECT_EQ(rep.serialize_bits(), serve_once().serialize_bits());
 }
 
+// The engine memo replays iterations from KV-bearing pools. A session
+// trace under KV modeling and prefix sharing, with a KV budget above
+// the usable SRAM so the budget never binds: every KV spill is SRAM
+// pressure weighing segments against weights. Its report must match
+// the same serve fed a fresh copy of every program, which the engine
+// has never recorded and so never replays — in all five design modes.
+TEST_F(PrefixServingTest, MemoReplaysMatchUnmemoizedUnderPressure)
+{
+    runtime::SessionTraceOptions topts;
+    topts.sessions = 24;
+    topts.rate_per_s = 2000.0;
+    topts.burst_factor = 2.0;
+    topts.mean_turns = 3.0;
+    topts.think_time_s = 0.002;
+    topts.decode_tokens = 6;
+    topts.max_prompt_len = kSeq;
+    topts.prompt_mean_len = 64.0;
+    topts.prefix_population = 3;
+    topts.prefix_zipf_s = 1.0;
+    topts.prefix_mean_len = 48.0;
+    auto trace = runtime::make_session_trace(topts, 41);
+    for (auto mode :
+         {compiler::Mode::kBasic, compiler::Mode::kStatic,
+          compiler::Mode::kElkDyn, compiler::Mode::kElkFull,
+          compiler::Mode::kIdeal}) {
+        auto dc = testing::serving_compiler(
+            compiler::GraphKind::kDecode, mode, kSeq, &cache_);
+        auto pc = testing::serving_compiler(
+            compiler::GraphKind::kPrefill, mode, kSeq, &cache_);
+        runtime::ServerOptions sopts = kv_options();
+        sopts.kv_budget = uint64_t{1} << 30;  // per core: never binds
+        sopts.prefix_sharing = true;
+        runtime::Server server(dc.machine(), sopts);
+        const auto memo = server.serve(
+            trace, [&](int b, int len) { return pc.program(b, len); },
+            [&](int b) { return dc.program(b); });
+        const auto fresh = server.serve(
+            trace,
+            [&](int b, int len) {
+                return std::make_shared<const sim::SimProgram>(
+                    *pc.program(b, len));
+            },
+            [&](int b) {
+                return std::make_shared<const sim::SimProgram>(
+                    *dc.program(b));
+            });
+        EXPECT_EQ(memo.serialize_bits(), fresh.serialize_bits())
+            << compiler::mode_name(mode);
+        EXPECT_EQ(fresh.engine_replays, 0);
+        EXPECT_GT(memo.engine_replays, 0) << compiler::mode_name(mode);
+        EXPECT_GT(memo.kv_evictions, 0) << compiler::mode_name(mode);
+    }
+}
+
 TEST_F(PrefixServingTest, ServerRejectsPrefixMisuse)
 {
     auto dc = testing::serving_compiler(
