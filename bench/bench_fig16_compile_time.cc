@@ -15,8 +15,10 @@
  * plan library + scheduling end to end; compile(s) is the scheduling
  * portion (CompileResult::compile_seconds). candidates_scheduled counts
  * the schedule-elk tuning candidates actually scheduled (out of 40);
- * it and every column but jobs, wall(s) and compile(s) are
- * deterministic.
+ * exec_points the feasible execute plans the plan library enumerated,
+ * and tied_fronts the execute fronts whose exact (space, time) tie
+ * needed the sort. They and every column but jobs, wall(s) and
+ * compile(s) are deterministic.
  */
 #include <chrono>
 
@@ -34,7 +36,7 @@ main(int argc, char** argv)
 
     util::Table table({"model", "batch", "jobs", "wall(s)", "compile(s)",
                        "orders_tested", "candidates_scheduled", "N", "P",
-                       "K"});
+                       "K", "exec_points", "tied_fronts"});
 
     for (const auto& model : bench::llm_models()) {
         for (int batch : batches) {
@@ -49,8 +51,9 @@ main(int argc, char** argv)
             double wall = std::chrono::duration<double>(t1 - t0).count();
             table.add(model.name, batch, comp.jobs(), wall,
                       result.compile_seconds, result.stats.orders_tested,
-                      result.stats.candidates_scheduled, result.stats.n_ops, result.stats.max_plans,
-                      result.stats.max_fit_window);
+                      result.stats.candidates_scheduled, result.stats.n_ops,
+                      result.stats.max_plans, result.stats.max_fit_window,
+                      result.stats.exec_points, result.stats.tied_fronts);
         }
     }
 

@@ -24,6 +24,7 @@
 #ifndef ELK_ELK_PASS_H
 #define ELK_ELK_PASS_H
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -75,6 +76,10 @@ struct SearchStats {
     /// scheduled and simulated, out of windows x kOverheadWeights;
     /// weights that share an anchor table reuse the first one's run.
     int candidates_scheduled = 0;
+    /// Feasible execute plans the plan library enumerated.
+    uint64_t exec_points = 0;
+    /// Execute fronts whose exact (space, time) tie needed the sort.
+    int tied_fronts = 0;
 };
 
 /**

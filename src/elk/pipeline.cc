@@ -524,7 +524,6 @@ class PreloadOrderSearchPass : public Pass {
         const CompileOptions& opts = state.opts;
         const ScheduleOptions& sopts = *state.tuned_schedule;
         const InductiveScheduler sched(library);
-        std::optional<ExecutionPlan> in_order = std::move(state.plan);
 
         // Elk-Full: evaluate candidate preload orders on a model
         // prefix, then schedule the full model with the winner (§4.4).
@@ -559,27 +558,25 @@ class PreloadOrderSearchPass : public Pass {
             library, orders, score_opts, machine, state.pool);
         int best = argmin_first(scores);
 
-        // Schedule the winner on the full model; fall back to the
-        // identity order when it does not actually win end to end.
-        std::optional<ExecutionPlan> full;
+        // Schedule the winner on the full model; keep the in-order
+        // plan unless the winner actually wins end to end.
+        ExecutionPlan chosen = std::move(*state.plan);
         if (best >= 0) {
-            full = sched.schedule(orders[best], sopts);
-        }
-        if (full) {
-            sim::Engine engine(machine);
-            double full_time =
-                engine.run(runtime::lower_to_sim(graph, *full, ctx))
-                    .total_time;
-            // schedule-elk already simulated the identity plan.
-            double identity_time = *state.tuned_sim_time;
-            if (identity_time < full_time) {
-                full = std::move(in_order);
+            if (std::optional<ExecutionPlan> full =
+                    sched.schedule(orders[best], sopts)) {
+                sim::Engine engine(machine);
+                double full_time =
+                    engine.run(runtime::lower_to_sim(graph, *full, ctx))
+                        .total_time;
+                // schedule-elk already simulated the identity plan.
+                double identity_time = *state.tuned_sim_time;
+                if (!(identity_time < full_time)) {
+                    chosen = std::move(*full);
+                }
             }
-        } else {
-            full = std::move(in_order);
         }
-        full->mode = "Elk-Full";
-        state.plan = std::move(full);
+        chosen.mode = "Elk-Full";
+        state.plan = std::move(chosen);
     }
 };
 
@@ -617,6 +614,10 @@ class FinalizePass : public Pass {
                     "finalize: plan-library must run first");
         state.stats.n_ops = state.graph->size();
         state.stats.max_plans = state.library->max_plans_per_op();
+        const plan::EnumerationStats& enumerated =
+            state.library->enumeration_stats();
+        state.stats.exec_points = enumerated.exec_points;
+        state.stats.tied_fronts = enumerated.tied_fronts;
         state.stats.max_fit_window = max_fit_window(*state.library);
         if (state.stats.heavy_per_layer == 0) {
             state.stats.heavy_per_layer =

@@ -142,7 +142,8 @@ PlanLibrary::PlanLibrary(const graph::Graph& graph,
         }
     }
 
-    fronts_ = plan::enumerate_exec_fronts(reps, ctx_, pool);
+    fronts_ = plan::enumerate_exec_fronts(reps, ctx_, pool,
+                                          &enumeration_stats_);
 
     // Eagerly derive every (signature, exec plan) preload front so the
     // library is immutable afterwards — the scheduler's inner loops
@@ -163,49 +164,38 @@ PlanLibrary::PlanLibrary(const graph::Graph& graph,
     });
 }
 
-int
-PlanLibrary::checked_signature(int id, const char* what) const
+void
+PlanLibrary::check_id(const char* what, int id) const
 {
-    // Guards are on the scheduler's hottest path: build the message
-    // only on failure.
     if (id < 0 || id >= static_cast<int>(signature_of_.size())) {
         util::panic(std::string(what) + ": operator id " +
                     std::to_string(id) + " out of range (graph has " +
                     std::to_string(signature_of_.size()) + " operators)");
     }
-    return signature_of_[id];
 }
 
-const std::vector<plan::ExecPlan>&
-PlanLibrary::exec_plans(int id) const
+void
+PlanLibrary::bad_exec_lookup(int id) const
 {
-    int sig = checked_signature(id, "exec_plans");
-    const auto& front = fronts_[sig];
-    if (front.empty()) {
-        util::panic("exec_plans: operator '" + graph_.op(id).name +
-                    "' has an empty execute-state Pareto front — no "
-                    "partition plan fits the chip");
-    }
-    return front;
+    check_id("exec_plans", id);
+    util::panic("exec_plans: operator '" + graph_.op(id).name +
+                "' has an empty execute-state Pareto front — no "
+                "partition plan fits the chip");
 }
 
-const std::vector<plan::PreloadPlan>&
-PlanLibrary::preload_plans(int id, int exec_idx) const
+void
+PlanLibrary::bad_preload_lookup(int id, int exec_idx) const
 {
-    int sig = checked_signature(id, "preload_plans");
-    const auto& per_exec = preload_fronts_[sig];
+    check_id("preload_plans", id);
+    const auto& per_exec = preload_fronts_[signature_of_[id]];
     if (exec_idx < 0 || exec_idx >= static_cast<int>(per_exec.size())) {
         util::panic("preload_plans: exec plan index " +
                     std::to_string(exec_idx) + " out of range for '" +
                     graph_.op(id).name + "' (front has " +
                     std::to_string(per_exec.size()) + " plans)");
     }
-    const auto& front = per_exec[exec_idx];
-    if (front.empty()) {
-        util::panic("preload_plans: operator '" + graph_.op(id).name +
-                    "' has an empty preload-state Pareto front");
-    }
-    return front;
+    util::panic("preload_plans: operator '" + graph_.op(id).name +
+                "' has an empty preload-state Pareto front");
 }
 
 int

@@ -67,7 +67,17 @@ class PlanLibrary {
 
     /// Pareto-front execute-state plans of op @p id, fastest first.
     /// Panics with the operator's name if the front is empty.
-    const std::vector<plan::ExecPlan>& exec_plans(int id) const;
+    const std::vector<plan::ExecPlan>&
+    exec_plans(int id) const
+    {
+        // The scheduler's hottest read: the checks stay inline, the
+        // panic text is built out of line.
+        if (id < 0 || id >= static_cast<int>(signature_of_.size()) ||
+            fronts_[signature_of_[id]].empty()) {
+            bad_exec_lookup(id);
+        }
+        return fronts_[signature_of_[id]];
+    }
 
     /**
      * Pareto-front preload-state plans of op @p id given that it will
@@ -75,8 +85,19 @@ class PlanLibrary {
      * (MaxPreload at index 0). Panics with a clear message when
      * exec_idx is out of range or the front is empty.
      */
-    const std::vector<plan::PreloadPlan>& preload_plans(int id,
-                                                        int exec_idx) const;
+    const std::vector<plan::PreloadPlan>&
+    preload_plans(int id, int exec_idx) const
+    {
+        if (id < 0 || id >= static_cast<int>(signature_of_.size())) {
+            bad_preload_lookup(id, exec_idx);
+        }
+        const auto& per_exec = preload_fronts_[signature_of_[id]];
+        if (exec_idx < 0 || exec_idx >= static_cast<int>(per_exec.size()) ||
+            per_exec[exec_idx].empty()) {
+            bad_preload_lookup(id, exec_idx);
+        }
+        return per_exec[exec_idx];
+    }
 
     /**
      * Every distinct preload-state front, [signature][exec plan index]
@@ -92,6 +113,12 @@ class PlanLibrary {
     /// The paper's P: maximum Pareto plans across operators.
     int max_plans_per_op() const;
 
+    /// Counters of the execute-front enumeration behind this library.
+    const plan::EnumerationStats& enumeration_stats() const
+    {
+        return enumeration_stats_;
+    }
+
     /// Number of distinct operator signatures (diagnostics).
     int num_signatures() const { return static_cast<int>(fronts_.size()); }
 
@@ -99,12 +126,18 @@ class PlanLibrary {
     const plan::PlanContext& context() const { return ctx_; }
 
   private:
-    int checked_signature(int id, const char* what) const;
+    /// Panic with the reason an exec_plans / preload_plans lookup
+    /// failed; out of line so the inline accessors stay small.
+    [[noreturn, gnu::cold]] void bad_exec_lookup(int id) const;
+    [[noreturn, gnu::cold]] void bad_preload_lookup(int id,
+                                                    int exec_idx) const;
+    void check_id(const char* what, int id) const;
 
     const graph::Graph& graph_;
     plan::PlanContext ctx_;
     std::vector<int> signature_of_;  ///< op id -> front index.
     std::vector<std::vector<plan::ExecPlan>> fronts_;
+    plan::EnumerationStats enumeration_stats_;
     /// [front index][exec plan index] -> preload front; eagerly built
     /// so post-construction reads never mutate the library.
     std::vector<std::vector<std::vector<plan::PreloadPlan>>>

@@ -118,7 +118,9 @@ class ServingCompiler {
     /// The machine serving runs on (split fabric for Ideal mode).
     const sim::Machine& machine() const { return *machine_; }
 
-    /// Accumulated wall-clock compile seconds across buckets.
+    /// Accumulated wall-clock seconds of every bucket's whole compile
+    /// chain in program(): graph build, the Compiler's analysis and
+    /// plan library, the (plan-cache-backed) compile, and lowering.
     double compile_seconds() const;
 
     /// Design-mode name of the compiled plans.

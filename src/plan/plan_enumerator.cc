@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "cost/transfer_cost.h"
 #include "plan/pareto.h"
@@ -45,20 +46,6 @@ candidate_parts(long dim, long max_parts)
     return parts;
 }
 
-/// Residency (replication) factor candidates: powers of two <= group.
-std::vector<int>
-candidate_repl(int group)
-{
-    std::vector<int> repl;
-    for (int r = 1; r <= group; r *= 2) {
-        repl.push_back(r);
-    }
-    if (repl.back() != group) {
-        repl.push_back(group);
-    }
-    return repl;
-}
-
 /// Streamed-operand operators (pure KV-cache consumers) may buffer
 /// only a chunk of their W operand and consume the rest as it arrives
 /// from HBM (flash-attention-style chunking); this caps the chunk
@@ -95,18 +82,288 @@ per_core_peer_bw(const PlanContext& ctx, long cores_used)
 }
 
 /**
+ * Partition stage of the plan metrics: every term that depends on the
+ * partition factors (parts_rows, parts_cols, parts_k) alone, computed
+ * once per partition and shared by all of its replication choices.
+ */
+struct PartitionTerms {
+    int parts_rows = 1;
+    int parts_cols = 1;
+    int parts_k = 1;
+    long tile_rows = 1;
+    long tile_cols = 1;
+    long tile_k = 1;
+    int group_a = 1;     ///< ExecPlan::group_a.
+    int group_w = 1;     ///< ExecPlan::group_w.
+    int max_repl_a = 1;  ///< largest feasible repl_a.
+    int max_repl_w = 1;  ///< largest feasible repl_w.
+    /// W streams from HBM in repl_w chunks instead of from peers.
+    bool w_streams = false;
+    uint64_t a_need = 0;
+    uint64_t w_need = 0;
+    uint64_t out_bytes = 0;
+    uint64_t partial = 0;   ///< partial-sum buffer (split k only).
+    double cores = 1;       ///< cores_used() as a double.
+    double reduce_bytes = 0;
+    double compute_time = 0;
+    double peer_bw = 0;     ///< per-core peer-exchange bandwidth.
+    double reduce_time = 0;
+    double inter_chip_time = 0;
+    double fabric_capacity = 0;  ///< system peer-exchange capacity.
+};
+
+/// Replication stage of the plan metrics: the terms of one
+/// (repl_a, repl_w) choice over a partition.
+struct ReplicationTerms {
+    uint64_t exec_space = 0;
+    double fetch_bytes = 0;
+    double hbm_stream_bytes = 0;
+    double exec_time = 0;
+    double fabric_time = 0;
+};
+
+/// Fills @p t for partition (@p pr, @p pc, @p pk) of @p op; false when
+/// a factor exceeds its dimension or the partition exceeds the chip.
+bool
+partition_stage(const graph::Operator& op, const PlanContext& ctx, int pr,
+                int pc, int pk, PartitionTerms& t)
+{
+    const hw::ChipConfig& cfg = *ctx.cfg;
+    const bool mm = graph::uses_matmul_pipeline(op.kind);
+    const long rows = op.batch * op.m;
+    const long cols = op.n;
+    const long contraction = mm ? op.k : 1;
+
+    if (pr > rows || pc > cols || pk > contraction) {
+        return false;
+    }
+    const long cores_used = static_cast<long>(pr) * pc * pk;
+    if (cores_used > cfg.total_cores()) {
+        return false;
+    }
+    t.parts_rows = pr;
+    t.parts_cols = pc;
+    t.parts_k = pk;
+    t.cores = static_cast<double>(cores_used);
+
+    t.tile_rows = cdiv(rows, pr);
+    t.tile_cols = cdiv(cols, pc);
+    t.tile_k = cdiv(contraction, pk);
+
+    // Sharing groups. A blocks are reused across the column partitions
+    // (each column group consumes the same rows of A); W blocks are
+    // reused across the row partitions that consume the same weights.
+    const long w_share = op.w_share_rows == 0 ? rows : op.w_share_rows;
+    t.group_a = pc;
+    t.group_w = static_cast<int>(
+        std::max(1L, std::min<long>(pr, w_share / t.tile_rows)));
+    // An HBM-fed W whose partition leaves no sharing group is consumed
+    // in repl_w chunks straight from HBM rather than fetched from
+    // peers (flash-attention-style chunking for KV, column-chunked
+    // weight streaming for giant weight matrices such as an LM head
+    // that exceeds the chip), so repl_w is then bounded by the chunking
+    // cap instead of the sharing group. When the partition does share W
+    // across cores, the normal broadcast/peer path applies.
+    t.w_streams = w_from_hbm(op) && t.group_w == 1;
+    t.max_repl_a = t.group_a;
+    t.max_repl_w = t.w_streams ? kMaxStreamChunks : t.group_w;
+
+    // Per-core byte needs.
+    const uint64_t dt = op.dtype_bytes;
+    if (mm) {
+        t.a_need = static_cast<uint64_t>(t.tile_rows) * t.tile_k * dt;
+        // The W operand (weights or KV stream) a core consumes: its
+        // column/contraction slice of every distinct k x n W block its
+        // rows touch. Rows within one w_share span reuse one block.
+        double col_frac = static_cast<double>(t.tile_cols) / cols;
+        double k_frac = static_cast<double>(t.tile_k) / contraction;
+        double block_bytes = static_cast<double>(op.k) * op.n * dt;
+        double blocks_touched =
+            std::max(1.0, static_cast<double>(t.tile_rows) / w_share);
+        t.w_need = static_cast<uint64_t>(
+            blocks_touched * block_bytes * col_frac * k_frac);
+        t.w_need = std::max<uint64_t>(t.w_need, 1);
+    } else {
+        // Small params, fully replicated: A stays whole (repl_a 1) and
+        // W spreads over at most the sharing group.
+        t.a_need = static_cast<uint64_t>(t.tile_rows) * t.tile_cols * dt;
+        t.w_need = op.hbm_bytes();
+        t.max_repl_a = 1;
+        t.max_repl_w = std::min(t.max_repl_w, pr);
+        t.group_a = 1;
+        t.group_w = pr;
+    }
+    t.out_bytes = static_cast<uint64_t>(t.tile_rows) * t.tile_cols * dt;
+    // Partial-sum buffer and reduction along the k partitions (ring
+    // all-reduce) when the contraction is split.
+    t.partial = pk > 1 ? t.out_bytes : 0;
+    t.reduce_bytes = pk > 1 ? 2.0 * (pk - 1) / pk *
+                                  static_cast<double>(t.out_bytes)
+                            : 0.0;
+
+    // Per-core tile compute, the reduction exchange and the inter-chip
+    // activation hand-off (see replication_stage for the whole §4.3
+    // execution-time estimate).
+    cost::TileWork tile;
+    tile.kind = op.kind;
+    tile.rows = t.tile_rows;
+    tile.n = t.tile_cols;
+    tile.k = t.tile_k;
+    tile.dtype_bytes = op.dtype_bytes;
+    t.compute_time = ctx.exec_cost->tile_time(tile, cfg);
+    t.peer_bw = per_core_peer_bw(ctx, cores_used);
+    t.reduce_time = cost::link_transfer_time(
+        t.reduce_bytes, t.peer_bw, cfg.link_latency_s,
+        cfg.transfer_buffer_per_core);
+    t.inter_chip_time =
+        cfg.num_chips > 1 && mm
+            ? static_cast<double>(op.act_out_bytes) / cfg.inter_chip_bw
+            : 0.0;
+    t.fabric_capacity =
+        ctx.traffic->peer_exchange_capacity() * cfg.num_chips;
+    return true;
+}
+
+/// Fills @p r for residency (@p ra, @p rw) over partition @p t; false
+/// when a factor exceeds its sharing group or the plan exceeds the
+/// SRAM budget.
+bool
+replication_stage(const PartitionTerms& t, const PlanContext& ctx, int ra,
+                  int rw, ReplicationTerms& r)
+{
+    if (ra < 1 || rw < 1 || ra > t.max_repl_a || rw > t.max_repl_w) {
+        return false;
+    }
+    // Execution space: resident shares + output (+ partial-sum buffer
+    // when the contraction is split).
+    r.exec_space = t.a_need / ra + t.w_need / rw + t.out_bytes + t.partial;
+    if (r.exec_space > ctx.sram_budget()) {
+        return false;
+    }
+    const hw::ChipConfig& cfg = *ctx.cfg;
+
+    // On-demand inter-core traffic during execution: the non-resident
+    // fractions of A and W, rotated in from group peers (Fig. 3c). A
+    // streamed W arrives from HBM, not from peers, so its non-resident
+    // chunks cost no inter-core traffic.
+    double fa = 1.0 / ra;
+    double fw = 1.0 / rw;
+    r.fetch_bytes =
+        (1.0 - fa) * static_cast<double>(t.a_need) +
+        (t.w_streams ? 0.0 : (1.0 - fw) * static_cast<double>(t.w_need));
+
+    // Execution time estimate (per §4.3's cost model): per-core tile
+    // compute, on-demand fetches over the interconnect, the SRAM
+    // access contention of serving peers (which pauses local compute
+    // on IPU-like cores), and the reduction exchange.
+    double fetch_time = cost::link_transfer_time(
+        r.fetch_bytes, t.peer_bw, cfg.link_latency_s,
+        cfg.transfer_buffer_per_core);
+    double serve_stall = r.fetch_bytes / cfg.sram_read_bw;
+
+    // Chunked streamed operands consume their non-resident fraction
+    // from HBM while executing; the phase cannot beat that stream.
+    r.hbm_stream_bytes =
+        t.w_streams ? (1.0 - fw) * static_cast<double>(t.w_need) : 0.0;
+    double stream_time = r.hbm_stream_bytes * t.cores / cfg.hbm_total_bw;
+
+    // The compute pipeline, the rotation fetches and the HBM stream
+    // proceed concurrently within the execution phase (round
+    // double-buffering), so the phase lasts as long as the slowest;
+    // serving peers' reads stalls the local pipeline (contention 3 in
+    // Fig. 2) and therefore adds to the compute side.
+    r.exec_time = std::max({t.compute_time + serve_stall,
+                            fetch_time + t.reduce_time, stream_time}) +
+                  t.inter_chip_time;
+    r.fabric_time =
+        (r.fetch_bytes + t.reduce_bytes) * t.cores / t.fabric_capacity;
+    return true;
+}
+
+/// Writes the plan of residency (@p ra, @p rw) over partition @p t.
+void
+assemble_plan(const PartitionTerms& t, int ra, int rw,
+              const ReplicationTerms& r, ExecPlan& plan)
+{
+    plan.parts_rows = t.parts_rows;
+    plan.parts_cols = t.parts_cols;
+    plan.parts_k = t.parts_k;
+    plan.repl_a = ra;
+    plan.repl_w = rw;
+    plan.tile_rows = t.tile_rows;
+    plan.tile_cols = t.tile_cols;
+    plan.tile_k = t.tile_k;
+    plan.a_need = t.a_need;
+    plan.w_need = t.w_need;
+    plan.out_bytes = t.out_bytes;
+    plan.group_a = t.group_a;
+    plan.group_w = t.group_w;
+    plan.exec_space = r.exec_space;
+    plan.fetch_bytes = r.fetch_bytes;
+    plan.reduce_bytes = t.reduce_bytes;
+    plan.hbm_stream_bytes = r.hbm_stream_bytes;
+    plan.compute_time = t.compute_time;
+    plan.exec_time = r.exec_time;
+    plan.fabric_time = r.fabric_time;
+}
+
+/**
+ * The residency candidate after @p r for a sharing group of @p group:
+ * powers of two up to the group, then the group itself; 0 after the
+ * last.
+ */
+int
+next_repl(int r, int group)
+{
+    if (r >= group) {
+        return 0;
+    }
+    long twice = 2L * r;
+    return twice <= group ? static_cast<int>(twice) : group;
+}
+
+/// Residency candidates are powers of two or the group itself; a
+/// point stores a power of two as its exponent and the group as this.
+constexpr uint8_t kGroupRepl = 0xFF;
+
+uint8_t
+repl_code(int r, int group)
+{
+    if (r == group && (r & (r - 1)) != 0) {
+        return kGroupRepl;
+    }
+    uint8_t log2 = 0;
+    while ((1 << log2) < r) {
+        ++log2;
+    }
+    return log2;
+}
+
+int
+repl_of(uint8_t code, int group)
+{
+    return code == kGroupRepl ? group : 1 << code;
+}
+
+/**
  * One feasible execute plan as enumeration keeps it: its two Pareto
- * axes (exec_space, time_cost()) and the decision variables that
- * rebuild the whole ExecPlan through compute_plan_metrics.
+ * axes (exec_space, time_cost()), the index of its partition's terms
+ * and its two residency codes. 24 bytes, so the tie sort moves little.
  */
 struct PlanPoint {
     uint64_t exec_space;
     double time_cost;
-    int parts_rows;
-    int parts_cols;
-    int parts_k;
-    int repl_a;
-    int repl_w;
+    uint32_t partition;
+    uint8_t repl_a;
+    uint8_t repl_w;
+};
+static_assert(sizeof(PlanPoint) <= 24, "PlanPoint grew past 24 bytes");
+
+/// A partition with the residency groups its candidates range over.
+struct Partition {
+    PartitionTerms terms;
+    int repl_a_group;
+    int repl_w_group;
 };
 
 }  // namespace
@@ -115,154 +372,20 @@ bool
 compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
                      ExecPlan& plan)
 {
-    const hw::ChipConfig& cfg = *ctx.cfg;
-    const long rows = op.batch * op.m;
-    const long cols = op.n;
-    const long contraction = graph::uses_matmul_pipeline(op.kind) ? op.k : 1;
-
-    if (plan.parts_rows > rows || plan.parts_cols > cols ||
-        plan.parts_k > contraction) {
+    PartitionTerms t;
+    ReplicationTerms r;
+    if (!partition_stage(op, ctx, plan.parts_rows, plan.parts_cols,
+                         plan.parts_k, t) ||
+        !replication_stage(t, ctx, plan.repl_a, plan.repl_w, r)) {
         return false;
     }
-    if (plan.cores_used() > cfg.total_cores()) {
-        return false;
-    }
-
-    plan.tile_rows = cdiv(rows, plan.parts_rows);
-    plan.tile_cols = cdiv(cols, plan.parts_cols);
-    plan.tile_k = cdiv(contraction, plan.parts_k);
-
-    // Sharing groups. A blocks are reused across the column partitions
-    // (each column group consumes the same rows of A); W blocks are
-    // reused across the row partitions that consume the same weights.
-    const long w_share = op.w_share_rows == 0 ? rows : op.w_share_rows;
-    plan.group_a = plan.parts_cols;
-    plan.group_w = static_cast<int>(
-        std::max(1L, std::min<long>(plan.parts_rows,
-                                    w_share / plan.tile_rows)));
-    // An HBM-fed W whose partition leaves no sharing group is consumed
-    // in repl_w chunks straight from HBM rather than fetched from
-    // peers (flash-attention-style chunking for KV, column-chunked
-    // weight streaming for giant weight matrices such as an LM head
-    // that exceeds the chip), so repl_w is then bounded by the chunking
-    // cap instead of the sharing group. When the partition does share W
-    // across cores, the normal broadcast/peer path applies.
-    const bool w_streams = w_from_hbm(op) && plan.group_w == 1;
-    int repl_w_limit = w_streams ? kMaxStreamChunks : plan.group_w;
-    if (plan.repl_a > plan.group_a || plan.repl_w > repl_w_limit) {
-        return false;
-    }
-
-    // Per-core byte needs.
-    const uint64_t dt = op.dtype_bytes;
-    if (graph::uses_matmul_pipeline(op.kind)) {
-        plan.a_need =
-            static_cast<uint64_t>(plan.tile_rows) * plan.tile_k * dt;
-        // The W operand (weights or KV stream) a core consumes: its
-        // column/contraction slice of every distinct k x n W block its
-        // rows touch. Rows within one w_share span reuse one block.
-        double col_frac = static_cast<double>(plan.tile_cols) / cols;
-        double k_frac = static_cast<double>(plan.tile_k) / contraction;
-        double block_bytes = static_cast<double>(op.k) * op.n * dt;
-        double blocks_touched =
-            std::max(1.0, static_cast<double>(plan.tile_rows) / w_share);
-        plan.w_need = static_cast<uint64_t>(
-            blocks_touched * block_bytes * col_frac * k_frac);
-        plan.w_need = std::max<uint64_t>(plan.w_need, 1);
-    } else {
-        plan.a_need =
-            static_cast<uint64_t>(plan.tile_rows) * plan.tile_cols * dt;
-        plan.w_need = op.hbm_bytes();  // small params, fully replicated
-        plan.group_a = 1;
-        plan.group_w = plan.parts_rows;
-        if (plan.repl_a != 1) {
-            return false;
-        }
-        if (plan.repl_w > plan.group_w) {
-            return false;
-        }
-    }
-    plan.out_bytes =
-        static_cast<uint64_t>(plan.tile_rows) * plan.tile_cols * dt;
-
-    // Execution space: resident shares + output (+ partial-sum buffer
-    // when the contraction is split).
-    uint64_t partial = plan.parts_k > 1 ? plan.out_bytes : 0;
-    plan.exec_space = plan.a_need / plan.repl_a +
-                      plan.w_need / plan.repl_w + plan.out_bytes + partial;
-    if (plan.exec_space > ctx.sram_budget()) {
-        return false;
-    }
-
-    // On-demand inter-core traffic during execution: the non-resident
-    // fractions of A and W, rotated in from group peers (Fig. 3c). A
-    // streamed W arrives from HBM, not from peers, so its non-resident
-    // chunks cost no inter-core traffic.
-    double fa = 1.0 / plan.repl_a;
-    double fw = 1.0 / plan.repl_w;
-    plan.fetch_bytes =
-        (1.0 - fa) * static_cast<double>(plan.a_need) +
-        (w_streams ? 0.0
-                   : (1.0 - fw) * static_cast<double>(plan.w_need));
-    // Partial-sum reduction along the k partitions (ring all-reduce).
-    plan.reduce_bytes =
-        plan.parts_k > 1
-            ? 2.0 * (plan.parts_k - 1) / plan.parts_k *
-                  static_cast<double>(plan.out_bytes)
-            : 0.0;
-
-    // Execution time estimate (per §4.3's cost model): per-core tile
-    // compute, on-demand fetches over the interconnect, the SRAM
-    // access contention of serving peers (which pauses local compute
-    // on IPU-like cores), and the reduction exchange.
-    cost::TileWork tile;
-    tile.kind = op.kind;
-    tile.rows = plan.tile_rows;
-    tile.n = plan.tile_cols;
-    tile.k = plan.tile_k;
-    tile.dtype_bytes = op.dtype_bytes;
-    plan.compute_time = ctx.exec_cost->tile_time(tile, cfg);
-
-    double peer_bw = per_core_peer_bw(ctx, plan.cores_used());
-    double fetch_time = cost::link_transfer_time(
-        plan.fetch_bytes, peer_bw, cfg.link_latency_s,
-        cfg.transfer_buffer_per_core);
-    double serve_stall = plan.fetch_bytes / cfg.sram_read_bw;
-    double reduce_time = cost::link_transfer_time(
-        plan.reduce_bytes, peer_bw, cfg.link_latency_s,
-        cfg.transfer_buffer_per_core);
-    double inter_chip_time =
-        cfg.num_chips > 1 && graph::uses_matmul_pipeline(op.kind)
-            ? static_cast<double>(op.act_out_bytes) / cfg.inter_chip_bw
-            : 0.0;
-
-    // Chunked streamed operands consume their non-resident fraction
-    // from HBM while executing; the phase cannot beat that stream.
-    plan.hbm_stream_bytes =
-        w_streams ? (1.0 - fw) * static_cast<double>(plan.w_need) : 0.0;
-    double stream_time = plan.hbm_stream_bytes *
-                         static_cast<double>(plan.cores_used()) /
-                         cfg.hbm_total_bw;
-
-    // The compute pipeline, the rotation fetches and the HBM stream
-    // proceed concurrently within the execution phase (round
-    // double-buffering), so the phase lasts as long as the slowest;
-    // serving peers' reads stalls the local pipeline (contention 3 in
-    // Fig. 2) and therefore adds to the compute side.
-    plan.exec_time =
-        std::max({plan.compute_time + serve_stall,
-                  fetch_time + reduce_time, stream_time}) +
-        inter_chip_time;
-    double system_peer_capacity =
-        ctx.traffic->peer_exchange_capacity() * cfg.num_chips;
-    plan.fabric_time = (plan.fetch_bytes + plan.reduce_bytes) *
-                       static_cast<double>(plan.cores_used()) /
-                       system_peer_capacity;
+    assemble_plan(t, plan.repl_a, plan.repl_w, r, plan);
     return true;
 }
 
 std::vector<ExecPlan>
-enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
+enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx,
+                     EnumerationStats* stats)
 {
     const long rows = op.batch * op.m;
     const long cols = op.n;
@@ -270,12 +393,14 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
     const bool mm = graph::uses_matmul_pipeline(op.kind);
     const long contraction = mm ? op.k : 1;
 
-    // Feasible plans are kept as compact points (the two Pareto axes
-    // plus the decision variables) in enumeration order; only the
-    // front's survivors are rebuilt as full ExecPlans below. The sort
-    // sees the same (space, time) keys in the same order as a sort of
-    // whole plans would, so it makes the same comparisons and yields
-    // the same permutation, exact ties included.
+    // Each partition's terms are computed once; its feasible residency
+    // choices are kept as compact points (the two Pareto axes plus the
+    // decision variables) in enumeration order, and only the front's
+    // survivors are rebuilt as full ExecPlans below. A tie sort sees
+    // the same (space, time) keys in the same order as a sort of whole
+    // plans would, so it makes the same comparisons and yields the
+    // same permutation, exact ties included.
+    std::vector<Partition> partitions;
     std::vector<PlanPoint> points;
     auto rows_parts = candidate_parts(rows, total_cores);
     for (int pr : rows_parts) {
@@ -287,73 +412,84 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx)
                                                 total_cores / (static_cast<long>(pr) * pc))
                               : std::vector<int>{1};
             for (int pk : k_parts) {
-                ExecPlan base;
-                base.parts_rows = pr;
-                base.parts_cols = pc;
-                base.parts_k = pk;
-                // Probe with no replication choice to get groups.
-                ExecPlan probe = base;
-                if (!compute_plan_metrics(op, ctx, probe)) {
-                    // Try anyway with repl=1; if the tile itself is too
-                    // big this partition is hopeless only when repl
-                    // can't shrink it further — handled below by
-                    // enumerating repl candidates regardless.
-                    probe = base;
-                    probe.repl_a = 1;
-                    probe.repl_w = 1;
-                    if (!compute_plan_metrics(op, ctx, probe)) {
-                        // Even the largest-memory variant fails; the
-                        // higher-repl variants may still fit, so fall
-                        // through with conservative group bounds.
-                        probe.group_a = pc;
-                        probe.group_w = pr;
-                    }
+                Partition part;
+                if (!partition_stage(op, ctx, pr, pc, pk, part.terms)) {
+                    continue;
                 }
-                int rw_limit = w_from_hbm(op) && probe.group_w == 1
-                                   ? kMaxStreamChunks
-                                   : probe.group_w;
-                for (int ra : candidate_repl(probe.group_a)) {
-                    for (int rw : candidate_repl(rw_limit)) {
-                        ExecPlan plan = base;
-                        plan.repl_a = ra;
-                        plan.repl_w = rw;
-                        if (compute_plan_metrics(op, ctx, plan)) {
-                            points.push_back({plan.exec_space,
-                                              plan.time_cost(), pr, pc, pk,
-                                              ra, rw});
+                // Residency ranges over the plan's sharing groups when
+                // the fully resident plan fits; otherwise over the
+                // conservative partition bounds, since the higher-repl
+                // variants may still fit.
+                ReplicationTerms r;
+                const bool resident_fits =
+                    replication_stage(part.terms, ctx, 1, 1, r);
+                part.repl_a_group = resident_fits ? part.terms.group_a : pc;
+                int group_w = resident_fits ? part.terms.group_w : pr;
+                part.repl_w_group = w_from_hbm(op) && group_w == 1
+                                        ? kMaxStreamChunks
+                                        : group_w;
+                if (partitions.size() >= UINT32_MAX) {
+                    util::panic("enumerate_exec_plans: operator " +
+                                op.name + " has more partitions than a "
+                                "plan point can index");
+                }
+                const auto index = static_cast<uint32_t>(partitions.size());
+                for (int ra = 1; ra != 0;
+                     ra = next_repl(ra, part.repl_a_group)) {
+                    for (int rw = 1; rw != 0;
+                         rw = next_repl(rw, part.repl_w_group)) {
+                        if (replication_stage(part.terms, ctx, ra, rw, r)) {
+                            points.push_back(
+                                {r.exec_space, r.exec_time + r.fabric_time,
+                                 index, repl_code(ra, part.repl_a_group),
+                                 repl_code(rw, part.repl_w_group)});
                         }
                     }
                 }
+                partitions.push_back(part);
             }
         }
     }
 
+    bool tied = false;
+    const size_t feasible = points.size();
     auto kept = pareto_front(
         std::move(points), [](const PlanPoint& p) { return p.exec_space; },
-        [](const PlanPoint& p) { return p.time_cost; });
+        [](const PlanPoint& p) { return p.time_cost; }, &tied);
     util::check(!kept.empty(),
                 "no feasible execution plan for operator " + op.name);
+    if (stats != nullptr) {
+        stats->exec_points += feasible;
+        stats->tied_fronts += tied ? 1 : 0;
+    }
     std::vector<ExecPlan> front(kept.size());
     for (size_t i = 0; i < kept.size(); ++i) {
-        ExecPlan& plan = front[i];
-        plan.parts_rows = kept[i].parts_rows;
-        plan.parts_cols = kept[i].parts_cols;
-        plan.parts_k = kept[i].parts_k;
-        plan.repl_a = kept[i].repl_a;
-        plan.repl_w = kept[i].repl_w;
-        compute_plan_metrics(op, ctx, plan);
+        const Partition& part = partitions[kept[i].partition];
+        const int ra = repl_of(kept[i].repl_a, part.repl_a_group);
+        const int rw = repl_of(kept[i].repl_w, part.repl_w_group);
+        ReplicationTerms r;
+        replication_stage(part.terms, ctx, ra, rw, r);
+        assemble_plan(part.terms, ra, rw, r, front[i]);
     }
     return front;
 }
 
 std::vector<std::vector<ExecPlan>>
 enumerate_exec_fronts(const std::vector<const graph::Operator*>& ops,
-                      const PlanContext& ctx, util::ThreadPool* pool)
+                      const PlanContext& ctx, util::ThreadPool* pool,
+                      EnumerationStats* stats)
 {
     std::vector<std::vector<ExecPlan>> fronts(ops.size());
+    std::vector<EnumerationStats> per_op(ops.size());
     util::ThreadPool::run(pool, static_cast<int>(ops.size()), [&](int i) {
-        fronts[i] = enumerate_exec_plans(*ops[i], ctx);
+        fronts[i] = enumerate_exec_plans(*ops[i], ctx, &per_op[i]);
     });
+    if (stats != nullptr) {
+        for (const EnumerationStats& s : per_op) {
+            stats->exec_points += s.exec_points;
+            stats->tied_fronts += s.tied_fronts;
+        }
+    }
     return fronts;
 }
 

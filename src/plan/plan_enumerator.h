@@ -7,6 +7,7 @@
 #ifndef ELK_PLAN_PLAN_ENUMERATOR_H
 #define ELK_PLAN_PLAN_ENUMERATOR_H
 
+#include <cstdint>
 #include <vector>
 
 #include "cost/exec_cost.h"
@@ -41,15 +42,29 @@ struct PlanContext {
     uint64_t sram_budget() const { return cfg->usable_sram_per_core(); }
 };
 
+/// Work counters of execute-front enumeration. They depend on the
+/// operators and the chip only, never on threads or timing.
+struct EnumerationStats {
+    /// Feasible execute plans enumerated (before the Pareto cut).
+    uint64_t exec_points = 0;
+    /// Fronts with a key shared by two or more plans, whose winner the
+    /// tie sort picked (see pareto_front).
+    int tied_fronts = 0;
+};
+
 /**
  * Enumerates Pareto-optimal execute-state plans of @p op: every
  * combination of partition factors and residency factors that fits the
  * chip, reduced to the (exec_space, exec_time) Pareto front, sorted
  * fastest-first (descending memory). Never empty for a well-formed
- * operator — at minimum the most-partitioned plan survives.
+ * operator — at minimum the most-partitioned plan survives. The
+ * partition-dependent metric terms are computed once per partition
+ * and shared by its residency choices. @p stats, when non-null,
+ * accumulates the enumeration's counters.
  */
 std::vector<ExecPlan> enumerate_exec_plans(const graph::Operator& op,
-                                           const PlanContext& ctx);
+                                           const PlanContext& ctx,
+                                           EnumerationStats* stats = nullptr);
 
 /**
  * Enumerates the execute-state Pareto front of every operator in
@@ -57,10 +72,11 @@ std::vector<ExecPlan> enumerate_exec_plans(const graph::Operator& op,
  * @p pool (nullptr = serial). Result i is the front of ops[i];
  * identical to calling enumerate_exec_plans per operator, in any
  * pool configuration (per-slot writes, no cross-operator state).
+ * @p stats, when non-null, accumulates every operator's counters.
  */
 std::vector<std::vector<ExecPlan>> enumerate_exec_fronts(
     const std::vector<const graph::Operator*>& ops, const PlanContext& ctx,
-    util::ThreadPool* pool = nullptr);
+    util::ThreadPool* pool = nullptr, EnumerationStats* stats = nullptr);
 
 /**
  * Enumerates Pareto-optimal preload-state plans for a preloaded @p op
@@ -85,7 +101,10 @@ int min_time_cost_index(const std::vector<PreloadPlan>& front,
 /**
  * Fills the derived metrics of @p plan for @p op; exposed for tests.
  * Returns false when the plan is infeasible (tile does not fit in the
- * SRAM budget or factors exceed dims/cores).
+ * SRAM budget or factors exceed dims/cores/sharing groups), leaving
+ * @p plan untouched. Runs the same two stages enumeration does: the
+ * partition stage (terms of the partition factors alone), then the
+ * replication stage (terms of repl_a and repl_w).
  */
 bool compute_plan_metrics(const graph::Operator& op, const PlanContext& ctx,
                           ExecPlan& plan);

@@ -155,6 +155,26 @@ TEST_F(CompilerDeathTest, RejectsSplitFabricMachine)
                      "chip " + chip_signature(cfg_));
 }
 
+// The library's accessors are inline on the scheduler's hot path; a
+// bad lookup must still die with a message that names the lookup.
+TEST_F(CompilerDeathTest, LibraryLookupsAreBoundsChecked)
+{
+    const PlanLibrary& library = compiler_->library();
+    const int n = graph_.size();
+    EXPECT_DEATH(library.exec_plans(n),
+                 "exec_plans: operator id " + std::to_string(n) +
+                     " out of range \\(graph has " + std::to_string(n) +
+                     " operators\\)");
+    EXPECT_DEATH(library.preload_plans(-1, 0),
+                 "preload_plans: operator id -1 out of range");
+    const int plans = static_cast<int>(library.exec_plans(0).size());
+    EXPECT_DEATH(library.preload_plans(0, plans),
+                 "preload_plans: exec plan index " +
+                     std::to_string(plans) + " out of range for '" +
+                     graph_.op(0).name + "' \\(front has " +
+                     std::to_string(plans) + " plans\\)");
+}
+
 TEST(ModeNameTest, AllNamesDistinct)
 {
     std::set<std::string> names;

@@ -6,7 +6,8 @@
  * InductiveScheduler::schedule calls over seeded preload orders and a
  * grid of scheduling knobs. Infeasible orders digest as "nullopt".
  * The Llama2-13B buckets also pin every field of their execute-state
- * fronts and schedule-elk's candidate count, and a property checks
+ * fronts, the plan library's enumeration counters and schedule-elk's
+ * candidate count, and a property checks
  * that overhead weights with equal anchor tables schedule alike.
  * A scheduler or allocator refactor must keep every digest; regenerate
  * the tables only for an intended change of compiled plans. A mismatch
@@ -253,6 +254,17 @@ constexpr uint64_t kBucketFrontDigests[] = {
     0xd68d5ed8c3231982ull,
 };
 
+/**
+ * Per bucket: the plan library's enumeration counters, the feasible
+ * execute plans it scored and the fronts whose exact tie needed the
+ * sort (plan::EnumerationStats). They change only when enumeration
+ * visits other candidates or the tie rule changes.
+ */
+constexpr plan::EnumerationStats kBucketEnumerationStats[] = {
+    {161097, 2},
+    {138190, 7},
+};
+
 util::Fnv1a
 exec_front_digest(const PlanLibrary& library)
 {
@@ -296,6 +308,12 @@ TEST(PlanGoldenTest, Llama2BucketExecFronts)
         EXPECT_EQ(actual.value(), kBucketFrontDigests[b])
             << kBuckets[b].name << " exec fronts digest 0x"
             << actual.hex();
+        const plan::EnumerationStats& stats =
+            compiler.library().enumeration_stats();
+        EXPECT_EQ(stats.exec_points, kBucketEnumerationStats[b].exec_points)
+            << kBuckets[b].name;
+        EXPECT_EQ(stats.tied_fronts, kBucketEnumerationStats[b].tied_fronts)
+            << kBuckets[b].name;
     }
 }
 
@@ -326,6 +344,12 @@ TEST(PlanGoldenTest, Llama2BucketsCompileAndSchedule)
                       kBucketCandidatesScheduled[b])
                 << kBuckets[b].name << " " << mode_name(modes[m]);
             EXPECT_LT(result.stats.candidates_scheduled, 40);
+            EXPECT_EQ(result.stats.exec_points,
+                      kBucketEnumerationStats[b].exec_points)
+                << kBuckets[b].name << " " << mode_name(modes[m]);
+            EXPECT_EQ(result.stats.tied_fronts,
+                      kBucketEnumerationStats[b].tied_fronts)
+                << kBuckets[b].name << " " << mode_name(modes[m]);
         }
         EXPECT_GT(expect_weight_groups_schedule_alike(compiler.library(),
                                                       kBuckets[b].name),

@@ -276,5 +276,73 @@ TEST_F(PlanEnumeratorTest, GqaSharingEnablesBroadcast)
     EXPECT_LT(front.front().w_need, mha_front.front().w_need * 2);
 }
 
+TEST_F(PlanEnumeratorTest, FrontPlansMatchComputePlanMetrics)
+{
+    // Enumeration shares each partition's terms across its residency
+    // choices; every front plan must still be exactly what the
+    // one-plan metric computation gives for its decision variables.
+    // Layer 0 and the model head/tail cover every operator kind of a
+    // decode step and a prefill pass.
+    const graph::Graph graphs[] = {
+        graph::build_decode_graph(graph::llama2_13b(), 4, 2048),
+        graph::build_forward_graph(graph::llama2_13b(), 1, 256),
+    };
+    EnumerationStats stats;
+    size_t front_plans = 0;
+    for (const graph::Graph& g : graphs) {
+        for (const graph::Operator& op : g.ops()) {
+            if (op.layer > 0) {
+                continue;
+            }
+            const auto front = enumerate_exec_plans(op, ctx_, &stats);
+            front_plans += front.size();
+            for (const ExecPlan& p : front) {
+                ExecPlan q;
+                q.parts_rows = p.parts_rows;
+                q.parts_cols = p.parts_cols;
+                q.parts_k = p.parts_k;
+                q.repl_a = p.repl_a;
+                q.repl_w = p.repl_w;
+                ASSERT_TRUE(compute_plan_metrics(op, ctx_, q))
+                    << op.name << " " << p.to_string();
+                EXPECT_EQ(q.tile_rows, p.tile_rows) << op.name;
+                EXPECT_EQ(q.tile_cols, p.tile_cols) << op.name;
+                EXPECT_EQ(q.tile_k, p.tile_k) << op.name;
+                EXPECT_EQ(q.a_need, p.a_need) << op.name;
+                EXPECT_EQ(q.w_need, p.w_need) << op.name;
+                EXPECT_EQ(q.out_bytes, p.out_bytes) << op.name;
+                EXPECT_EQ(q.group_a, p.group_a) << op.name;
+                EXPECT_EQ(q.group_w, p.group_w) << op.name;
+                EXPECT_EQ(q.exec_space, p.exec_space) << op.name;
+                EXPECT_EQ(q.fetch_bytes, p.fetch_bytes) << op.name;
+                EXPECT_EQ(q.reduce_bytes, p.reduce_bytes) << op.name;
+                EXPECT_EQ(q.hbm_stream_bytes, p.hbm_stream_bytes)
+                    << op.name;
+                EXPECT_EQ(q.compute_time, p.compute_time) << op.name;
+                EXPECT_EQ(q.exec_time, p.exec_time) << op.name;
+                EXPECT_EQ(q.fabric_time, p.fabric_time) << op.name;
+            }
+        }
+    }
+    // The counters see every feasible plan, of which fronts keep few.
+    EXPECT_GT(stats.exec_points, 10 * front_plans);
+    EXPECT_GT(stats.tied_fronts, 0);
+}
+
+TEST_F(PlanEnumeratorTest, RejectedPlanIsLeftUntouched)
+{
+    auto op = make_matmul(32, 5120, 5120);
+    ExecPlan plan;
+    plan.parts_rows = 8;
+    plan.parts_cols = 32;
+    plan.parts_k = 8;
+    plan.repl_a = 64;  // > group_a (32 column partitions)
+    EXPECT_FALSE(compute_plan_metrics(op, ctx_, plan));
+    EXPECT_EQ(plan.exec_space, 0u);
+    EXPECT_EQ(plan.tile_rows, 1);
+    plan.repl_a = 0;
+    EXPECT_FALSE(compute_plan_metrics(op, ctx_, plan));
+}
+
 }  // namespace
 }  // namespace elk::plan

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <random>
 
 #include "elk/compiler.h"
@@ -60,6 +62,108 @@ TEST_P(ParetoProperty, FrontIsMinimalAndComplete)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParetoProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// A point that remembers where it came from, so two points with the
+/// same key stay distinguishable.
+struct TaggedPoint {
+    uint64_t m;
+    double t;
+    int id;
+};
+
+/// The reference front: sort by (memory, time) ascending, sweep for
+/// strictly falling time, reverse. Which of two exactly tied points
+/// survives is whichever the sort placed first.
+std::vector<TaggedPoint>
+sort_and_sweep(std::vector<TaggedPoint> points)
+{
+    std::sort(points.begin(), points.end(),
+              [](const TaggedPoint& a, const TaggedPoint& b) {
+                  if (a.m != b.m) {
+                      return a.m < b.m;
+                  }
+                  return a.t < b.t;
+              });
+    std::vector<TaggedPoint> front;
+    double best = std::numeric_limits<double>::infinity();
+    for (const TaggedPoint& p : points) {
+        if (p.t < best) {
+            best = p.t;
+            front.push_back(p);
+        }
+    }
+    std::reverse(front.begin(), front.end());
+    return front;
+}
+
+/**
+ * Random point sets built to collide: few distinct memories and times
+ * (runs of equal space and of equal time), copies of earlier keys
+ * (exact ties), and the odd +infinity time. Sizes reach past
+ * std::sort's insertion-sort cutoff, where tie order depends on the
+ * whole input.
+ */
+std::vector<TaggedPoint>
+colliding_points(std::mt19937_64& rng)
+{
+    std::uniform_int_distribution<int> size(0, 400);
+    std::uniform_int_distribution<int> spread(1, 60);
+    const int n = size(rng);
+    const int mems = spread(rng);
+    const int times = spread(rng);
+    std::uniform_int_distribution<uint64_t> mem(1, mems);
+    std::uniform_int_distribution<int> time(1, times);
+    std::uniform_int_distribution<int> kind(0, 19);
+    std::vector<TaggedPoint> pts;
+    for (int i = 0; i < n; ++i) {
+        TaggedPoint p{mem(rng), 0.25 * time(rng), i};
+        const int k = kind(rng);
+        if (k < 4 && !pts.empty()) {
+            // Exact tie with an earlier point.
+            const TaggedPoint& twin = pts[rng() % pts.size()];
+            p.m = twin.m;
+            p.t = twin.t;
+        } else if (k == 4) {
+            p.t = std::numeric_limits<double>::infinity();
+        }
+        pts.push_back(p);
+    }
+    return pts;
+}
+
+TEST(ParetoTieProperty, MatchesSortAndSweepElementForElement)
+{
+    std::mt19937_64 rng(20260);
+    int tied = 0;
+    int untied = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::vector<TaggedPoint> pts = colliding_points(rng);
+        const std::vector<TaggedPoint> want = sort_and_sweep(pts);
+        bool sorted = false;
+        const std::vector<TaggedPoint> got = plan::pareto_front(
+            pts, [](const TaggedPoint& p) { return p.m; },
+            [](const TaggedPoint& p) { return p.t; }, &sorted);
+        ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
+        for (size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(got[i].id, want[i].id)
+                << "trial " << trial << " front index " << i;
+        }
+        // The tie sort runs exactly when some front key is held by two
+        // or more input points.
+        size_t holders = 0;
+        for (const TaggedPoint& p : pts) {
+            holders += std::count_if(
+                want.begin(), want.end(), [&](const TaggedPoint& f) {
+                    return f.m == p.m && f.t == p.t;
+                });
+        }
+        EXPECT_EQ(sorted, holders > want.size()) << "trial " << trial;
+        (sorted ? tied : untied) += 1;
+    }
+    // Both paths ran often.
+    EXPECT_GT(tied, 300);
+    EXPECT_GT(untied, 300);
+}
 
 // ---------------------------------------------------------------
 // Fluid network: work conservation and capacity limits under random
