@@ -10,7 +10,7 @@
  * migration — a transfer from the chip that holds a request's KV state
  * to the chip the request was routed to stalls the destination chip's
  * clock for transfer_seconds(), the cross-chip analogue of the
- * HBM-refetch stall kv_prepare charges on one chip.
+ * HBM-refetch stall KvLedger::prepare charges on one chip.
  *
  * The model is deliberately fluid (no per-message queueing): a
  * transfer of B bytes over h hops costs h * hop_latency_s + B /

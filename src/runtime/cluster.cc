@@ -210,7 +210,7 @@ Cluster::route_into(const std::vector<Request>& requests,
     for (size_t k = 0; k < requests.size(); ++k) {
         const Request& r = requests[k];
         const int64_t len =
-            r.prompt_len > 0 ? r.prompt_len : opts_.server.max_prompt_len;
+            effective_prompt_len(r, opts_.server.max_prompt_len);
         if (p > 0 && r.phase == Phase::kPrefill &&
             r.decode_tokens > 0) {
             // Tier split: the prompt ingests on a prefill chip, the

@@ -28,32 +28,15 @@
  * stopped (EngineState::park/resume). When no preemption fires,
  * step-driven results are bit-identical to unpreempted runs.
  *
- * With a non-zero ServerOptions::kv_budget, decode KV state is
- * modeled as first-class residency-pool entries: every request owns a
- * KV segment sized by its prompt length plus the tokens it has
- * decoded, competing with resident weights for SRAM. Prompts whose KV
- * would not fit are deferred at admission (backpressure), spilled
- * segments stall their next iteration while they stream back from
- * HBM, and parked (preempted) requests keep their segments pinned.
- * The default (0) keeps KV memory free — bit-identical to the pre-KV
- * scheduler.
- *
- * With ServerOptions::slo, the two priority classes generalize to
- * per-request deadlines and per-tenant shares: requests carry a
- * tenant id and an absolute deadline, the wait queues order
- * earliest-deadline-first (deterministic ties on request id), batch
- * slots are claimed under a per-tenant weighted token budget
- * replenished one fairness window at a time (deficit-round-robin
- * style, work-conserving — shares only bite under contention), and an
- * urgent deadline arrival may preempt a running iteration through the
- * same park/resume frames as the priority classes, bounded by a
- * per-request preemption budget. The default (slo off) rejects
- * tagged requests and is bit-identical to the two-class scheduler —
- * as is slo on over a single-tenant, no-deadline, single-phase
- * (all-prefill or decode-only) trace, the anchor asserted in
- * tests/slo_test.cc. A mixed-phase trace can differ: decode queues
- * then hold prefill graduates in completion order with slo off, but
- * in id order with slo on.
+ * With a non-zero ServerOptions::kv_budget, decode KV state competes
+ * with resident weights for SRAM as residency-pool segments (see
+ * runtime/kv_ledger.h); the default (0) keeps KV memory free,
+ * bit-identical to the pre-KV scheduler. With ServerOptions::slo,
+ * requests carry tenants and deadlines: EDF queues, deficit-round-robin
+ * tenant shares and budgeted deadline preemption (runtime/wait_queues.h,
+ * docs/TENANCY.md). slo off is bit-identical to the two-class
+ * scheduler, as is slo on over a single-tenant, no-deadline,
+ * single-phase trace (tests/slo_test.cc).
  *
  * The ServingReport aggregates the paper-style serving metrics: tail
  * latency percentiles, time-to-first-token, tokens/s goodput, queue
@@ -157,7 +140,7 @@ struct Request {
     int kv_migrate_tokens = 0;
     /// Seconds the migration transfer stalls this chip's clock,
     /// priced by the router's hw::Interconnect at routing time (the
-    /// server stays interconnect-ignorant). Charged like a kv_prepare
+    /// server stays interconnect-ignorant). Charged like a KV refetch
     /// stall when the migration is consumed; a migration skipped
     /// because the prefix is already cached locally charges nothing.
     double kv_migrate_stall = 0.0;
@@ -174,6 +157,14 @@ struct Request {
     /// enters the report's SLO block.
     double deadline_s = 0.0;
 };
+
+/// @p r's prompt length with the 0 = "full model sequence length"
+/// default resolved against @p max_prompt_len.
+inline int
+effective_prompt_len(const Request& r, int max_prompt_len)
+{
+    return r.prompt_len > 0 ? r.prompt_len : max_prompt_len;
+}
 
 /// Helpers to build Request traces from plain arrival times.
 std::vector<Request> decode_requests(const std::vector<double>& arrivals,
@@ -578,7 +569,7 @@ struct ServingReport {
     /// Prompts whose ingestion needed more than one chunk.
     int64_t chunked_prompts = 0;
     /// Chunk claims across all prefill iterations (== prompts claimed
-    /// when chunking is off or every prompt fits one chunk).
+    /// when every prompt fits one chunk; 0 when chunking is off).
     int64_t prefill_chunks = 0;
     /// Decode iterations the scheduler interleaved between the chunks
     /// of partially-ingested prompts (the head-of-line win).

@@ -429,6 +429,35 @@ TEST_F(ChunkedServingTest, LocalitySkipsCountSpilledPassOvers)
     // token count.
     EXPECT_EQ(on.requests, off.requests);
     EXPECT_EQ(on.tokens, off.tokens);
+
+    // Two SLO tenants over prefill graduates (born resident) and
+    // decode-phase arrivals (born spilled): the resident walk checks
+    // the deficit gate before residency, counts each spilled member it
+    // passes over, opens no fairness window, and falls back to the full
+    // walk only when the batch is still empty. The counts are pinned.
+    std::vector<runtime::Request> mixed;
+    for (int i = 0; i < 12; ++i) {
+        runtime::Request r;
+        r.arrival = 0.0;
+        r.phase = i % 3 == 2 ? runtime::Phase::kDecode
+                             : runtime::Phase::kPrefill;
+        r.prompt_len = kSeq / 2;
+        r.decode_tokens = 3 + i % 4;
+        r.tenant = (i / 2) % 2;
+        mixed.push_back(r);
+    }
+    runtime::ServerOptions sopts = kv_options();
+    sopts.kv_locality = true;
+    sopts.slo = true;
+    sopts.tenants = 2;
+    sopts.tenant_shares = {3.0, 1.0};
+    runtime::Server s(dc.machine(), sopts);
+    auto slo = s.serve(
+        mixed, [&](int b, int len) { return pc.program(b, len); },
+        [&](int b) { return dc.program(b); });
+    EXPECT_EQ(slo.kv_locality_skips, 11);
+    EXPECT_EQ(slo.fairness_windows, 8);
+    EXPECT_EQ(slo.decode_iterations, 19);
 }
 
 // ---------------------------------------------------------------------------

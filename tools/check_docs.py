@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (stdlib only; CI `docs` job).
 
-Six classes of rot this catches:
+Seven classes of rot this catches:
 
  1. Relative markdown links whose target file no longer exists
     (`[text](docs/SERVING.md)`, `[x](../README.md#anchor)`), in every
@@ -36,6 +36,12 @@ Six classes of rot this catches:
     docs/*.md must name a member declared (outside comments) in that
     struct's body in src/**/*.h — so retiring a knob without updating
     the docs fails CI.
+ 7. Stale symbol references: a backticked `Name::member` (the last
+    two components of a `::` chain) in README.md or docs/*.md, where
+    `Name` is a class or struct declared in src/runtime/*.{h,cc},
+    must name a member declared (outside comments) in its body — so
+    moving a method to another class without updating the docs fails
+    CI. Option structs are left to rule 6.
 
 Usage:
     tools/check_docs.py              # check, exit 1 on any failure
@@ -95,6 +101,11 @@ OPTION_REF_RE = re.compile(
                sorted(OPTION_STRUCTS, key=len, reverse=True))
 )
 COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
+# Rule 7: backtick spans, and the last `Owner::member` pair of a
+# `a::b::c` chain inside one.
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+SYMBOL_REF_RE = re.compile(r"\b(?:\w+::)*([A-Za-z_]\w*)::([A-Za-z_]\w*)")
+CLASS_DECL_RE = re.compile(r"(?<!enum )\b(?:class|struct)\s+(\w+)[^;{()]*\{")
 
 
 def markdown_files():
@@ -195,6 +206,16 @@ def check_report_fields(md_path, runtime_src, errors):
                     )
 
 
+def body_after(text, start):
+    """The text of the brace-balanced body opening just before
+    @p start."""
+    depth, i = 1, start
+    while depth and i < len(text):
+        depth += {"{": 1, "}": -1}.get(text[i], 0)
+        i += 1
+    return text[start : i - 1]
+
+
 def struct_bodies(src_text):
     """Declared struct name -> its body with comments stripped, for
     every OPTION_STRUCTS target found in @p src_text."""
@@ -202,13 +223,28 @@ def struct_bodies(src_text):
     bodies = {}
     for name in OPTION_STRUCTS.values():
         match = re.search(r"\bstruct\s+%s\s*\{" % name, text)
-        if not match:
-            continue
-        depth, i = 1, match.end()
-        while depth and i < len(text):
-            depth += {"{": 1, "}": -1}.get(text[i], 0)
-            i += 1
-        bodies[name] = text[match.end() : i - 1]
+        if match:
+            bodies[name] = body_after(text, match.end())
+    return bodies
+
+
+def class_bodies(src_text):
+    """Class/struct name -> its body with comments stripped, for every
+    class or struct (not enum class) defined in @p src_text."""
+    text = COMMENT_RE.sub("", src_text)
+    return {m.group(1): body_after(text, m.end())
+            for m in CLASS_DECL_RE.finditer(text)}
+
+
+def runtime_classes():
+    """class_bodies() over every src/runtime/*.{h,cc}."""
+    bodies = {}
+    directory = os.path.join(REPO, "src", "runtime")
+    for name in sorted(os.listdir(directory)):
+        if name.endswith((".h", ".cc")):
+            with open(os.path.join(directory, name),
+                      encoding="utf-8") as f:
+                bodies.update(class_bodies(f.read()))
     return bodies
 
 
@@ -237,6 +273,25 @@ def check_option_members(md_path, bodies, errors):
                     f"{rel}:{lineno}: names '{owner}::{member}' but "
                     "src/**/*.h declares no such member"
                 )
+
+
+def check_symbol_members(md_path, classes, errors):
+    """Every backticked Class::member, Class a src/runtime class, must
+    name a member that class declares."""
+    rel = os.path.relpath(md_path, REPO)
+    with open(md_path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            for span in CODE_SPAN_RE.findall(line):
+                for owner, member in SYMBOL_REF_RE.findall(span):
+                    if owner not in classes or owner in OPTION_STRUCTS:
+                        continue
+                    if re.search(r"\b%s\b" % re.escape(member),
+                                 classes[owner]):
+                        continue
+                    errors.append(
+                        f"{rel}:{lineno}: names '{owner}::{member}' but "
+                        f"src/runtime's {owner} declares no such member"
+                    )
 
 
 def flag_checked(md_path):
@@ -314,6 +369,7 @@ def main():
     flags = known_flags()
     runtime_src = runtime_source()
     bodies = header_structs()
+    classes = runtime_classes()
     errors = []
     named = set()
     for md in markdown_files():
@@ -328,6 +384,7 @@ def main():
         rel = os.path.relpath(md, REPO)
         if rel == "README.md" or rel.startswith("docs" + os.sep):
             check_option_members(md, bodies, errors)
+            check_symbol_members(md, classes, errors)
         if rel.startswith("docs" + os.sep):
             check_markers(md, errors)
             if os.path.basename(md) in REPORT_TABLE_DOCS:

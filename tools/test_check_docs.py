@@ -1,4 +1,4 @@
-"""Tests of check_docs.py's binary-name and option-member rules.
+"""Tests of check_docs.py's binary-name, option-member and symbol rules.
 
     python3 tools/test_check_docs.py
 """
@@ -43,6 +43,15 @@ def member_errors_for(text):
         text)
 
 
+def symbol_errors_for(text):
+    """The check_symbol_members() errors against src/runtime's classes."""
+    classes = check_docs.runtime_classes()
+    return run_check(
+        lambda path, errors: check_docs.check_symbol_members(
+            path, classes, errors),
+        text)
+
+
 class BinaryNameTest(unittest.TestCase):
     def test_dot_directory_is_not_a_binary(self):
         self.assertEqual(errors_for("cmake -B .bench_build -S perfbench\n"
@@ -76,6 +85,34 @@ class OptionMemberTest(unittest.TestCase):
             "};\n")
         self.assertIn("max_batch", bodies["ServerOptions"])
         self.assertNotIn("nope", bodies["ServerOptions"])
+
+
+class SymbolMemberTest(unittest.TestCase):
+    def test_declared_members_pass(self):
+        self.assertEqual(symbol_errors_for(
+            "`IterationExecutor::execute`, `Server::serve(arrivals)`, "
+            "`runtime::ServingReport::serialize_bits()` and "
+            "`WaitQueues::claim()`\n"), [])
+
+    def test_member_of_another_class_errors(self):
+        # execute() lives on IterationExecutor, not on the loop.
+        self.assertEqual(len(symbol_errors_for(
+            "the executor (`DisaggRun::execute`)\n")), 1)
+
+    def test_only_backticked_runtime_classes_are_checked(self):
+        self.assertEqual(symbol_errors_for(
+            "DisaggRun::execute outside backticks, "
+            "`Engine::nope` outside src/runtime\n"), [])
+
+    def test_enum_class_is_not_a_class(self):
+        bodies = check_docs.class_bodies(
+            "enum class Phase { kPrefill };\n"
+            "struct Request {\n"
+            "    // int nope = 0;\n"
+            "    Phase phase;\n"
+            "};\n")
+        self.assertEqual(set(bodies), {"Request"})
+        self.assertNotIn("nope", bodies["Request"])
 
 
 if __name__ == "__main__":
