@@ -16,8 +16,11 @@
  * portion (CompileResult::compile_seconds). candidates_scheduled counts
  * the schedule-elk tuning candidates actually scheduled (out of 40);
  * exec_points the feasible execute plans the plan library enumerated,
- * and tied_fronts the execute fronts whose exact (space, time) tie
- * needed the sort. They and every column but jobs, wall(s) and
+ * tied_fronts the execute fronts whose exact (space, time) tie needed
+ * the sort, frontiers_tested the candidate preload frontiers the
+ * inductive scheduler priced over every schedule() of the compile, and
+ * allocator_calls those of them whose floors overflowed SRAM, so the
+ * allocator ran. They and every column but jobs, wall(s) and
  * compile(s) are deterministic.
  */
 #include <chrono>
@@ -36,7 +39,8 @@ main(int argc, char** argv)
 
     util::Table table({"model", "batch", "jobs", "wall(s)", "compile(s)",
                        "orders_tested", "candidates_scheduled", "N", "P",
-                       "K", "exec_points", "tied_fronts"});
+                       "K", "exec_points", "tied_fronts",
+                       "frontiers_tested", "allocator_calls"});
 
     for (const auto& model : bench::llm_models()) {
         for (int batch : batches) {
@@ -53,7 +57,9 @@ main(int argc, char** argv)
                       result.compile_seconds, result.stats.orders_tested,
                       result.stats.candidates_scheduled, result.stats.n_ops,
                       result.stats.max_plans, result.stats.max_fit_window,
-                      result.stats.exec_points, result.stats.tied_fronts);
+                      result.stats.exec_points, result.stats.tied_fronts,
+                      result.stats.frontiers_tested,
+                      result.stats.allocator_calls);
         }
     }
 

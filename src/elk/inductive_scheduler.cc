@@ -64,19 +64,23 @@ InductiveScheduler::anchor_table(double overhead_weight) const
 }
 
 std::optional<ExecutionPlan>
-InductiveScheduler::schedule_in_order(const ScheduleOptions& opts) const
+InductiveScheduler::schedule_in_order(const ScheduleOptions& opts,
+                                      ScheduleWork* work) const
 {
     std::vector<int> order(library_.graph().size());
     for (size_t i = 0; i < order.size(); ++i) {
         order[i] = static_cast<int>(i);
     }
-    return schedule(order, opts);
+    return schedule(order, opts, work);
 }
 
 std::optional<ExecutionPlan>
 InductiveScheduler::schedule(const std::vector<int>& preload_order,
-                             const ScheduleOptions& opts) const
+                             const ScheduleOptions& opts,
+                             ScheduleWork* work) const
 {
+    ScheduleWork unused;
+    ScheduleWork& counted = work != nullptr ? *work : unused;
     const graph::Graph& graph = library_.graph();
     const plan::PlanContext& ctx = library_.context();
     const uint64_t budget = ctx.sram_budget();
@@ -188,6 +192,10 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
                               pos[i + 1]);
         }
         // Live set: issued before execute(i), not yet executed.
+        // floor_space is the allocator's starting footprint: op i at
+        // exec plan 0 plus every live op's preload plan at its floor.
+        const auto& exec_front = library_.exec_plans(i);
+        uint64_t floor_space = exec_front[0].exec_space;
         live.clear();
         live_exec.clear();
         live_floor.clear();
@@ -196,6 +204,8 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             live.push_back(j);
             live_exec.push_back(exec_choice[j]);
             live_floor.push_back(preload_choice[j]);
+            floor_space += library_.preload_plans(j, exec_choice[j])
+                               [preload_choice[j]].preload_space;
         };
         for (int r : live_at_lo) {
             admit(r);
@@ -203,7 +213,6 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
 
         double best_start = -kInf;
         int best_frontier = -1;
-        size_t best_live = 0;  // live-set prefix of the winning frontier
         AllocationChoice best_alloc;
 
         for (int frontier = first; frontier <= frontier_next; ++frontier) {
@@ -213,10 +222,21 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             if (static_cast<int>(live.size()) > opts.max_window) {
                 break;
             }
-            AllocationChoice alloc = allocator_.allocate(
-                i, live, live_exec, live_floor, budget, alloc_scratch);
-            if (!alloc.feasible) {
-                break;  // larger frontiers only add live operators
+            ++counted.frontiers_tested;
+            AllocationChoice alloc;
+            if (floor_space <= budget) {
+                // The allocator would downgrade nothing and return its
+                // starting point: exec plan 0, every floor kept (left
+                // out of preload_idx, as there is nothing to raise).
+                alloc.feasible = true;
+                alloc.exec_time = exec_front[0].exec_time;
+            } else {
+                ++counted.allocator_calls;
+                alloc = allocator_.allocate(i, live, live_exec, live_floor,
+                                            budget, alloc_scratch);
+                if (!alloc.feasible) {
+                    break;  // larger frontiers only add live operators
+                }
             }
 
             double next_start = frontier < frontier_next
@@ -242,7 +262,6 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
             if (cand_start >= best_start) {
                 best_start = cand_start;
                 best_frontier = frontier;
-                best_live = live.size();
                 best_alloc = std::move(alloc);
             }
         }
@@ -255,7 +274,9 @@ InductiveScheduler::schedule(const std::vector<int>& preload_order,
         exec_choice[i] = best_alloc.exec_idx;
         preload_choice[i] = own_anchor[exec_choice[i]];
         t_exe_start[i] = best_start;
-        for (size_t jj = 0; jj < best_live; ++jj) {
+        // The allocator's picks cover the winning frontier's live-set
+        // prefix; a frontier that fit at its floors raises none.
+        for (size_t jj = 0; jj < best_alloc.preload_idx.size(); ++jj) {
             int j = live[jj];
             preload_choice[j] =
                 std::max(preload_choice[j], best_alloc.preload_idx[jj]);

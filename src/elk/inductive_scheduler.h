@@ -11,15 +11,17 @@
  * their SRAM footprints, which the §4.3 allocator must then fit.
  *
  * Times are backward-relative: T_end = 0 and all start times are
- * negative. For each candidate frontier the scheduler invokes the
- * allocator on the live set, reads the ALAP preload start estimates
- * (chained once per step), and picks the frontier maximizing
- * T_s-exe(i) — exactly the paper's "minimize current-to-end time" rule
- * (Theorem 4.2).
+ * negative. For each candidate frontier the scheduler prices the live
+ * set's allocation, reads the ALAP preload start estimates (chained
+ * once per step), and picks the frontier maximizing T_s-exe(i) —
+ * exactly the paper's "minimize current-to-end time" rule
+ * (Theorem 4.2). The allocator runs only when the live set does not
+ * fit at its floors; otherwise its starting point is the allocation.
  */
 #ifndef ELK_ELK_INDUCTIVE_SCHEDULER_H
 #define ELK_ELK_INDUCTIVE_SCHEDULER_H
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -48,6 +50,23 @@ struct ScheduleOptions {
     double overhead_weight = 1.0;
 };
 
+/// Work counters of schedule() calls; they never enter a plan.
+struct ScheduleWork {
+    /// Candidate frontiers priced (those within the window).
+    uint64_t frontiers_tested = 0;
+    /// Frontiers whose live set overflowed SRAM at its floors, so the
+    /// §4.3 allocator ran; the rest kept the floors as they were.
+    uint64_t allocator_calls = 0;
+
+    ScheduleWork&
+    operator+=(const ScheduleWork& other)
+    {
+        frontiers_tested += other.frontiers_tested;
+        allocator_calls += other.allocator_calls;
+        return *this;
+    }
+};
+
 /// The §4.2 scheduler; one instance per (graph, plan library).
 class InductiveScheduler {
   public:
@@ -61,15 +80,18 @@ class InductiveScheduler {
      * permutation of execution indices 0..N-1; anything else panics).
      * Returns nullopt when the order cannot fit on-chip memory
      * (invalid order, §4.4). All scratch is local to the call, so one
-     * scheduler may serve concurrent calls from several threads.
+     * scheduler may serve concurrent calls from several threads. When
+     * @p work is given, the call's counters are added to it.
      */
     std::optional<ExecutionPlan> schedule(
         const std::vector<int>& preload_order,
-        const ScheduleOptions& opts = {}) const;
+        const ScheduleOptions& opts = {},
+        ScheduleWork* work = nullptr) const;
 
     /// Convenience: schedule with the identity (execution) order.
     std::optional<ExecutionPlan> schedule_in_order(
-        const ScheduleOptions& opts = {}) const;
+        const ScheduleOptions& opts = {},
+        ScheduleWork* work = nullptr) const;
 
     /**
      * The policy anchor under @p overhead_weight of every distinct

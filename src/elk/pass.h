@@ -80,6 +80,18 @@ struct SearchStats {
     uint64_t exec_points = 0;
     /// Execute fronts whose exact (space, time) tie needed the sort.
     int tied_fronts = 0;
+    /// Summed over every InductiveScheduler::schedule call the compile
+    /// ran (ScheduleWork): candidate frontiers priced, and those that
+    /// needed the allocator because the floors overflowed SRAM.
+    uint64_t frontiers_tested = 0;
+    uint64_t allocator_calls = 0;
+
+    void
+    add(const ScheduleWork& work)
+    {
+        frontiers_tested += work.frontiers_tested;
+        allocator_calls += work.allocator_calls;
+    }
 };
 
 /**

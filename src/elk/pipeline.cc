@@ -451,10 +451,11 @@ class ElkSchedulePass : public Pass {
         const sim::Machine& machine = *state.machine;
         std::vector<std::optional<ExecutionPlan>> plans(candidates.size());
         std::vector<double> times(candidates.size(), kInf);
+        std::vector<ScheduleWork> work(scheduled.size());
         for_each_candidate(state, static_cast<int>(scheduled.size()),
                            [&](int s) {
             const int c = scheduled[s];
-            auto cand = sched.schedule_in_order(candidates[c]);
+            auto cand = sched.schedule_in_order(candidates[c], &work[s]);
             if (!cand) {
                 return;
             }
@@ -467,6 +468,9 @@ class ElkSchedulePass : public Pass {
         for (int c = 0; c < static_cast<int>(candidates.size()); ++c) {
             const int k = c % kWeights;
             times[c] = times[c - k + group[k]];
+        }
+        for (const ScheduleWork& w : work) {
+            state.stats.add(w);
         }
 
         int best = argmin_first(times);
@@ -554,8 +558,9 @@ class PreloadOrderSearchPass : public Pass {
         // is meant to avoid. The per-order scoring fans out over the
         // pool; the first-minimum merge keeps the serial winner.
         const sim::Machine& machine = *state.machine;
+        ScheduleWork work;
         std::vector<double> scores = score_candidate_orders(
-            library, orders, score_opts, machine, state.pool);
+            library, orders, score_opts, machine, state.pool, &work);
         int best = argmin_first(scores);
 
         // Schedule the winner on the full model; keep the in-order
@@ -563,7 +568,7 @@ class PreloadOrderSearchPass : public Pass {
         ExecutionPlan chosen = std::move(*state.plan);
         if (best >= 0) {
             if (std::optional<ExecutionPlan> full =
-                    sched.schedule(orders[best], sopts)) {
+                    sched.schedule(orders[best], sopts, &work)) {
                 sim::Engine engine(machine);
                 double full_time =
                     engine.run(runtime::lower_to_sim(graph, *full, ctx))
@@ -577,6 +582,7 @@ class PreloadOrderSearchPass : public Pass {
         }
         chosen.mode = "Elk-Full";
         state.plan = std::move(chosen);
+        state.stats.add(work);
     }
 };
 

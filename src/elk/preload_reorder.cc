@@ -146,16 +146,18 @@ std::vector<double>
 score_candidate_orders(const PlanLibrary& library,
                        const std::vector<std::vector<int>>& orders,
                        const ScheduleOptions& score_opts,
-                       const sim::Machine& machine, util::ThreadPool* pool)
+                       const sim::Machine& machine, util::ThreadPool* pool,
+                       ScheduleWork* work)
 {
     const graph::Graph& graph = library.graph();
     const plan::PlanContext& ctx = library.context();
     const InductiveScheduler sched(library);
     std::vector<double> scores(orders.size(),
                                std::numeric_limits<double>::infinity());
+    std::vector<ScheduleWork> slots(orders.size());
     util::ThreadPool::run(pool, static_cast<int>(orders.size()),
                           [&](int i) {
-        auto result = sched.schedule(orders[i], score_opts);
+        auto result = sched.schedule(orders[i], score_opts, &slots[i]);
         if (!result) {
             return;  // invalid order: stays at infinity
         }
@@ -164,6 +166,11 @@ score_candidate_orders(const PlanLibrary& library,
             engine.run(runtime::lower_to_sim(graph, *result, ctx))
                 .total_time;
     });
+    if (work != nullptr) {
+        for (const ScheduleWork& slot : slots) {
+            *work += slot;
+        }
+    }
     return scores;
 }
 

@@ -59,12 +59,13 @@ int heavy_ops_fit_on_chip(const PlanLibrary& library);
  * for orders the scheduler rejects. Candidates fan out over @p pool
  * (nullptr = serial) and write disjoint slots, so the scores — and
  * any first-minimum winner selection over them — are bit-identical to
- * the serial evaluation.
+ * the serial evaluation. When @p work is given, every candidate's
+ * scheduler counters are added to it, merged in candidate order.
  */
 std::vector<double> score_candidate_orders(
     const PlanLibrary& library, const std::vector<std::vector<int>>& orders,
     const ScheduleOptions& score_opts, const sim::Machine& machine,
-    util::ThreadPool* pool);
+    util::ThreadPool* pool, ScheduleWork* work = nullptr);
 
 }  // namespace elk::compiler
 

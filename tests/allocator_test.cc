@@ -213,5 +213,69 @@ TEST_F(AllocatorTest, RandomRequestsKeepExactFootprint)
     EXPECT_GT(infeasible, 0);
 }
 
+TEST_F(AllocatorTest, FloorsThatFitComeBackUnchanged)
+{
+    // The scheduler's fast path skips allocate() when the starting
+    // point (exec plan 0, every live op at its floor) fits the budget.
+    // That is exact only if allocate() then returns the starting point
+    // itself; one byte less budget must force a downgrade.
+    MemoryAllocator alloc(*h_.library);
+    const PlanLibrary& lib = *h_.library;
+    std::mt19937 rng(25);
+    std::vector<int> ids(h_.graph.size());
+    for (int id = 0; id < h_.graph.size(); ++id) {
+        ids[id] = id;
+    }
+    int downgraded = 0;
+    for (int trial = 0; trial < 500; ++trial) {
+        SCOPED_TRACE("trial " + std::to_string(trial));
+        std::shuffle(ids.begin(), ids.end(), rng);
+        const int cur = ids[0];
+        const size_t k = rng() % 13;
+        std::vector<int> live(ids.begin() + 1, ids.begin() + 1 + k);
+        std::vector<int> exec_idx(k), floor(k);
+        uint64_t floor_space = lib.exec_plans(cur)[0].exec_space;
+        for (size_t j = 0; j < k; ++j) {
+            exec_idx[j] = static_cast<int>(
+                rng() % lib.exec_plans(live[j]).size());
+            const auto& front = lib.preload_plans(live[j], exec_idx[j]);
+            floor[j] = static_cast<int>(rng() % front.size());
+            floor_space += front[floor[j]].preload_space;
+        }
+        // Any budget from the floor footprint up fits it, the exact
+        // fit included.
+        const uint64_t roomy = floor_space + 1 + rng() % 4096;
+        for (uint64_t budget : {floor_space, roomy}) {
+            auto choice = alloc.allocate(cur, live, exec_idx, floor,
+                                         budget, scratch_);
+            ASSERT_TRUE(choice.feasible);
+            EXPECT_EQ(choice.exec_idx, 0);
+            EXPECT_EQ(choice.preload_idx, floor);
+            EXPECT_EQ(choice.exec_time, lib.exec_plans(cur)[0].exec_time);
+            EXPECT_EQ(choice.used_space, floor_space);
+        }
+
+        // Short by a byte, the allocator must downgrade something,
+        // unless every plan already is its front's smallest.
+        bool all_smallest = lib.exec_plans(cur).size() == 1;
+        for (size_t j = 0; j < k; ++j) {
+            all_smallest = all_smallest &&
+                           floor[j] + 1 == static_cast<int>(
+                               lib.preload_plans(live[j], exec_idx[j])
+                                   .size());
+        }
+        auto tight = alloc.allocate(cur, live, exec_idx, floor,
+                                    floor_space - 1, scratch_);
+        const bool moved =
+            tight.exec_idx > 0 || tight.preload_idx != floor;
+        EXPECT_EQ(moved, !all_smallest);
+        if (tight.feasible) {
+            EXPECT_LT(tight.used_space, floor_space);
+            ++downgraded;
+        }
+    }
+    EXPECT_GT(downgraded, 0);
+}
+
 }  // namespace
 }  // namespace elk::compiler

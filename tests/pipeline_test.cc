@@ -176,6 +176,25 @@ TEST_F(PipelineCompileTest, PerCompileJobsOverrideMatchesToo)
     EXPECT_EQ(serial, parallel);
 }
 
+TEST_F(PipelineCompileTest, SchedulerWorkCountersIgnoreJobs)
+{
+    // Every schedule() counts into its own candidate's slot and the
+    // slots merge serially, so the totals match at any job count.
+    SearchStats stats[2];
+    const int jobs[] = {1, 4};
+    for (int k = 0; k < 2; ++k) {
+        Compiler comp(graph_, cfg_, nullptr, jobs[k]);
+        CompileOptions opts;
+        opts.mode = Mode::kElkFull;
+        opts.max_orders = 8;
+        stats[k] = comp.compile(opts).stats;
+    }
+    EXPECT_GT(stats[0].frontiers_tested, 0u);
+    EXPECT_LE(stats[0].allocator_calls, stats[0].frontiers_tested);
+    EXPECT_EQ(stats[0].frontiers_tested, stats[1].frontiers_tested);
+    EXPECT_EQ(stats[0].allocator_calls, stats[1].allocator_calls);
+}
+
 TEST_F(PipelineCompileTest, RepeatedCompilesAreIdentical)
 {
     Compiler comp(graph_, cfg_);

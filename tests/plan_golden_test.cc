@@ -6,8 +6,8 @@
  * InductiveScheduler::schedule calls over seeded preload orders and a
  * grid of scheduling knobs. Infeasible orders digest as "nullopt".
  * The Llama2-13B buckets also pin every field of their execute-state
- * fronts, the plan library's enumeration counters and schedule-elk's
- * candidate count, and a property checks
+ * fronts, the plan library's enumeration counters, schedule-elk's
+ * candidate count and the scheduler's work counters, and a property checks
  * that overhead weights with equal anchor tables schedule alike.
  * A scheduler or allocator refactor must keep every digest; regenerate
  * the tables only for an intended change of compiled plans. A mismatch
@@ -243,6 +243,18 @@ constexpr uint64_t kBucketDigests[][2] = {
 constexpr int kBucketCandidatesScheduled[] = {8, 24};
 
 /**
+ * Per bucket, Elk-Dyn then Elk-Full: SearchStats::frontiers_tested and
+ * allocator_calls, summed over every schedule() of the compile. Before
+ * the floor-fit fast path, schedule() called the allocator at every
+ * priced frontier: 47054 / 93942 allocate() calls on decode b1 and
+ * 130756 / 178093 on prefill b1xL256, the frontiers_tested below.
+ */
+constexpr ScheduleWork kBucketScheduleWork[][2] = {
+    {{47054, 0}, {93942, 0}},
+    {{130756, 13586}, {178093, 19563}},
+};
+
+/**
  * Per bucket: every field of every execute-state front, op by op. The
  * fronts also pin the exact-tie order: where two factorizations tie on
  * (exec_space, time_cost) exactly, the front keeps whichever the sort
@@ -328,6 +340,7 @@ constexpr ScheduleCase kBucketScheduleCases[][2] = {
 TEST(PlanGoldenTest, Llama2BucketsCompileAndSchedule)
 {
     const hw::ChipConfig chip = hw::ChipConfig::ipu_pod4();
+    ScheduleWork total;
     for (size_t b = 0; b < std::size(kBuckets); ++b) {
         const graph::Graph graph = bucket_graph(kBuckets[b]);
         Compiler compiler(graph, chip, nullptr, /*jobs=*/4);
@@ -350,6 +363,13 @@ TEST(PlanGoldenTest, Llama2BucketsCompileAndSchedule)
             EXPECT_EQ(result.stats.tied_fronts,
                       kBucketEnumerationStats[b].tied_fronts)
                 << kBuckets[b].name << " " << mode_name(modes[m]);
+            const ScheduleWork& work = kBucketScheduleWork[b][m];
+            EXPECT_EQ(result.stats.frontiers_tested, work.frontiers_tested)
+                << kBuckets[b].name << " " << mode_name(modes[m]);
+            EXPECT_EQ(result.stats.allocator_calls, work.allocator_calls)
+                << kBuckets[b].name << " " << mode_name(modes[m]);
+            total.frontiers_tested += result.stats.frontiers_tested;
+            total.allocator_calls += result.stats.allocator_calls;
         }
         EXPECT_GT(expect_weight_groups_schedule_alike(compiler.library(),
                                                       kBuckets[b].name),
@@ -364,6 +384,9 @@ TEST(PlanGoldenTest, Llama2BucketsCompileAndSchedule)
                 << " digest 0x" << actual.hex();
         }
     }
+    // Across the buckets the fast path spares at least 90% of the
+    // allocator calls made before it (one per priced frontier).
+    EXPECT_LE(10 * total.allocator_calls, total.frontiers_tested);
 }
 
 }  // namespace

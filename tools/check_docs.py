@@ -15,11 +15,12 @@ Seven classes of rot this catches:
     they compile. A bench_* token right after a '.' names a
     dot-directory (.bench_build/), not a binary.
  3. Command-line flags the user docs name (`--kv-budget`, `--jobs`,
-    ...) that no driver actually parses: every `--flag` token in
-    README.md, ROADMAP.md, and docs/*.md must appear as a string
-    literal in tools/*.{cc,py}, bench/*.{cc,h}, or examples/*.cc,
-    except for a small allowlist of external tools' flags (ctest,
-    cmake, google-benchmark). This is what stops the docs from
+    `--workload`, ...) that no driver actually parses: every `--flag`
+    token in README.md, ROADMAP.md, and docs/*.md must appear as a
+    string literal in tools/*.{cc,py}, bench/*.{cc,h}, examples/*.cc,
+    or perfbench/*.{cc,py} (the benchmark driver, which this script
+    only reads), except for a small allowlist of external tools' flags
+    (ctest, cmake, google-benchmark). This is what stops the docs from
     drifting when a driver renames a flag.
  4. TODO/FIXME markers inside docs/*.md — user docs must not ship
     construction debris.
@@ -143,6 +144,7 @@ def known_flags():
         ("tools", (".cc", ".py")),
         ("bench", (".cc", ".h")),
         ("examples", (".cc",)),
+        ("perfbench", (".cc", ".py")),
     ):
         directory = os.path.join(REPO, sub)
         if not os.path.isdir(directory):
@@ -309,8 +311,8 @@ def check_flags(md_path, flags, errors):
             continue
         errors.append(
             f"{rel}: names flag '{flag}' but no driver "
-            "(tools/*.{cc,py}, bench/*.{cc,h}, examples/*.cc) "
-            "parses it"
+            "(tools/*.{cc,py}, bench/*.{cc,h}, examples/*.cc, "
+            "perfbench/*.{cc,py}) parses it"
         )
 
 

@@ -1,4 +1,5 @@
-"""Tests of check_docs.py's binary-name, option-member and symbol rules.
+"""Tests of check_docs.py's binary-name, flag, option-member and symbol
+rules.
 
     python3 tools/test_check_docs.py
 """
@@ -34,6 +35,14 @@ def errors_for(text):
         text)
 
 
+def flag_errors_for(text):
+    """The check_flags() errors against every driver's parsed flags."""
+    flags = check_docs.known_flags()
+    return run_check(
+        lambda path, errors: check_docs.check_flags(path, flags, errors),
+        text)
+
+
 def member_errors_for(text):
     """The check_option_members() errors against the real headers."""
     bodies = check_docs.header_structs()
@@ -65,6 +74,19 @@ class BinaryNameTest(unittest.TestCase):
 
     def test_known_bench_name_passes(self):
         self.assertEqual(errors_for("run ./bench_perf --jobs 1\n"), [])
+
+
+class FlagTest(unittest.TestCase):
+    def test_driver_and_perfbench_flags_pass(self):
+        self.assertEqual(flag_errors_for(
+            "`elkc serve --kv-budget`, `bench_fig16_compile_time --jobs`, "
+            "`perfbench/run.py --workload steady_mixed --seconds 20 "
+            "--trace`\n"), [])
+
+    def test_unparsed_flag_errors(self):
+        errors = flag_errors_for("run `perfbench/run.py --nope`\n")
+        self.assertEqual(len(errors), 1)
+        self.assertIn("perfbench/*.{cc,py}", errors[0])
 
 
 class OptionMemberTest(unittest.TestCase):
