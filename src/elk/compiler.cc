@@ -81,10 +81,11 @@ Compiler::compile(const CompileOptions& opts) const
     }
 
     pipeline_.run(state);
-    util::check(state.plan.has_value(),
-                "compile: the pipeline produced no ExecutionPlan for "
-                "mode " + mode_name(opts.mode) +
+    if (!state.plan.has_value()) {
+        util::panic("compile: the pipeline produced no ExecutionPlan for "
+                    "mode " + mode_name(opts.mode) +
                     " — a scheduling pass was skipped (--passes?)");
+    }
 
     CompileResult result;
     result.plan = std::move(*state.plan);

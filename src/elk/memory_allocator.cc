@@ -114,10 +114,6 @@ MemoryAllocator::allocate(int current_op, const std::vector<int>& live_ops,
     choice.feasible = true;
     choice.used_space = space;
     choice.exec_time = exec_front[choice.exec_idx].exec_time;
-    for (size_t j = 0; j < k; ++j) {
-        choice.total_distribute_time +=
-            (*fronts[j])[choice.preload_idx[j]].time_cost();
-    }
     return choice;
 }
 

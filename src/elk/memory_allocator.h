@@ -30,7 +30,6 @@ struct AllocationChoice {
     /// Per live op (same order as the request): preload plan index.
     std::vector<int> preload_idx;
     double exec_time = 0.0;  ///< current op's execution time estimate.
-    double total_distribute_time = 0.0;  ///< sum over live ops.
     uint64_t used_space = 0;  ///< per-core bytes after allocation.
 };
 

@@ -134,14 +134,14 @@ check_machine_matches(const sim::Machine& machine,
 {
     const std::string have = chip_signature(machine.config());
     const std::string want = chip_signature(cfg);
-    util::check(have == want && !machine.ideal_split_fabric(),
-                "hardware-analysis: the shared machine models chip " +
+    if (have != want || machine.ideal_split_fabric()) {
+        util::panic("hardware-analysis: the shared machine models chip " +
                     have +
-                    (machine.ideal_split_fabric() ? " (split fabric)"
-                                                  : "") +
+                    (machine.ideal_split_fabric() ? " (split fabric)" : "") +
                     " but the compile targets chip " + want +
                     " (shared fabric); refusing to tune on the wrong "
                     "chip");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -564,9 +564,13 @@ class PreloadOrderSearchPass : public Pass {
         int best = argmin_first(scores);
 
         // Schedule the winner on the full model; keep the in-order
-        // plan unless the winner actually wins end to end.
+        // plan unless the winner actually wins end to end. Candidate
+        // 0 is the identity order: its full-model schedule is the
+        // plan schedule-elk already simulated (or the uniform split
+        // beat that plan), so it would rebuild state.plan and lose or
+        // tie against it — keep state.plan without re-scheduling.
         ExecutionPlan chosen = std::move(*state.plan);
-        if (best >= 0) {
+        if (best > 0) {
             if (std::optional<ExecutionPlan> full =
                     sched.schedule(orders[best], sopts, &work)) {
                 sim::Engine engine(machine);
@@ -708,7 +712,9 @@ CompilerPipeline::run_prefix(CompileState& state,
             break;
         }
     }
-    util::check(found, "run_prefix: no pass named '" + last_pass + "'");
+    if (!found) {
+        util::panic("run_prefix: no pass named '" + last_pass + "'");
+    }
 }
 
 void

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <map>
-#include <sstream>
+#include <tuple>
 
 #include "util/bits.h"
 #include "util/logging.h"
@@ -105,15 +105,15 @@ namespace {
 /// Signature key for plan sharing across identical operators: every
 /// operator field plan::compute_plan_metrics and the preload
 /// enumeration read.
-std::string
+using Signature = std::tuple<int, long, long, long, long, uint64_t,
+                             uint64_t, uint64_t, long, int>;
+
+Signature
 signature(const graph::Operator& op)
 {
-    std::ostringstream key;
-    key << static_cast<int>(op.kind) << ":" << op.batch << ":" << op.m
-        << ":" << op.n << ":" << op.k << ":" << op.param_bytes << ":"
-        << op.stream_bytes << ":" << op.act_out_bytes << ":"
-        << op.w_share_rows << ":" << op.dtype_bytes;
-    return key.str();
+    return {static_cast<int>(op.kind), op.batch, op.m, op.n, op.k,
+            op.param_bytes, op.stream_bytes, op.act_out_bytes,
+            op.w_share_rows, op.dtype_bytes};
 }
 
 }  // namespace
@@ -126,16 +126,16 @@ PlanLibrary::PlanLibrary(const graph::Graph& graph,
     // Signature discovery is a cheap serial scan that fixes the front
     // order (first-seen); the expensive per-signature enumerations
     // then fan out over the pool into pre-sized slots.
-    std::map<std::string, int> seen;
+    std::map<Signature, int> seen;
     std::vector<const graph::Operator*> reps;
     signature_of_.reserve(graph.size());
     for (const auto& op : graph.ops()) {
-        std::string key = signature(op);
+        const Signature key = signature(op);
         auto it = seen.find(key);
         if (it == seen.end()) {
             int idx = static_cast<int>(reps.size());
             reps.push_back(&op);
-            seen.emplace(std::move(key), idx);
+            seen.emplace(key, idx);
             signature_of_.push_back(idx);
         } else {
             signature_of_.push_back(it->second);

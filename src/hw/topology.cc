@@ -20,7 +20,9 @@ Topology::Topology(const ChipConfig& cfg)
     // Injection + ejection links for every node (cores then HBM).
     injection_base_ = 0;
     ejection_base_ = num_nodes();
-    links_.reserve(2 * num_nodes());
+    const int mesh_links =
+        kind_ == TopologyKind::kMesh2D ? 4 * width_ * height_ : 0;
+    links_.reserve(2 * num_nodes() + mesh_links);
     for (int n = 0; n < num_nodes(); ++n) {
         double bw = cfg.inter_core_link_bw;
         if (is_hbm_node(n)) {
@@ -188,29 +190,7 @@ std::vector<int>
 Topology::route(int src, int dst) const
 {
     std::vector<int> path;
-    path.push_back(injection_link(src));
-    if (kind_ == TopologyKind::kMesh2D) {
-        auto [x, y] = mesh_coord(src);
-        auto [dx, dy] = mesh_coord(dst);
-        if (is_hbm_node(src)) {
-            // Edge-distributed PHY: the controller enters the grid at
-            // its edge column in the destination's row.
-            x = hbm_side(src - num_cores_) == 0 ? 0 : width_ - 1;
-            y = dy;
-        }
-        // Dimension-order routing: walk X first, then Y (paper §5).
-        while (x != dx) {
-            int nx = x + (dx > x ? 1 : -1);
-            path.push_back(mesh_link(x, y, nx, y));
-            x = nx;
-        }
-        while (y != dy) {
-            int ny = y + (dy > y ? 1 : -1);
-            path.push_back(mesh_link(x, y, x, ny));
-            y = ny;
-        }
-    }
-    path.push_back(ejection_link(dst));
+    for_each_link(src, dst, [&path](int link) { path.push_back(link); });
     return path;
 }
 

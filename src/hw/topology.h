@@ -110,6 +110,14 @@ class Topology {
      */
     std::vector<int> route(int src, int dst) const;
 
+    /**
+     * Calls @p f(link_id) for every link of route(src, dst), in route
+     * order, without materializing the route: how per-sample traffic
+     * analysis walks millions of routes allocation-free.
+     */
+    template <typename F>
+    void for_each_link(int src, int dst, F&& f) const;
+
     /// Topology kind this instance models.
     TopologyKind kind() const { return kind_; }
 
@@ -138,6 +146,35 @@ class Topology {
     /// Attach node (core id) of each HBM controller.
     std::vector<int> hbm_attach_;
 };
+
+template <typename F>
+void
+Topology::for_each_link(int src, int dst, F&& f) const
+{
+    f(injection_link(src));
+    if (kind_ == TopologyKind::kMesh2D) {
+        auto [x, y] = mesh_coord(src);
+        auto [dx, dy] = mesh_coord(dst);
+        if (is_hbm_node(src)) {
+            // Edge-distributed PHY: the controller enters the grid at
+            // its edge column in the destination's row.
+            x = hbm_side(src - num_cores_) == 0 ? 0 : width_ - 1;
+            y = dy;
+        }
+        // Dimension-order routing: walk X first, then Y (paper §5).
+        while (x != dx) {
+            int nx = x + (dx > x ? 1 : -1);
+            f(mesh_link(x, y, nx, y));
+            x = nx;
+        }
+        while (y != dy) {
+            int ny = y + (dy > y ? 1 : -1);
+            f(mesh_link(x, y, x, ny));
+            y = ny;
+        }
+    }
+    f(ejection_link(dst));
+}
 
 }  // namespace elk::hw
 

@@ -25,9 +25,8 @@ class LoadAccumulator {
     void
     add(int src, int dst, double bytes)
     {
-        for (int link : topo_.route(src, dst)) {
-            load_[link] += bytes;
-        }
+        topo_.for_each_link(src, dst,
+                            [this, bytes](int link) { load_[link] += bytes; });
     }
 
     /// Max over links of load/bandwidth (seconds for the whole pattern).

@@ -456,8 +456,9 @@ enumerate_exec_plans(const graph::Operator& op, const PlanContext& ctx,
     auto kept = pareto_front(
         std::move(points), [](const PlanPoint& p) { return p.exec_space; },
         [](const PlanPoint& p) { return p.time_cost; }, &tied);
-    util::check(!kept.empty(),
-                "no feasible execution plan for operator " + op.name);
+    if (kept.empty()) {
+        util::panic("no feasible execution plan for operator " + op.name);
+    }
     if (stats != nullptr) {
         stats->exec_points += feasible;
         stats->tied_fronts += tied ? 1 : 0;

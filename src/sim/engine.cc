@@ -257,9 +257,17 @@ EngineState::load(const SimProgram& program)
         f_.net.emplace(machine_.capacities());
     }
     f_.result.timing.assign(n, {});
+    // Each op adds at most one flow per kind (HBM preload,
+    // distribution, execute fetch, execute stream); reserving that
+    // bound keeps the step loop from regrowing the flow table.
+    int max_flows = 0;
     for (int i = 0; i < n; ++i) {
-        f_.result.timing[i].op_id = program.ops[i].op_id;
+        const SimOp& op = program.ops[i];
+        f_.result.timing[i].op_id = op.op_id;
+        max_flows += (op.dram_bytes > 0.0) + (op.distribute_bytes > 0) +
+                     (op.fetch_bytes > 0) + (op.exec_stream_dram > 0);
     }
+    f_.net->reserve_flows(max_flows);
     f_.phase = n > 0 ? ExecPhase::kWaitPreload : ExecPhase::kDone;
     f_.preload_done.assign(n, false);
     f_.used_resident.assign(n, false);

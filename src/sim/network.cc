@@ -93,6 +93,12 @@ FluidNetwork::reset_flows()
 }
 
 void
+FluidNetwork::reserve_flows(int n)
+{
+    flows_.reserve(n);
+}
+
+void
 FluidNetwork::assign_rates()
 {
     // Progressive filling: all unfixed flows share a common rate that

@@ -152,6 +152,10 @@ class FluidNetwork {
     /// back-to-back programs without reallocating per program.
     void reset_flows();
 
+    /// Sizes the flow table for @p n flows in all, so add_flow() does
+    /// not regrow it before the n-th flow.
+    void reserve_flows(int n);
+
   private:
     /// Recomputes all rates by progressive filling.
     void assign_rates();

@@ -45,17 +45,29 @@ log_message(LogLevel level, const std::string& msg)
 }
 
 void
+fatal(const char* msg)
+{
+    std::fprintf(stderr, "[elk FATAL] %s\n", msg);
+    std::exit(1);
+}
+
+void
 fatal(const std::string& msg)
 {
-    std::fprintf(stderr, "[elk FATAL] %s\n", msg.c_str());
-    std::exit(1);
+    fatal(msg.c_str());
+}
+
+void
+panic(const char* msg)
+{
+    std::fprintf(stderr, "[elk PANIC] %s\n", msg);
+    std::abort();
 }
 
 void
 panic(const std::string& msg)
 {
-    std::fprintf(stderr, "[elk PANIC] %s\n", msg.c_str());
-    std::abort();
+    panic(msg.c_str());
 }
 
 }  // namespace elk::util

@@ -30,12 +30,14 @@ void log_message(LogLevel level, const std::string& msg);
  * (bad configuration, invalid arguments); exits with code 1.
  */
 [[noreturn]] void fatal(const std::string& msg);
+[[noreturn]] void fatal(const char* msg);
 
 /**
  * Terminates the process with an internal-error message. Use for
  * conditions that indicate a bug in Elk itself; calls abort().
  */
 [[noreturn]] void panic(const std::string& msg);
+[[noreturn]] void panic(const char* msg);
 
 namespace detail {
 
@@ -67,9 +69,15 @@ inline detail::LogStream log_warn() { return {LogLevel::kWarn}; }
 /// Returns a stream that logs at error level on destruction.
 inline detail::LogStream log_error() { return {LogLevel::kError}; }
 
+// check()/require() run on the simulator's and scheduler's hottest
+// paths, so they take the message as a literal: nothing is copied into
+// a std::string, not even when the check fails. A message built from
+// values would be built before the test, on every call; such a site
+// writes `if (!cond) panic(...)` so it is built only on failure.
+
 /// Asserts an Elk-internal invariant; panics with @p msg when violated.
 inline void
-check(bool cond, const std::string& msg)
+check(bool cond, const char* msg)
 {
     if (!cond) {
         panic(msg);
@@ -78,7 +86,7 @@ check(bool cond, const std::string& msg)
 
 /// Validates user input; fatal (exit 1) with @p msg when violated.
 inline void
-require(bool cond, const std::string& msg)
+require(bool cond, const char* msg)
 {
     if (!cond) {
         fatal(msg);

@@ -92,9 +92,17 @@ TEST_F(AllocatorTest, SmallerBudgetNeverFaster)
                               h_.ctx.sram_budget(), scratch_);
     auto small = alloc.allocate(cur, live, exec_idx, floor,
                                 h_.ctx.sram_budget() / 3, scratch_);
+    // Exec time plus every live op's chosen preload-plan time cost.
+    auto total_time = [&](const AllocationChoice& choice) {
+        double t = choice.exec_time;
+        for (size_t j = 0; j < live.size(); ++j) {
+            t += h_.library->preload_plans(live[j], exec_idx[j])
+                     [choice.preload_idx[j]].time_cost();
+        }
+        return t;
+    };
     if (big.feasible && small.feasible) {
-        EXPECT_LE(big.exec_time + big.total_distribute_time,
-                  small.exec_time + small.total_distribute_time + 1e-12);
+        EXPECT_LE(total_time(big), total_time(small) + 1e-12);
     }
 }
 

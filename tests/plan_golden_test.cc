@@ -247,11 +247,14 @@ constexpr int kBucketCandidatesScheduled[] = {8, 24};
  * allocator_calls, summed over every schedule() of the compile. Before
  * the floor-fit fast path, schedule() called the allocator at every
  * priced frontier: 47054 / 93942 allocate() calls on decode b1 and
- * 130756 / 178093 on prefill b1xL256, the frontiers_tested below.
+ * 130756 / 178093 on prefill b1xL256. On prefill the identity order
+ * wins the order search, whose full-model re-schedule of it (15501
+ * frontiers, 2557 allocator calls) preload-order-search now skips:
+ * it rebuilt the plan schedule-elk had already produced.
  */
 constexpr ScheduleWork kBucketScheduleWork[][2] = {
     {{47054, 0}, {93942, 0}},
-    {{130756, 13586}, {178093, 19563}},
+    {{130756, 13586}, {162592, 17006}},
 };
 
 /**
