@@ -66,6 +66,42 @@ jobs(int argc = 0, char** argv = nullptr)
                : 1;
 }
 
+/// Fastest exec plan of @p op fitting the Static execution space
+/// @p exec_budget (the smallest plan when none fits); its index in the
+/// exec front goes to @p idx.
+inline const plan::ExecPlan&
+static_exec_plan(const compiler::PlanLibrary& lib, int op,
+                 uint64_t exec_budget, int* idx)
+{
+    const auto& front = lib.exec_plans(op);
+    *idx = static_cast<int>(front.size()) - 1;
+    for (int e = 0; e < static_cast<int>(front.size()); ++e) {
+        if (front[e].exec_space <= exec_budget) {
+            *idx = e;
+            break;
+        }
+    }
+    return front[*idx];
+}
+
+/// Preload plan per policy: MaxPreload takes the largest plan fitting
+/// @p region, MinPreload the scatter-minimum.
+inline const plan::PreloadPlan&
+policy_preload(const compiler::PlanLibrary& lib, int op, int exec_idx,
+               bool max_preload, uint64_t region)
+{
+    const auto& front = lib.preload_plans(op, exec_idx);
+    if (!max_preload) {
+        return front.back();
+    }
+    for (const auto& p : front) {
+        if (p.preload_space <= region) {
+            return p;
+        }
+    }
+    return front.back();
+}
+
 /// The paper's four LLM evaluation workloads.
 inline std::vector<graph::ModelConfig>
 llm_models()

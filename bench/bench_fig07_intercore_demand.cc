@@ -14,49 +14,10 @@
 #include "bench_common.h"
 #include "util/stats.h"
 
-namespace {
-
-using namespace elk;
-
-/// Fastest exec plan fitting the Static execution space.
-const plan::ExecPlan&
-static_exec_plan(const compiler::PlanLibrary& lib, int op,
-                 uint64_t exec_budget, int* idx)
-{
-    const auto& front = lib.exec_plans(op);
-    *idx = static_cast<int>(front.size()) - 1;
-    for (int e = 0; e < static_cast<int>(front.size()); ++e) {
-        if (front[e].exec_space <= exec_budget) {
-            *idx = e;
-            break;
-        }
-    }
-    return front[*idx];
-}
-
-/// Preload plan per policy: largest plan fitting @p region (Max) or
-/// the scatter-minimum (Min).
-const plan::PreloadPlan&
-policy_preload(const compiler::PlanLibrary& lib, int op, int exec_idx,
-               bool max_preload, uint64_t region)
-{
-    const auto& front = lib.preload_plans(op, exec_idx);
-    if (!max_preload) {
-        return front.back();
-    }
-    for (const auto& p : front) {
-        if (p.preload_space <= region) {
-            return p;
-        }
-    }
-    return front.back();
-}
-
-}  // namespace
-
 int
 main(int argc, char** argv)
 {
+    using namespace elk;
     const int n_jobs = bench::jobs(argc, argv);
     auto cfg = hw::ChipConfig::ipu_pod4();
     const uint64_t region = 256ull * 1024;
@@ -77,11 +38,11 @@ main(int argc, char** argv)
             double t = 0.0;
             for (const auto& op : graph.ops()) {
                 int exec_idx = 0;
-                const auto& exec = static_exec_plan(
+                const auto& exec = bench::static_exec_plan(
                     comp.library(), op.id, exec_budget, &exec_idx);
                 const auto& pre =
-                    policy_preload(comp.library(), op.id, exec_idx,
-                                   max_preload, region);
+                    bench::policy_preload(comp.library(), op.id, exec_idx,
+                                          max_preload, region);
                 // Per-core inter-core bytes during this operator
                 // (execution-time fetches plus distribution), divided
                 // by the per-core execution (compute) time — demand,

@@ -66,20 +66,6 @@ Compiler::compile(const CompileOptions& opts) const
         }
     }
 
-    // Per-compile job override: 0 inherits the construction pool.
-    std::unique_ptr<util::ThreadPool> local_pool;
-    if (opts.jobs != 0) {
-        int threads = util::ThreadPool::resolve_jobs(opts.jobs);
-        if (threads <= 1) {
-            state.pool = nullptr;
-        } else if (pool_ && pool_->size() == threads) {
-            state.pool = pool_.get();
-        } else {
-            local_pool = std::make_unique<util::ThreadPool>(threads);
-            state.pool = local_pool.get();
-        }
-    }
-
     pipeline_.run(state);
     if (!state.plan.has_value()) {
         util::panic("compile: the pipeline produced no ExecutionPlan for "

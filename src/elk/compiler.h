@@ -14,8 +14,10 @@
  *  - Ideal:    the §6.1 roofline (run it on an ideal split-fabric
  *              Machine).
  *
- * Compilation parallelizes over a work-stealing pool (the `jobs`
- * knob); the produced plan is bit-identical at any job count.
+ * Compilation parallelizes over a work-stealing pool sized by the
+ * constructor's `jobs` argument (`--jobs` on the command line), the
+ * one knob for compile threads; every compile() of this compiler uses
+ * that pool, and the produced plan is bit-identical at any job count.
  */
 #ifndef ELK_ELK_COMPILER_H
 #define ELK_ELK_COMPILER_H

@@ -55,10 +55,6 @@ struct CompileOptions {
     /// Static mode only: fixed per-core preload-region size in bytes;
     /// 0 searches the best static size offline (§6.1).
     uint64_t static_region = 0;
-    /// Worker threads for the parallel passes: 0 inherits the
-    /// Compiler's job count, 1 forces serial, N > 1 uses N threads.
-    /// The compiled plan is bit-identical at any setting.
-    int jobs = 0;
     /// When non-empty, only the named passes run (--passes); unknown
     /// names are a fatal error. Mode gating still applies.
     std::vector<std::string> pass_filter;

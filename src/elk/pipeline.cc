@@ -22,7 +22,6 @@
 #include "elk/plan_cache.h"
 #include "elk/preload_reorder.h"
 #include "runtime/executor.h"
-#include "sim/engine.h"
 #include "util/logging.h"
 
 namespace elk::compiler {
@@ -100,14 +99,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Layers of the model used to score candidate preload orders before
 /// the winner is scheduled on the full model (compile-time pruning).
 constexpr int kScoreLayers = 2;
-
-/// Runs fn(0..n-1) on the state's pool, or inline without one.
-void
-for_each_candidate(CompileState& state, int n,
-                   const std::function<void(int)>& fn)
-{
-    util::ThreadPool::run(state.pool, n, fn);
-}
 
 /// Index of the first strict minimum of @p scores (-1 when every slot
 /// is infinite) — the deterministic merge matching a serial sweep
@@ -304,8 +295,8 @@ schedule_static(CompileState& state)
     std::vector<ExecutionPlan> plans(candidates.size());
     std::vector<double> times(candidates.size(), kInf);
 
-    for_each_candidate(state, static_cast<int>(candidates.size()),
-                       [&](int c) {
+    util::ThreadPool::run(state.pool, static_cast<int>(candidates.size()),
+                          [&](int c) {
         const auto [region, use_max] = candidates[c];
         ExecutionPlan plan;
         plan.mode = "Static";
@@ -365,11 +356,8 @@ schedule_static(CompileState& state)
             plan.issue_slot.push_back(next);
         }
 
-        sim::Engine engine(machine);
-        sim::SimResult run =
-            engine.run(runtime::lower_to_sim(graph, plan, ctx));
-        plan.est_total_time = run.total_time;
-        times[c] = run.total_time;
+        times[c] = runtime::run_plan(machine, graph, plan, ctx).total_time;
+        plan.est_total_time = times[c];
         plans[c] = std::move(plan);
     });
 
@@ -452,17 +440,15 @@ class ElkSchedulePass : public Pass {
         std::vector<std::optional<ExecutionPlan>> plans(candidates.size());
         std::vector<double> times(candidates.size(), kInf);
         std::vector<ScheduleWork> work(scheduled.size());
-        for_each_candidate(state, static_cast<int>(scheduled.size()),
-                           [&](int s) {
+        util::ThreadPool::run(state.pool, static_cast<int>(scheduled.size()),
+                              [&](int s) {
             const int c = scheduled[s];
             auto cand = sched.schedule_in_order(candidates[c], &work[s]);
             if (!cand) {
                 return;
             }
-            sim::Engine engine(machine);
-            times[c] =
-                engine.run(runtime::lower_to_sim(graph, *cand, ctx))
-                    .total_time;
+            times[c] = runtime::run_plan(machine, graph, *cand, ctx)
+                           .total_time;
             plans[c] = std::move(cand);
         });
         for (int c = 0; c < static_cast<int>(candidates.size()); ++c) {
@@ -573,9 +559,8 @@ class PreloadOrderSearchPass : public Pass {
         if (best > 0) {
             if (std::optional<ExecutionPlan> full =
                     sched.schedule(orders[best], sopts, &work)) {
-                sim::Engine engine(machine);
                 double full_time =
-                    engine.run(runtime::lower_to_sim(graph, *full, ctx))
+                    runtime::run_plan(machine, graph, *full, ctx)
                         .total_time;
                 // schedule-elk already simulated the identity plan.
                 double identity_time = *state.tuned_sim_time;

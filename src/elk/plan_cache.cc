@@ -88,8 +88,8 @@ make_plan_key(const graph::Graph& graph, const hw::ChipConfig& cfg,
     for (const auto& op : graph.ops()) {
         key.batch = std::max(key.batch, static_cast<int>(op.batch));
     }
-    // Everything except `jobs` can change the produced plan; jobs is
-    // excluded by the bit-identical determinism contract.
+    // Every option can change the produced plan. The compiler's job
+    // count is not an option: plans are bit-identical at any count.
     Fnv1a h;
     h.mix_value(opts.max_window);
     h.mix_value(opts.max_orders);

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "runtime/executor.h"
-#include "sim/engine.h"
 #include "util/logging.h"
 
 namespace elk::compiler {
@@ -161,10 +160,8 @@ score_candidate_orders(const PlanLibrary& library,
         if (!result) {
             return;  // invalid order: stays at infinity
         }
-        sim::Engine engine(machine);
         scores[i] =
-            engine.run(runtime::lower_to_sim(graph, *result, ctx))
-                .total_time;
+            runtime::run_plan(machine, graph, *result, ctx).total_time;
     });
     if (work != nullptr) {
         for (const ScheduleWork& slot : slots) {

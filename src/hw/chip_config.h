@@ -112,20 +112,6 @@ struct ChipConfig {
     /// HBM bandwidth available to a single chip.
     double hbm_bw_per_chip() const { return hbm_total_bw / num_chips; }
 
-    /// Peak MatMul FLOP/s summed over every core of every chip.
-    double
-    peak_matmul_flops() const
-    {
-        return core_matmul_flops * total_cores();
-    }
-
-    /// Peak vector FLOP/s summed over every core of every chip.
-    double
-    peak_vector_flops() const
-    {
-        return core_vector_flops * total_cores();
-    }
-
     /// Validates internal consistency; calls util::fatal on user error.
     void validate() const;
 };

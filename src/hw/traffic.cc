@@ -49,7 +49,7 @@ class LoadAccumulator {
 }  // namespace
 
 TrafficModel::TrafficModel(const Topology& topo, const ChipConfig& cfg)
-    : num_cores_(topo.num_cores()), latency_(cfg.link_latency_s)
+    : latency_(cfg.link_latency_s)
 {
     const int cores = topo.num_cores();
     util::check(cores > 0, "TrafficModel: no cores");

@@ -47,13 +47,6 @@ class TrafficModel {
      */
     double hbm_delivery_capacity() const { return hbm_capacity_; }
 
-    /// Time for every core to exchange @p bytes_per_core with peers.
-    double
-    peer_exchange_time(double bytes_per_core) const
-    {
-        return bytes_per_core * num_cores_ / peer_capacity_ + latency_;
-    }
-
     /// Time to deliver @p total_bytes from HBM controllers to cores.
     double
     hbm_delivery_time(double total_bytes) const
@@ -68,7 +61,6 @@ class TrafficModel {
     double link_latency() const { return latency_; }
 
   private:
-    int num_cores_;
     double peer_capacity_ = 0.0;
     double hbm_capacity_ = 0.0;
     double avg_hops_ = 1.0;

@@ -61,11 +61,11 @@ finalize_prompt_buckets(std::vector<int>& buckets, int max)
         buckets.push_back(max);
     }
     std::sort(buckets.begin(), buckets.end());
-    util::check(buckets.front() >= 1,
-                "Server: prompt buckets must be positive");
-    util::check(buckets.back() == max,
-                "Server: largest prompt bucket must equal "
-                "max_prompt_len");
+    util::require(buckets.front() >= 1,
+                  "Server: prompt buckets must be positive");
+    util::require(buckets.back() == max,
+                  "Server: largest prompt bucket must equal "
+                  "max_prompt_len");
 }
 
 /// Rejects a Request trace the disaggregated scheduler cannot serve
@@ -76,72 +76,72 @@ check_requests(const ServerOptions& opts, const std::vector<Request>& requests)
     for (size_t i = 0; i < requests.size(); ++i) {
         const Request& req = requests[i];
         const int len = effective_prompt_len(req, opts.max_prompt_len);
-        util::check(req.arrival >= 0 &&
-                        (i == 0 || req.arrival >= requests[i - 1].arrival),
-                    "Server: requests must be sorted and non-negative");
-        util::check(req.decode_tokens >= 1 ||
-                        (req.decode_tokens == 0 &&
-                         req.phase == Phase::kPrefill),
-                    "Server: decode_tokens must be >= 1 (0 is legal "
-                    "only for prefill-phase requests — the prefill "
-                    "half of a cluster tier split)");
+        util::require(req.arrival >= 0 &&
+                          (i == 0 || req.arrival >= requests[i - 1].arrival),
+                      "Server: requests must be sorted and non-negative");
+        util::require(req.decode_tokens >= 1 ||
+                          (req.decode_tokens == 0 &&
+                           req.phase == Phase::kPrefill),
+                      "Server: decode_tokens must be >= 1 (0 is legal "
+                      "only for prefill-phase requests — the prefill "
+                      "half of a cluster tier split)");
         if (req.phase == Phase::kPrefill || opts.kv_budget > 0) {
-            util::check(opts.max_prompt_len >= 1,
-                        "Server: prefill-phase requests (and KV "
-                        "modeling) need max_prompt_len (the model "
-                        "sequence length)");
-            util::check(req.prompt_len >= 0 &&
-                            req.prompt_len <= opts.max_prompt_len,
-                        "Server: prompt_len must be in "
-                        "[0, max_prompt_len]");
+            util::require(opts.max_prompt_len >= 1,
+                          "Server: prefill-phase requests (and KV "
+                          "modeling) need max_prompt_len (the model "
+                          "sequence length)");
+            util::require(req.prompt_len >= 0 &&
+                              req.prompt_len <= opts.max_prompt_len,
+                          "Server: prompt_len must be in "
+                          "[0, max_prompt_len]");
         }
         if (req.prefix_id >= 0) {
-            util::check(opts.prefix_sharing,
-                        "Server: prefix-tagged requests need "
-                        "ServerOptions::prefix_sharing");
-            util::check(req.phase == Phase::kPrefill,
-                        "Server: prefix-tagged requests must be "
-                        "prefill-phase");
-            util::check(req.prefix_len >= 1 && req.prefix_len < len,
-                        "Server: prefix_len must be in "
-                        "[1, prompt_len - 1]");
+            util::require(opts.prefix_sharing,
+                          "Server: prefix-tagged requests need "
+                          "ServerOptions::prefix_sharing");
+            util::require(req.phase == Phase::kPrefill,
+                          "Server: prefix-tagged requests must be "
+                          "prefill-phase");
+            util::require(req.prefix_len >= 1 && req.prefix_len < len,
+                          "Server: prefix_len must be in "
+                          "[1, prompt_len - 1]");
         }
         if (req.kv_migrate_tokens != 0 || req.kv_migrate_stall != 0.0) {
-            util::check(opts.kv_budget > 0,
-                        "Server: KV migration (kv_migrate_tokens) "
-                        "needs KV modeling (kv_budget > 0) — the "
-                        "migrated segment lives in the modeled pool");
-            util::check(req.kv_migrate_tokens >= 1 &&
-                            req.kv_migrate_stall >= 0.0,
-                        "Server: a migration must carry >= 1 token "
-                        "and a non-negative stall");
+            util::require(opts.kv_budget > 0,
+                          "Server: KV migration (kv_migrate_tokens) "
+                          "needs KV modeling (kv_budget > 0) — the "
+                          "migrated segment lives in the modeled pool");
+            util::require(req.kv_migrate_tokens >= 1 &&
+                              req.kv_migrate_stall >= 0.0,
+                          "Server: a migration must carry >= 1 token "
+                          "and a non-negative stall");
             if (req.phase == Phase::kPrefill) {
-                util::check(req.prefix_id >= 0 &&
-                                req.kv_migrate_tokens == req.prefix_len,
-                            "Server: a prefill-phase migration "
-                            "imports the request's shared prefix "
-                            "(kv_migrate_tokens == prefix_len)");
+                util::require(req.prefix_id >= 0 &&
+                                  req.kv_migrate_tokens == req.prefix_len,
+                              "Server: a prefill-phase migration "
+                              "imports the request's shared prefix "
+                              "(kv_migrate_tokens == prefix_len)");
             } else {
-                util::check(req.kv_migrate_tokens <= len,
-                            "Server: migrated KV cannot exceed the "
-                            "request's context length");
+                util::require(req.kv_migrate_tokens <= len,
+                              "Server: migrated KV cannot exceed the "
+                              "request's context length");
             }
         }
         if (!opts.slo) {
-            util::check(req.tenant == 0 && req.deadline_s == 0.0,
-                        "Server: tenant/deadline-tagged requests need "
-                        "ServerOptions::slo");
+            util::require(req.tenant == 0 && req.deadline_s == 0.0,
+                          "Server: tenant/deadline-tagged requests need "
+                          "ServerOptions::slo");
         } else {
-            util::check(req.tenant >= 0 && req.tenant < opts.tenants,
-                        "Server: request tenant must be in "
-                        "[0, ServerOptions::tenants)");
-            util::check(req.deadline_s >= 0.0,
-                        "Server: deadline_s must be >= 0 "
-                        "(0 = no deadline)");
-            util::check(req.deadline_s == 0.0 ||
-                            req.deadline_s >= req.arrival,
-                        "Server: a deadline must not precede the "
-                        "request's arrival");
+            util::require(req.tenant >= 0 && req.tenant < opts.tenants,
+                          "Server: request tenant must be in "
+                          "[0, ServerOptions::tenants)");
+            util::require(req.deadline_s >= 0.0,
+                          "Server: deadline_s must be >= 0 "
+                          "(0 = no deadline)");
+            util::require(req.deadline_s == 0.0 ||
+                              req.deadline_s >= req.arrival,
+                          "Server: a deadline must not precede the "
+                          "request's arrival");
         }
     }
 }
@@ -802,78 +802,78 @@ ServingReport::serialize_bits() const
 Server::Server(const sim::Machine& machine, ServerOptions opts)
     : machine_(machine), opts_(std::move(opts))
 {
-    util::check(opts_.max_batch >= 1, "Server: max_batch must be >= 1");
-    util::check(opts_.tokens_per_request >= 1,
-                "Server: tokens_per_request must be >= 1");
-    util::check(opts_.max_prefill_batch >= 1,
-                "Server: max_prefill_batch must be >= 1");
-    util::check(opts_.max_prompt_len >= 0,
-                "Server: max_prompt_len must be >= 0");
+    util::require(opts_.max_batch >= 1, "Server: max_batch must be >= 1");
+    util::require(opts_.tokens_per_request >= 1,
+                  "Server: tokens_per_request must be >= 1");
+    util::require(opts_.max_prefill_batch >= 1,
+                  "Server: max_prefill_batch must be >= 1");
+    util::require(opts_.max_prompt_len >= 0,
+                  "Server: max_prompt_len must be >= 0");
     if (opts_.max_prompt_len >= 1) {
         finalize_prompt_buckets(opts_.prompt_buckets,
                                 opts_.max_prompt_len);
     } else {
-        util::check(opts_.prompt_buckets.empty(),
-                    "Server: prompt buckets need max_prompt_len");
+        util::require(opts_.prompt_buckets.empty(),
+                      "Server: prompt buckets need max_prompt_len");
     }
     if (opts_.kv_budget > 0) {
-        util::check(opts_.kv_bytes_per_token > 0,
-                    "Server: KV modeling needs kv_bytes_per_token "
-                    "(see graph::kv_bytes_per_token)");
-        util::check(opts_.max_prompt_len >= 1,
-                    "Server: KV modeling needs max_prompt_len to "
-                    "size per-request KV segments");
+        util::require(opts_.kv_bytes_per_token > 0,
+                      "Server: KV modeling needs kv_bytes_per_token "
+                      "(see graph::kv_bytes_per_token)");
+        util::require(opts_.max_prompt_len >= 1,
+                      "Server: KV modeling needs max_prompt_len to "
+                      "size per-request KV segments");
     }
     if (opts_.prefix_sharing) {
-        util::check(opts_.kv_budget > 0,
-                    "Server: prefix sharing needs KV modeling "
-                    "(kv_budget > 0) — shared prefix segments live "
-                    "in the modeled KV pool");
+        util::require(opts_.kv_budget > 0,
+                      "Server: prefix sharing needs KV modeling "
+                      "(kv_budget > 0) — shared prefix segments live "
+                      "in the modeled KV pool");
     }
-    util::check(opts_.prefill_chunk >= 0,
-                "Server: prefill_chunk must be >= 0 (0 disables "
-                "chunked prefill)");
+    util::require(opts_.prefill_chunk >= 0,
+                  "Server: prefill_chunk must be >= 0 (0 disables "
+                  "chunked prefill)");
     if (opts_.prefill_chunk > 0) {
-        util::check((opts_.prefill_chunk &
-                     (opts_.prefill_chunk - 1)) == 0,
-                    "Server: prefill_chunk must be a power of two "
-                    "(the chunk grid quantization)");
-        util::check(opts_.max_prompt_len >= 1,
-                    "Server: chunked prefill needs max_prompt_len "
-                    "(the model sequence length)");
-        util::check(opts_.prefill_chunk <= opts_.max_prompt_len,
-                    "Server: prefill_chunk must not exceed "
-                    "max_prompt_len");
-        util::check(opts_.prompt_buckets.size() >= 2,
-                    "Server: chunked prefill needs a multi-entry "
-                    "prompt bucket ladder (varlen buckets) — with a "
-                    "single full-length bucket every chunk would pad "
-                    "to the full sequence");
+        util::require((opts_.prefill_chunk &
+                       (opts_.prefill_chunk - 1)) == 0,
+                      "Server: prefill_chunk must be a power of two "
+                      "(the chunk grid quantization)");
+        util::require(opts_.max_prompt_len >= 1,
+                      "Server: chunked prefill needs max_prompt_len "
+                      "(the model sequence length)");
+        util::require(opts_.prefill_chunk <= opts_.max_prompt_len,
+                      "Server: prefill_chunk must not exceed "
+                      "max_prompt_len");
+        util::require(opts_.prompt_buckets.size() >= 2,
+                      "Server: chunked prefill needs a multi-entry "
+                      "prompt bucket ladder (varlen buckets) — with a "
+                      "single full-length bucket every chunk would pad "
+                      "to the full sequence");
     }
     if (opts_.kv_locality) {
-        util::check(opts_.kv_budget > 0,
-                    "Server: kv_locality needs KV modeling "
-                    "(kv_budget > 0) — residency is what it steers "
-                    "by");
+        util::require(opts_.kv_budget > 0,
+                      "Server: kv_locality needs KV modeling "
+                      "(kv_budget > 0) — residency is what it steers "
+                      "by");
     }
-    util::check(opts_.tenants >= 1, "Server: tenants must be >= 1");
-    util::check(opts_.preempt_budget >= 0,
-                "Server: preempt_budget must be >= 0 (0 disables "
-                "deadline preemption)");
+    util::require(opts_.tenants >= 1, "Server: tenants must be >= 1");
+    util::require(opts_.preempt_budget >= 0,
+                  "Server: preempt_budget must be >= 0 (0 disables "
+                  "deadline preemption)");
     if (!opts_.slo) {
-        util::check(opts_.tenants == 1 && opts_.tenant_shares.empty(),
-                    "Server: multi-tenant shares need "
-                    "ServerOptions::slo");
+        util::require(opts_.tenants == 1 && opts_.tenant_shares.empty(),
+                      "Server: multi-tenant shares need "
+                      "ServerOptions::slo");
     } else {
-        util::check(opts_.tenant_shares.empty() ||
-                        static_cast<int>(opts_.tenant_shares.size()) ==
-                            opts_.tenants,
-                    "Server: tenant_shares must be empty (equal "
-                    "shares) or carry one weight per tenant");
+        util::require(opts_.tenant_shares.empty() ||
+                          static_cast<int>(opts_.tenant_shares.size()) ==
+                              opts_.tenants,
+                      "Server: tenant_shares must be empty (equal "
+                      "shares) or carry one weight per tenant");
         for (double w : opts_.tenant_shares) {
-            util::check(w > 0.0,
-                        "Server: tenant share weights must be "
-                        "positive");
+            util::require(w > 0.0,
+                          "Server: tenant share weights must be "
+                          "positive");
         }
     }
 }
@@ -890,14 +890,14 @@ Server::serve(const std::vector<double>& arrivals,
 {
     // This loop is the KV-free reference; silently skipping KV
     // modeling here would let a caller believe it was applied.
-    util::check(opts_.kv_budget == 0,
-                "Server: KV modeling (kv_budget > 0) requires the "
-                "Request-based serve() overload");
+    util::require(opts_.kv_budget == 0,
+                  "Server: KV modeling (kv_budget > 0) requires the "
+                  "Request-based serve() overload");
     const int n = static_cast<int>(arrivals.size());
     for (int i = 0; i < n; ++i) {
-        util::check(arrivals[i] >= 0 &&
-                        (i == 0 || arrivals[i] >= arrivals[i - 1]),
-                    "Server: arrivals must be sorted and non-negative");
+        util::require(arrivals[i] >= 0 &&
+                          (i == 0 || arrivals[i] >= arrivals[i - 1]),
+                      "Server: arrivals must be sorted and non-negative");
     }
 
     // The first iteration runs cold (no retention) and measures the

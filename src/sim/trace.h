@@ -21,9 +21,6 @@ struct OpTiming {
     double pre_end = 0.0;
     double exec_start = 0.0;  ///< includes the distribution phase.
     double exec_end = 0.0;
-
-    double preload_duration() const { return pre_end - pre_start; }
-    double exec_duration() const { return exec_end - exec_start; }
 };
 
 /// Aggregated result of one simulated program run.

@@ -5,43 +5,10 @@
 
 namespace elk::util {
 
-namespace {
-
-LogLevel g_level = LogLevel::kWarn;
-
-const char*
-level_name(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::kDebug: return "DEBUG";
-      case LogLevel::kInfo: return "INFO";
-      case LogLevel::kWarn: return "WARN";
-      case LogLevel::kError: return "ERROR";
-    }
-    return "?";
-}
-
-}  // namespace
-
 void
-set_log_level(LogLevel level)
+warn(const std::string& msg)
 {
-    g_level = level;
-}
-
-LogLevel
-log_level()
-{
-    return g_level;
-}
-
-void
-log_message(LogLevel level, const std::string& msg)
-{
-    if (static_cast<int>(level) < static_cast<int>(g_level)) {
-        return;
-    }
-    std::fprintf(stderr, "[elk %s] %s\n", level_name(level), msg.c_str());
+    std::fprintf(stderr, "[elk WARN] %s\n", msg.c_str());
 }
 
 void

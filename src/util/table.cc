@@ -133,12 +133,12 @@ Table::write_csv(const std::string& name) const
     std::error_code ec;
     fs::create_directories("bench_results", ec);
     if (ec) {
-        log_warn() << "cannot create bench_results/: " << ec.message();
+        warn("cannot create bench_results/: " + ec.message());
         return;
     }
     std::ofstream file("bench_results/" + name + ".csv");
     if (!file) {
-        log_warn() << "cannot open bench_results/" << name << ".csv";
+        warn("cannot open bench_results/" + name + ".csv");
         return;
     }
     file << to_csv();

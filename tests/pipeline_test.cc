@@ -143,13 +143,12 @@ class PipelineCompileTest : public ::testing::Test {
     }
 
     std::string
-    compile_bits(Mode mode, int ctor_jobs, int opt_jobs)
+    compile_bits(Mode mode, int jobs)
     {
-        Compiler comp(graph_, cfg_, nullptr, ctor_jobs);
+        Compiler comp(graph_, cfg_, nullptr, jobs);
         CompileOptions opts;
         opts.mode = mode;
         opts.max_orders = 8;
-        opts.jobs = opt_jobs;
         return comp.compile(opts).plan.serialize_bits();
     }
 
@@ -161,19 +160,11 @@ TEST_F(PipelineCompileTest, ParallelMatchesSerialAllModes)
 {
     for (Mode mode : {Mode::kBasic, Mode::kStatic, Mode::kElkDyn,
                       Mode::kElkFull, Mode::kIdeal}) {
-        std::string serial = compile_bits(mode, 1, 0);
-        std::string parallel = compile_bits(mode, 4, 0);
+        std::string serial = compile_bits(mode, 1);
+        std::string parallel = compile_bits(mode, 4);
         EXPECT_EQ(serial, parallel) << mode_name(mode);
         EXPECT_FALSE(serial.empty());
     }
-}
-
-TEST_F(PipelineCompileTest, PerCompileJobsOverrideMatchesToo)
-{
-    // Serial construction, parallel compile() — the opts.jobs knob.
-    std::string serial = compile_bits(Mode::kElkFull, 1, 1);
-    std::string parallel = compile_bits(Mode::kElkFull, 1, 4);
-    EXPECT_EQ(serial, parallel);
 }
 
 TEST_F(PipelineCompileTest, SchedulerWorkCountersIgnoreJobs)
@@ -209,8 +200,8 @@ TEST_F(PipelineCompileTest, RepeatedCompilesAreIdentical)
 
 TEST_F(PipelineCompileTest, SerializeBitsDistinguishesPlans)
 {
-    std::string basic = compile_bits(Mode::kBasic, 1, 0);
-    std::string dyn = compile_bits(Mode::kElkDyn, 1, 0);
+    std::string basic = compile_bits(Mode::kBasic, 1);
+    std::string dyn = compile_bits(Mode::kElkDyn, 1);
     EXPECT_NE(basic, dyn);
 }
 
@@ -242,7 +233,7 @@ TEST_F(PipelineCompileTest, SharedMachineMatchesOwnAllModes)
         Compiler shared(graph_, cfg_, nullptr, 1, machine);
         EXPECT_EQ(shared.context().traffic, &machine->traffic());
         EXPECT_EQ(shared.compile(opts).plan.serialize_bits(),
-                  compile_bits(mode, 1, 0))
+                  compile_bits(mode, 1))
             << mode_name(mode);
     }
 }
@@ -293,7 +284,7 @@ TEST_F(PipelineCompileTest, ConcurrentCompilesOnOneCompiler)
         th.join();
     }
     for (int t = 0; t < 2; ++t) {
-        EXPECT_EQ(got[t], compile_bits(modes[t], 1, 0))
+        EXPECT_EQ(got[t], compile_bits(modes[t], 1))
             << mode_name(modes[t]);
     }
 }
@@ -309,11 +300,9 @@ TEST(PipelineQuickstartTest, ParallelAndSerialPlansAreByteIdentical)
     opts.mode = Mode::kElkFull;
 
     Compiler serial(graph, cfg, nullptr, 1);
-    opts.jobs = 1;
     auto serial_plan = serial.compile(opts).plan;
 
     Compiler parallel(graph, cfg, nullptr, 8);
-    opts.jobs = 8;
     auto parallel_plan = parallel.compile(opts).plan;
 
     EXPECT_EQ(serial_plan.serialize_bits(),

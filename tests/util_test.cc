@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for util: statistics, tables, logging helpers, and the
- * thread pool's per-pool nesting rule.
+ * thread pool's contract (every index exactly once, exceptions,
+ * concurrent callers, inline pools, per-pool nesting).
  */
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <chrono>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -144,6 +146,82 @@ TEST(TableTest, DoubleFormatting)
     // Very large and very small use scientific notation.
     EXPECT_NE(Table::format_cell(1e9).find("e"), std::string::npos);
     EXPECT_NE(Table::format_cell(1e-6).find("e"), std::string::npos);
+}
+
+/// Calls parallel_for(n) on @p pool; returns how often each index ran.
+std::vector<int>
+visit_counts(ThreadPool& pool, int n)
+{
+    std::vector<std::atomic<int>> counts(n);
+    pool.parallel_for(n, [&](int i) { counts[i].fetch_add(1); });
+    return {counts.begin(), counts.end()};
+}
+
+// Far more indices than runners: the range is chunked and stolen, yet
+// every index runs exactly once.
+TEST(ThreadPoolContractTest, EveryIndexRunsExactlyOnce)
+{
+    ThreadPool pool(3);
+    for (int n : {1, 2, 5, 10007}) {
+        EXPECT_EQ(visit_counts(pool, n), std::vector<int>(n, 1))
+            << "n = " << n;
+    }
+}
+
+// An exception thrown by a task reaches the caller once the batch has
+// drained, and leaves the pool usable for the next batch.
+TEST(ThreadPoolContractTest, ExceptionReachesCallerAndPoolRecovers)
+{
+    ThreadPool pool(3);
+    try {
+        pool.parallel_for(1000, [](int i) {
+            if (i == 617) {
+                throw std::runtime_error("index 617 failed");
+            }
+        });
+        ADD_FAILURE() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "index 617 failed");
+    }
+    EXPECT_EQ(visit_counts(pool, 1000), std::vector<int>(1000, 1));
+}
+
+// Two external threads sharing one pool each get their own batch: each
+// sees every one of its indices exactly once.
+TEST(ThreadPoolContractTest, ConcurrentCallersEachSeeEveryIndex)
+{
+    ThreadPool pool(3);
+    constexpr int kN = 5000;
+    std::vector<int> got[2];
+    std::thread callers[2];
+    for (int t = 0; t < 2; ++t) {
+        callers[t] = std::thread([&, t] { got[t] = visit_counts(pool, kN); });
+    }
+    for (auto& c : callers) {
+        c.join();
+    }
+    for (const auto& counts : got) {
+        EXPECT_EQ(counts, std::vector<int>(kN, 1));
+    }
+}
+
+// A 0- or 1-thread pool spawns no workers: every index runs on the
+// caller.
+TEST(ThreadPoolContractTest, InlinePoolsRunOnTheCaller)
+{
+    for (int threads : {0, 1}) {
+        ThreadPool pool(threads);
+        EXPECT_EQ(pool.size(), 0);
+        std::vector<int> counts(100, 0);
+        std::set<std::thread::id> runners;
+        pool.parallel_for(100, [&](int i) {
+            ++counts[i];
+            runners.insert(std::this_thread::get_id());
+        });
+        EXPECT_EQ(counts, std::vector<int>(100, 1)) << threads << " threads";
+        EXPECT_EQ(runners, std::set<std::thread::id>{
+                               std::this_thread::get_id()});
+    }
 }
 
 // A parallel_for on a pool from inside one of that pool's own tasks

@@ -7,7 +7,8 @@
  * sequence length reproduces the fixed-shape PR 3 scheduler
  * bit-for-bit across all five design modes), the TTFT/padding win of
  * bucketed prefill on short prompts, and the plan-cache partition
- * keys of the (batch, prompt-length) grid.
+ * keys of the (batch, prompt-length) grid, and the worded fatal on a
+ * bad bucket ladder or request.
  */
 #include <gtest/gtest.h>
 
@@ -293,6 +294,28 @@ TEST_F(VarlenTest, DecodeFamilyRejectsShortLengths)
     auto dc = testing::serving_compiler(
         compiler::GraphKind::kDecode, compiler::Mode::kBasic, kSeq, &cache_);
     EXPECT_DEATH(dc.program(1, 16), "model sequence length");
+}
+
+// A bad bucket ladder or request is a user error: a worded fatal
+// (exit 1), never an internal panic.
+TEST(ServerInputDeathTest, BadBucketsAndRequestsExitWithWordedFatal)
+{
+    sim::Machine machine(testing::tiny_chip());
+    runtime::ServerOptions sopts;
+    sopts.max_prompt_len = kSeq;
+    sopts.prompt_buckets = {16, 64};
+    EXPECT_EXIT(runtime::Server(machine, sopts),
+                ::testing::ExitedWithCode(1),
+                "\\[elk FATAL\\] Server: largest prompt bucket must equal");
+
+    sopts.prompt_buckets.clear();
+    runtime::Server server(machine, sopts);
+    std::vector<runtime::Request> requests(1);
+    requests[0].phase = runtime::Phase::kPrefill;
+    requests[0].prompt_len = kSeq + 1;
+    EXPECT_EXIT(server.serve(requests, {}, {}),
+                ::testing::ExitedWithCode(1),
+                "\\[elk FATAL\\] Server: prompt_len must be in");
 }
 
 }  // namespace
