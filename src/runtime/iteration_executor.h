@@ -39,7 +39,7 @@ int batch_bucket(int need, int max);
 inline sim::EngineState::Options
 engine_options(const ServerOptions& opts)
 {
-    return {/*residency_budget=*/0, opts.residency_policy, opts.kv_budget};
+    return {/*residency_budget=*/0, opts.kv_budget};
 }
 
 class IterationExecutor {

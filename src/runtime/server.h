@@ -292,12 +292,9 @@ struct ServerOptions {
     /// scheduler).
     std::vector<int> prompt_buckets;
     /// Keep operator weights resident in SRAM across iterations
-    /// (evicted per residency_policy under pressure); off = every
-    /// iteration re-preloads from HBM like a one-shot run.
+    /// (oldest evicted first under pressure); off = every iteration
+    /// re-preloads from HBM like a one-shot run.
     bool keep_resident = true;
-    /// How the engine decides which resident weights survive.
-    sim::ResidencyPolicy residency_policy =
-        sim::ResidencyPolicy::kRetireOrder;
     /// Let high-priority arrivals park a running all-normal iteration
     /// at the next step() boundary (off = they still jump the queues,
     /// but never interrupt an iteration in flight).

@@ -72,18 +72,6 @@ SimProgram::validate() const
     }
 }
 
-std::string
-residency_policy_name(ResidencyPolicy policy)
-{
-    switch (policy) {
-        case ResidencyPolicy::kRetireOrder:
-            return "retire-order";
-        case ResidencyPolicy::kFrequencyAware:
-            return "frequency";
-    }
-    util::fatal("unknown residency policy");
-}
-
 // ---------------------------------------------------------------------------
 // EngineState
 
@@ -338,27 +326,6 @@ EngineState::entry_matches(const ResidentEntry& entry, const SimOp& op)
            entry.dram_bytes == op.dram_bytes;
 }
 
-double
-EngineState::entry_score(const ResidentEntry& entry)
-{
-    return entry.dram_bytes * (1.0 + static_cast<double>(entry.hits)) /
-           static_cast<double>(entry.space);
-}
-
-double
-EngineState::kv_score(const KvSegment& seg) const
-{
-    // The segment substitutes streaming its machine-total bytes back
-    // from HBM; per resident byte that is the core count. Same units
-    // as entry_score, so weights and KV compare directly. A shared
-    // prefix saves that stream once per sharer, so its sharer count
-    // adds to the reuse term (exactly +0.0 for private segments —
-    // bit-identical to the share-free formula).
-    return static_cast<double>(machine_.config().total_cores()) *
-           (1.0 + static_cast<double>(seg.hits) +
-            static_cast<double>(seg.share_count));
-}
-
 int
 EngineState::kv_find(int64_t id) const
 {
@@ -371,45 +338,16 @@ EngineState::kv_find(int64_t id) const
     return static_cast<int>(it - kv_.begin());
 }
 
-EngineState::VictimKey
-EngineState::victim_key(const ResidentSlot& slot) const
-{
-    const bool scored = opts_.policy == ResidencyPolicy::kFrequencyAware;
-    return {scored ? entry_score(slot.entry) : 0.0, slot.entry.seq};
-}
-
-EngineState::VictimKey
-EngineState::victim_key(const KvSlot& slot) const
-{
-    const bool scored = opts_.policy == ResidencyPolicy::kFrequencyAware;
-    return {scored ? kv_score(slot.seg) : 0.0, slot.seg.seq};
-}
-
-bool
-EngineState::evicts_before(const VictimKey& a, const VictimKey& b) const
-{
-    if (opts_.policy == ResidencyPolicy::kFrequencyAware &&
-        a.score != b.score) {
-        return a.score < b.score;
-    }
-    return a.seq < b.seq;
-}
-
 template <typename Slot, typename Evictable>
 int
 EngineState::scan_victim(const std::vector<Slot>& slots,
                          Evictable&& evictable) const
 {
     int victim = -1;
-    VictimKey best;
     for (size_t i = 0; i < slots.size(); ++i) {
-        if (!evictable(slots[i])) {
-            continue;
-        }
-        const VictimKey key = victim_key(slots[i]);
-        if (victim < 0 || evicts_before(key, best)) {
+        if (evictable(slots[i]) &&
+            (victim < 0 || slots[i].seq() < slots[victim].seq())) {
             victim = static_cast<int>(i);
-            best = key;
         }
     }
     return victim;
@@ -554,7 +492,6 @@ EngineState::kv_pin(int64_t id)
     util::check(idx >= 0 && kv_[idx].seg.resident,
                 "EngineState: kv_pin() needs a resident segment");
     ++kv_[idx].seg.pin_count;
-    ++kv_[idx].seg.hits;
     kv_[idx].seg.seq = resident_seq_++;
 }
 
@@ -621,20 +558,6 @@ EngineState::kv_share_count(int64_t id) const
     util::check(idx >= 0,
                 "EngineState: kv_share_count() of an unowned segment");
     return kv_[idx].seg.share_count;
-}
-
-void
-EngineState::kv_evict(int64_t id)
-{
-    recording_ = false;
-    const int idx = kv_find(id);
-    util::check(idx >= 0,
-                "EngineState: kv_evict() of an unowned segment");
-    util::check(kv_[idx].seg.resident,
-                "EngineState: kv_evict() of a non-resident segment");
-    util::check(kv_[idx].seg.pin_count == 0,
-                "EngineState: kv_evict() of a pinned segment");
-    kv_spill(idx);
 }
 
 bool
@@ -743,7 +666,7 @@ EngineState::relieve_pressure()
     const double limit =
         static_cast<double>(machine_.config().usable_sram_per_core());
     if (recording_ && occupancy_ > limit) {
-        // From here on the run reads every victim's key and the exact
+        // From here on the run reads every victim's seq and the exact
         // occupancy; a memo entry cannot key the KV pool.
         rec_pressured_ = true;
         if (!kv_.empty()) {
@@ -751,17 +674,14 @@ EngineState::relieve_pressure()
         }
     }
     while (occupancy_ > limit) {
-        // Weights and KV segments compete: the policy's first victim
-        // across both classes goes.
+        // Weights and KV segments compete: the oldest across both
+        // classes goes.
         const int w = pick_victim();
         const int k = kv_pick_victim();
         if (w < 0 && k < 0) {
             break;  // everything left is pinned by running programs
         }
-        const bool take_kv =
-            w < 0 || (k >= 0 && evicts_before(victim_key(kv_[k]),
-                                               victim_key(resident_[w])));
-        if (take_kv) {
+        if (w < 0 || (k >= 0 && kv_[k].seq() < resident_[w].seq())) {
             kv_spill(k);
         } else {
             evict(w);
@@ -799,37 +719,6 @@ EngineState::retire_op(int i)
         op.dram_bytes <= 0.0) {
         return;
     }
-    if (resident_bytes_ + op.preload_space > opts_.residency_budget &&
-        opts_.policy == ResidencyPolicy::kFrequencyAware) {
-        // Budget full: displace strictly lower-worth entries to make
-        // room for a higher-worth candidate (a fresh candidate scores
-        // with reuse count zero). Only if displacing them actually
-        // frees enough space — otherwise evicting would be pure loss
-        // with no admission.
-        ResidentEntry candidate;
-        candidate.space = op.preload_space;
-        candidate.dram_bytes = op.dram_bytes;
-        const double cand_score = entry_score(candidate);
-        uint64_t displaceable = 0;
-        for (const ResidentSlot& slot : resident_) {
-            if (slot.entry.pin_count == 0 &&
-                entry_score(slot.entry) < cand_score) {
-                displaceable += slot.entry.space;
-            }
-        }
-        if (resident_bytes_ - displaceable + op.preload_space <=
-            opts_.residency_budget) {
-            while (resident_bytes_ + op.preload_space >
-                   opts_.residency_budget) {
-                int victim = pick_victim();
-                if (victim < 0 ||
-                    entry_score(resident_[victim].entry) >= cand_score) {
-                    break;  // unreachable given the feasibility check
-                }
-                evict(victim);
-            }
-        }
-    }
     if (resident_bytes_ + op.preload_space <= opts_.residency_budget) {
         ResidentSlot slot;
         slot.op_id = op.op_id;
@@ -852,15 +741,12 @@ uint64_t
 EngineState::memo_key(const SimProgram* program)
 {
     // Everything a pressure-free run's arithmetic reads from outside
-    // its program: the budgets, the policy, and each weight entry —
-    // its recency as a rank among the entries (new seqs always exceed
-    // old ones, so only their order is ever compared), its hits only
-    // where the policy scores them. The occupancy is not part of the
-    // key: memo_applies() guards it, and KV segments enter a run only
-    // through it.
-    const bool scored = opts_.policy == ResidencyPolicy::kFrequencyAware;
-    memo_key_.assign({opts_.residency_budget, opts_.kv_budget,
-                      static_cast<uint64_t>(opts_.policy)});
+    // its program: the budgets and each weight entry — its recency as
+    // a rank among the entries (new seqs always exceed old ones, so
+    // only their order is ever compared). The occupancy is not part
+    // of the key: memo_applies() guards it, and KV segments enter a
+    // run only through it.
+    memo_key_.assign({opts_.residency_budget, opts_.kv_budget});
     for (const ResidentSlot& slot : resident_) {
         uint64_t rank = 0;
         for (const ResidentSlot& other : resident_) {
@@ -871,8 +757,7 @@ EngineState::memo_key(const SimProgram* program)
         memo_key_.insert(
             memo_key_.end(),
             {static_cast<uint64_t>(slot.op_id), slot.entry.space, dram_bits,
-             static_cast<uint64_t>(slot.entry.pin_count), rank,
-             scored ? static_cast<uint64_t>(slot.entry.hits) : 0});
+             static_cast<uint64_t>(slot.entry.pin_count), rank});
     }
     util::Fnv1a h;
     h.mix_value(program);
@@ -903,16 +788,8 @@ EngineState::replay(const MemoEntry& m)
     replay_scratch_.clear();
     for (const MemoSlot& ms : m.post) {
         ResidentSlot slot{ms.op_id, ms.entry};
-        if (ms.pre >= 0) {
-            const ResidentEntry& pre = resident_[ms.pre].entry;
-            slot.entry.hits += pre.hits;
-            if (ms.seq_kept) {
-                slot.entry.seq = pre.seq;
-            }
-        }
-        if (!ms.seq_kept) {
-            slot.entry.seq += resident_seq_;
-        }
+        slot.entry.seq = ms.pre >= 0 ? resident_[ms.pre].entry.seq
+                                     : slot.entry.seq + resident_seq_;
         replay_scratch_.push_back(slot);
     }
     resident_.swap(replay_scratch_);
@@ -989,12 +866,9 @@ EngineState::record(SimResult& result)
             pre != rec_pre_.end() && pre->op_id == slot.op_id &&
             std::find(rec_evicted_.begin(), rec_evicted_.end(),
                       slot.op_id) == rec_evicted_.end();
-        if (survived) {
+        if (survived && slot.entry.seq == pre->entry.seq) {
             ms.pre = static_cast<int>(pre - rec_pre_.begin());
-            ms.entry.hits -= pre->entry.hits;
-            ms.seq_kept = slot.entry.seq == pre->entry.seq;
-        }
-        if (!ms.seq_kept) {
+        } else {
             ms.entry.seq -= rec_seq_;
         }
         m.post.push_back(ms);
@@ -1058,7 +932,6 @@ EngineState::advance_transitions()
                     // traffic. Pin the entry until the execute retires
                     // so pressure eviction cannot take it first.
                     ++resident_[res].entry.pin_count;
-                    ++resident_[res].entry.hits;
                     ++resident_hits_;
                     f_.result.timing[op_idx].pre_end = f_.t;
                     f_.preload_done[op_idx] = true;

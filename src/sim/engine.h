@@ -86,27 +86,6 @@ struct SimProgram {
     void validate() const;
 };
 
-/// How EngineState decides which resident entries — operator weights
-/// and decode KV segments alike — survive.
-enum class ResidencyPolicy {
-    /// Admit in retire order while the budget lasts; evict the oldest
-    /// entry first under SRAM pressure (the PR 2 behavior).
-    kRetireOrder,
-    /// Value-aware: an entry's worth is
-    /// dram_bytes x (1 + reuse_count) / preload_space — the HBM
-    /// traffic it saves per byte of SRAM it holds, scaled by how often
-    /// it has actually been reused. A KV segment is scored by the same
-    /// formula with its machine-total bytes as the saved HBM traffic,
-    /// which reduces to core_count x (1 + reuse). Eviction (pressure
-    /// or budget displacement) always takes the lowest-worth unpinned
-    /// entry; admission may displace strictly lower-worth entries
-    /// when the budget is full.
-    kFrequencyAware,
-};
-
-/// Short name for reports ("retire-order" / "frequency").
-std::string residency_policy_name(ResidencyPolicy policy);
-
 /**
  * Resumable interpreter state for SimPrograms on one Machine.
  *
@@ -120,8 +99,9 @@ std::string residency_policy_name(ResidencyPolicy policy);
  * in SRAM after their execute completes. A subsequent program whose
  * operator matches a resident entry (same op id, HBM bytes, and
  * footprint) completes its preload instantly without touching HBM —
- * the steady-state decode fast path. Which entries are admitted and
- * which are evicted under pressure is the ResidencyPolicy. A zero
+ * the steady-state decode fast path. Entries are admitted in retire
+ * order while the budget lasts; under SRAM pressure the oldest
+ * unpinned entry — weight or KV segment — is evicted first. A zero
  * budget reproduces one-shot Engine::run() semantics exactly.
  *
  * Preemption: park() lifts the loaded program's whole interpreter
@@ -152,9 +132,6 @@ class EngineState {
         /// Per-core byte cap on weights kept resident across programs;
         /// 0 disables retention entirely.
         uint64_t residency_budget = 0;
-        /// Retention/eviction policy for resident weights and KV
-        /// segments.
-        ResidencyPolicy policy = ResidencyPolicy::kRetireOrder;
         /// Per-core byte cap on resident KV segments; 0 = uncapped
         /// (segments still occupy SRAM, they just never spill at a
         /// budget boundary — only under pressure). The serving runtime
@@ -290,9 +267,8 @@ class EngineState {
     /// Preloads satisfied from residency since construction.
     int64_t resident_hits() const { return resident_hits_; }
 
-    /// Resident entries evicted since construction — under SRAM
-    /// pressure, or displaced by a higher-worth admission under the
-    /// frequency-aware policy.
+    /// Resident entries evicted under SRAM pressure since
+    /// construction.
     int64_t resident_evictions() const { return resident_evictions_; }
 
     // --- KV segments -----------------------------------------------
@@ -308,12 +284,12 @@ class EngineState {
     // kv_free(); re-admitting it is kv_fetch(), whose HBM transfer
     // time the caller charges (see runtime::Server). A KV call that
     // moves the occupancy or the recency counter (alloc, fetch, grow,
-    // pin, free, evict) cancels the memo recording of a loaded run:
-    // its post-state would no longer follow from its key.
+    // pin, free) cancels the memo recording of a loaded run: its
+    // post-state would no longer follow from its key.
 
     /**
      * Creates the segment @p id at @p per_core_bytes and tries to
-     * make it resident, spilling unpinned KV segments in policy order
+     * make it resident, spilling unpinned KV segments oldest first
      * while the KV budget requires it. Returns whether the segment is
      * resident (false = born spilled: the budget is exhausted by
      * pinned segments, or the segment alone exceeds it). @p id must
@@ -339,9 +315,9 @@ class EngineState {
     void kv_grow(int64_t id, uint64_t per_core_bytes);
 
     /// Marks one consuming iteration: pins @p id against every form
-    /// of eviction until kv_unpin(), and refreshes its recency and
-    /// reuse count. Requires the segment to be resident. Pins nest
-    /// (a parked victim and its interrupter both hold one).
+    /// of eviction until kv_unpin(), and refreshes its recency.
+    /// Requires the segment to be resident. Pins nest (a parked victim
+    /// and its interrupter both hold one).
     void kv_pin(int64_t id);
 
     /// Releases one kv_pin().
@@ -363,10 +339,8 @@ class EngineState {
     // sharer then pays — but it does forbid kv_free() and kv_grow():
     // a request growing past a shared prefix must fork a private tail
     // segment (copy-on-extend) rather than mutate bytes other sharers
-    // read. Under kFrequencyAware a prefix's worth scales with its
-    // sharer count on top of its reuse count. With no kv_share()
-    // calls every refcount is zero and the pool's arithmetic is
-    // bit-identical to the share-free engine.
+    // read. With no kv_share() calls every refcount is zero and the
+    // pool's arithmetic is bit-identical to the share-free engine.
 
     /// Registers one sharer on segment @p id. Requires the segment to
     /// exist (resident or spilled).
@@ -378,15 +352,6 @@ class EngineState {
 
     /// Current sharer count of @p id (0 for a private segment).
     int kv_share_count(int64_t id) const;
-
-    /**
-     * Explicitly spills the resident segment @p id to HBM — the
-     * serving runtime's cache-management eviction, counted like any
-     * other spill. Evicting a pinned segment (in use by a running or
-     * parked iteration) panics; a shared-but-unpinned prefix is fair
-     * game, its sharers pay the re-fetch. Requires residency.
-     */
-    void kv_evict(int64_t id);
 
     /// Per-core bytes of resident segments whose share count is > 0.
     uint64_t kv_shared_bytes() const { return kv_shared_bytes_; }
@@ -428,8 +393,6 @@ class EngineState {
         uint64_t space = 0;      ///< per-core bytes held.
         double dram_bytes = 0.0; ///< HBM volume the entry substitutes.
         uint64_t seq = 0;        ///< recency for oldest-first eviction.
-        int64_t hits = 0;        ///< reuse count (worth under
-                                 ///< kFrequencyAware).
         /// In-flight consumers among loaded/parked programs (preload
         /// skipped, execute pending) — not evictable while > 0.
         int pin_count = 0;
@@ -439,8 +402,6 @@ class EngineState {
     struct KvSegment {
         uint64_t bytes = 0;  ///< per-core bytes (prompt + decoded).
         uint64_t seq = 0;    ///< recency (shared counter with weights).
-        int64_t hits = 0;    ///< consuming iterations (worth under
-                             ///< kFrequencyAware).
         int pin_count = 0;   ///< running/parked consumers; > 0 blocks
                              ///< every form of eviction.
         int share_count = 0; ///< prefix sharers; > 0 forbids
@@ -449,16 +410,15 @@ class EngineState {
     };
 
     /// A weight entry of a memoized run's pool post-state. op_id,
-    /// space, dram_bytes and pin_count are absolute. hits is a delta
-    /// onto pre-pool entry `pre` — the same entry, never evicted
-    /// during the run — or absolute when pre < 0. seq is that pre
-    /// entry's own when seq_kept, else an offset past the pre-state's
-    /// resident_seq_.
+    /// space, dram_bytes and pin_count are absolute. When the run
+    /// neither evicted the entry nor refreshed its recency, `pre`
+    /// indexes the same entry in the pre-pool and seq is that entry's
+    /// own; otherwise pre is -1 and seq is an offset past the
+    /// pre-state's resident_seq_.
     struct MemoSlot {
         int op_id = -1;
         ResidentEntry entry;
         int pre = -1;
-        bool seq_kept = false;
     };
 
     /// One memoized run: its key and everything stepping changed.
@@ -549,38 +509,23 @@ class EngineState {
     bool step_until(double cap);
     /// True when @p entry holds exactly the bytes @p op preloads.
     static bool entry_matches(const ResidentEntry& entry, const SimOp& op);
-    /// Resident worth under kFrequencyAware (saved HBM bytes per
-    /// resident byte, scaled by reuse).
-    static double entry_score(const ResidentEntry& entry);
     /// Pool index of op @p op_id's weight entry, -1 when absent.
     int resident_find(int op_id) const;
-    /// Where a weight entry or KV segment sits in the eviction order.
-    struct VictimKey {
-        double score = 0.0;  ///< worth; read under kFrequencyAware only.
-        uint64_t seq = 0;
-    };
-    /// The one eviction order of both pools: lower seq first under
-    /// kRetireOrder, lower (score, seq) under kFrequencyAware. Seqs
-    /// come from one counter, so ties never cross classes.
-    bool evicts_before(const VictimKey& a, const VictimKey& b) const;
-    /// Index of the slot of @p slots that evicts first among those
-    /// @p evictable accepts; -1 when none does.
+    /// Index of the oldest (lowest seq) slot of @p slots among those
+    /// @p evictable accepts; -1 when none does. Both pools draw seqs
+    /// from one counter, so their victims compare directly.
     template <typename Slot, typename Evictable>
     int scan_victim(const std::vector<Slot>& slots,
                     Evictable&& evictable) const;
-    /// The next weight entry the policy would evict (unpinned, lowest
-    /// seq/worth); -1 when everything is pinned.
+    /// The next weight entry to evict (unpinned, lowest seq); -1 when
+    /// everything is pinned.
     int pick_victim() const;
     /// Drops the entry at @p idx from the resident set and the
     /// occupancy.
     void evict(int idx);
-    /// KV analogue of entry_score: machine-total bytes saved per
-    /// resident byte, scaled by reuse.
-    double kv_score(const KvSegment& seg) const;
     /// Pool index of segment @p id, -1 when unowned.
     int kv_find(int64_t id) const;
-    /// The resident, unpinned KV segment the policy would spill next
-    /// (-1 when none), optionally excluding @p excluded_id.
+    /// The oldest resident, unpinned KV segment (-1 when none), optionally excluding @p excluded_id.
     int kv_pick_victim(int64_t excluded_id = -1) const;
     /// Spills the segment at @p idx to HBM: bytes leave SRAM, the
     /// segment stays owned (resident = false).
@@ -612,14 +557,13 @@ class EngineState {
     /// The memo's shared copy of @p timing (one per distinct content).
     std::shared_ptr<const std::vector<OpTiming>>
     intern_timing(const std::vector<OpTiming>& timing);
-    /// Spills unpinned KV in policy order until @p need extra bytes
+    /// Spills unpinned KV oldest first until @p need extra bytes
     /// fit the KV budget; false when pinned segments are in the way
     /// (or @p need alone exceeds the budget). @p excluded_id is never
     /// spilled. No-op true when uncapped.
     bool kv_make_room(uint64_t need, int64_t excluded_id = -1);
-    /// Evicts victims — weights and KV segments compete under the
-    /// policy — while per-core occupancy exceeds the machine's usable
-    /// SRAM.
+    /// Evicts the oldest unpinned entry — weight or KV segment — while
+    /// per-core occupancy exceeds the machine's usable SRAM.
     void relieve_pressure();
     /// Retention decision at execute completion of op @p i.
     void retire_op(int i);
@@ -635,22 +579,18 @@ class EngineState {
     /// vectors (ascending key), not node-based maps — pool scans
     /// (victim picks, stale eviction, pressure relief) run on every
     /// engine step and iterate contiguous memory, and lookups are a
-    /// binary search over a handful of cache lines. Ascending order
-    /// matches the old std::map iteration exactly, so every policy
-    /// scan visits candidates in the same order (bit-identity).
+    /// binary search over a handful of cache lines.
     struct ResidentSlot {
         int op_id;
         ResidentEntry entry;
+        uint64_t seq() const { return entry.seq; }
     };
     /// Flat-pool slot of the KV class (sorted by request id).
     struct KvSlot {
         int64_t id;
         KvSegment seg;
+        uint64_t seq() const { return seg.seq; }
     };
-    /// The slot's VictimKey (its score only computed under
-    /// kFrequencyAware).
-    VictimKey victim_key(const ResidentSlot& slot) const;
-    VictimKey victim_key(const KvSlot& slot) const;
 
     // --- cross-program state ---
     double clock_base_ = 0.0;  ///< global seconds before this program.

@@ -3,8 +3,7 @@
  * The engine's iteration memo (EngineState::begin_memo): a replayed
  * run leaves the state exactly where stepping would have — result
  * bits, clock, weight and KV pools and counters — across stale and
- * pressure eviction, both residency policies, KV segments that come,
- * grow and go between runs, and a park/resume in the middle; the
+ * pressure eviction, KV segments that come, grow and go between runs, and a park/resume in the middle; the
  * SRAM headroom guard is exact to the byte; a run that met pressure
  * replays only from a KV-free pool at its own occupancy; the watch
  * rule is strict; parked runs are never recorded; a freed program's
@@ -177,7 +176,7 @@ expect_replay_exact(const Machine& machine, EngineState::Options opts,
 constexpr uint64_t kKiB = 1024;  // tiny(16): 60 KiB usable SRAM per core
 
 /// The programs of the tests below, on tiny(16) with a 30 KiB budget.
-class EngineMemoTest : public ::testing::TestWithParam<ResidencyPolicy> {
+class EngineMemoTest : public ::testing::Test {
   protected:
     EngineMemoTest()
         : machine_(hw::ChipConfig::tiny(16)),
@@ -186,14 +185,14 @@ class EngineMemoTest : public ::testing::TestWithParam<ResidencyPolicy> {
         const uint64_t k = kKiB;
         // Two decode buckets over op ids 0..5; the second compiles ops
         // 1 and 4 to other footprints, so switching buckets
-        // stale-evicts them. Ops 3..5 save more HBM per resident byte.
+        // stale-evicts them.
         const std::vector<double> volumes = {1, 1, 1, 1.5, 1.5, 1.5};
         decode_a_ = make_program(0, {4 * k, 4 * k, 4 * k, 4 * k, 4 * k, 4 * k},
                                  volumes, dram_, 6 * k);
         decode_b_ = make_program(0, {4 * k, 3 * k, 4 * k, 4 * k, 3 * k, 4 * k},
                                  volumes, dram_, 6 * k);
-        // Halves of decode_a: each refreshes the recency and hit counts
-        // of its own entries only.
+        // Halves of decode_a: each refreshes the recency of its own
+        // entries only.
         decode_lo_ =
             make_program(0, {4 * k, 4 * k, 4 * k}, {1, 1, 1}, dram_, 6 * k);
         decode_hi_ = make_program(3, {4 * k, 4 * k, 4 * k}, {1.5, 1.5, 1.5},
@@ -213,7 +212,6 @@ class EngineMemoTest : public ::testing::TestWithParam<ResidencyPolicy> {
     options() const
     {
         EngineState::Options opts;
-        opts.policy = GetParam();
         opts.residency_budget = 30 * kKiB;
         return opts;
     }
@@ -227,7 +225,7 @@ class EngineMemoTest : public ::testing::TestWithParam<ResidencyPolicy> {
 // The memo's equivalence on a fixed pseudo-random schedule: pool
 // states recur (and replay) between stale evictions, pressure
 // evictions, a budget change and park/resume interruptions.
-TEST_P(EngineMemoTest, ReplayMatchesSteppingExactly)
+TEST_F(EngineMemoTest, ReplayMatchesSteppingExactly)
 {
     const std::vector<std::shared_ptr<const SimProgram>> programs = {
         decode_a_, decode_a_, decode_b_, decode_lo_, decode_hi_, prefill_};
@@ -255,7 +253,7 @@ TEST_P(EngineMemoTest, ReplayMatchesSteppingExactly)
 // between runs: pressure-free runs replay at whatever occupancy the
 // segments leave (shifting the peak), and runs whose pressure relief
 // weighs KV segments against weights are stepped.
-TEST_P(EngineMemoTest, KvBearingRunsReplayExactly)
+TEST_F(EngineMemoTest, KvBearingRunsReplayExactly)
 {
     const std::vector<std::shared_ptr<const SimProgram>> programs = {
         decode_a_, decode_a_, decode_b_, decode_lo_, decode_hi_, prefill_};
@@ -310,17 +308,13 @@ TEST_P(EngineMemoTest, KvBearingRunsReplayExactly)
     const ScheduleStats stats =
         expect_replay_exact(machine_, options(), schedule);
     EXPECT_GT(stats.kv_evictions, 0);  // pressure weighed KV too
-    if (GetParam() == ResidencyPolicy::kRetireOrder) {
-        // (Under kFrequencyAware the growing hit counts keep almost
-        // every key of this schedule apart.)
-        EXPECT_GT(stats.kv_replays, 0);
-    }
+    EXPECT_GT(stats.kv_replays, 0);
 }
 
 // Same entries, opposite recency: the following pressure eviction
 // takes different victims, so the key must tell the two pools apart
 // by rank.
-TEST_P(EngineMemoTest, RecencyOrderSeparatesKeys)
+TEST_F(EngineMemoTest, RecencyOrderSeparatesKeys)
 {
     expect_replay_exact(machine_, options(),
                         {{decode_a_}, {decode_lo_}, {decode_hi_}, {pressure_},
@@ -329,23 +323,19 @@ TEST_P(EngineMemoTest, RecencyOrderSeparatesKeys)
 
 // A replayed half-batch leaves the other half's recency where it was,
 // which decides the next pressure eviction.
-TEST_P(EngineMemoTest, ReplayKeepsUntouchedRecency)
+TEST_F(EngineMemoTest, ReplayKeepsUntouchedRecency)
 {
     const int64_t replays =
         expect_replay_exact(
             machine_, options(),
             {{decode_a_}, {decode_lo_}, {decode_a_}, {decode_lo_}, {pressure_}})
             .replays;
-    if (GetParam() == ResidencyPolicy::kRetireOrder) {
-        // (Under kFrequencyAware the growing hit counts keep every key
-        // of this short schedule apart.)
-        EXPECT_GT(replays, 0);
-    }
+    EXPECT_GT(replays, 0);
 }
 
 // The budget is part of the key: the same empty pool admits fewer
 // entries under a smaller budget.
-TEST_P(EngineMemoTest, BudgetSeparatesKeys)
+TEST_F(EngineMemoTest, BudgetSeparatesKeys)
 {
     // Same op ids, other footprints, nothing to retain: stale-evicts
     // every decode_lo entry and admits none.
@@ -362,7 +352,7 @@ TEST_P(EngineMemoTest, BudgetSeparatesKeys)
 // preload space, so occupancy is unchanged) leaves the pool of the
 // standalone pressure run but with that entry pinned: the interrupting
 // pressure run must evict another entry instead, not replay.
-TEST_P(EngineMemoTest, ParkedPinsSeparateKeys)
+TEST_F(EngineMemoTest, ParkedPinsSeparateKeys)
 {
     auto victim =
         make_program(0, {4 * kKiB, 4 * kKiB, 4 * kKiB}, {1, 1, 1}, dram_,
@@ -377,7 +367,7 @@ TEST_P(EngineMemoTest, ParkedPinsSeparateKeys)
 // parked victim's first preload adds 4 KiB here, so the same pressure
 // run from the same weight pool must evict one more entry, not replay
 // the run recorded without the victim.
-TEST_P(EngineMemoTest, PressuredRunReplaysOnlyAtItsOccupancy)
+TEST_F(EngineMemoTest, PressuredRunReplaysOnlyAtItsOccupancy)
 {
     auto victim =
         make_program(200, {4 * kKiB, 4 * kKiB}, {1, 1}, dram_, 4 * kKiB);
@@ -387,10 +377,8 @@ TEST_P(EngineMemoTest, PressuredRunReplaysOnlyAtItsOccupancy)
                             {{decode_a_}, {pressure_}, {decode_a_},
                              {pressure_}, {decode_a_}, interrupted})
             .replays;
-    if (GetParam() == ResidencyPolicy::kRetireOrder) {
-        // The second pressure run starts where the first did.
-        EXPECT_GT(replays, 0);
-    }
+    // The second pressure run starts where the first did.
+    EXPECT_GT(replays, 0);
 }
 
 // A run whose pressure relief weighed a KV segment is not recorded:
@@ -398,7 +386,7 @@ TEST_P(EngineMemoTest, PressuredRunReplaysOnlyAtItsOccupancy)
 // so the pressure run spills it and four weights. A parked victim's
 // preload later rebuilds the same occupancy from a KV-free pool, where
 // stepping must evict five weights instead.
-TEST_P(EngineMemoTest, PressureOverKvIsNotRecorded)
+TEST_F(EngineMemoTest, PressureOverKvIsNotRecorded)
 {
     auto victim =
         make_program(200, {4 * kKiB, 4 * kKiB}, {1, 1}, dram_, 4 * kKiB);
@@ -411,11 +399,6 @@ TEST_P(EngineMemoTest, PressureOverKvIsNotRecorded)
         {with_kv, {pressure_}, kv_freed, Scheduled{victim, pressure_}});
     EXPECT_EQ(stats.kv_evictions, 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Policies, EngineMemoTest,
-    ::testing::Values(ResidencyPolicy::kRetireOrder,
-                      ResidencyPolicy::kFrequencyAware));
 
 // The watch rule is strict: a hit replays only when the run's final
 // clock lies strictly before the watch, so a watcher firing exactly

@@ -3,11 +3,11 @@
  * KV-cache residency tests: the engine's KV segment lifecycle
  * (alloc/grow/fetch/pin/free with byte accounting), spill ordering at
  * the KV budget boundary, weights-vs-KV competition under SRAM
- * pressure in both residency policies, segment growth across a
- * park/resume cycle, the serving-level backpressure and accounting,
- * the zero-budget bit-identity anchor (kv_budget = 0, the default,
- * reproduces the KV-free scheduler bit-for-bit across all five design
- * modes), and death tests for segment misuse.
+ * pressure (the oldest entry goes, whatever its class), segment
+ * growth across a park/resume cycle, the serving-level backpressure
+ * and accounting, the zero-budget bit-identity anchor (kv_budget = 0,
+ * the default, reproduces the KV-free scheduler bit-for-bit across all
+ * five design modes), and death tests for segment misuse.
  */
 #include <gtest/gtest.h>
 
@@ -100,7 +100,7 @@ TEST(KvSegmentTest, BudgetSpillsOldestFirstAndFetchReadmits)
     EXPECT_TRUE(state.kv_alloc(1, 4096));
     EXPECT_TRUE(state.kv_alloc(2, 4096));
     EXPECT_FALSE(state.kv_would_fit(4096));
-    // Admitting a third spills the oldest (retire-order policy).
+    // Admitting a third spills the oldest.
     EXPECT_TRUE(state.kv_alloc(3, 4096));
     EXPECT_FALSE(state.kv_resident(1));
     EXPECT_TRUE(state.kv_resident(2));
@@ -138,10 +138,8 @@ TEST(KvSegmentTest, BudgetSpillsOldestFirstAndFetchReadmits)
 }
 
 // The satellite check: eviction ordering when weights and KV compete
-// at the budget boundary. Retire-order takes the globally oldest
-// entry regardless of class; frequency-aware takes the lowest worth —
-// here the KV segment (core_count per resident byte) loses to a
-// weight entry whose HBM savings per byte are far larger.
+// at the budget boundary. The globally oldest entry goes, whatever
+// its class.
 TEST(KvSegmentTest, WeightsAndKvCompeteUnderPressure)
 {
     hw::ChipConfig cfg = hw::ChipConfig::tiny(16);
@@ -160,44 +158,29 @@ TEST(KvSegmentTest, WeightsAndKvCompeteUnderPressure)
                               usable - 2 * space + space / 2));
     fat.finalize_default_order();
 
-    for (bool frequency : {false, true}) {
-        sim::EngineState::Options opts;
-        opts.residency_budget = usable;
-        opts.policy = frequency
-                          ? sim::ResidencyPolicy::kFrequencyAware
-                          : sim::ResidencyPolicy::kRetireOrder;
-        sim::EngineState state(machine, opts);
-        state.begin(weights);
-        while (state.step()) {
-        }
-        state.finish();
-        ASSERT_EQ(state.resident_ops(), 1);  // weight entry, older
-        ASSERT_TRUE(state.kv_alloc(7, space));  // KV segment, newer
-
-        state.begin(fat);
-        while (state.step()) {
-        }
-        state.finish();
-        // (The fat op's own weights are admitted at its retire, so
-        // op 900 appears in the resident set either way.)
-        std::vector<int> ids = state.resident_op_ids();
-        bool op0_resident =
-            std::find(ids.begin(), ids.end(), 0) != ids.end();
-        if (frequency) {
-            // Worth: weight saves dram_bytes/space per byte (huge),
-            // KV saves core_count per byte — the KV segment spills.
-            EXPECT_TRUE(op0_resident) << "frequency";
-            EXPECT_FALSE(state.kv_resident(7)) << "frequency";
-            EXPECT_EQ(state.kv_evictions(), 1) << "frequency";
-        } else {
-            // Retire order: the weight entry is older and goes first.
-            EXPECT_FALSE(op0_resident) << "retire-order";
-            EXPECT_TRUE(state.kv_resident(7)) << "retire-order";
-            EXPECT_EQ(state.resident_evictions(), 1) << "retire-order";
-            EXPECT_EQ(state.kv_evictions(), 0) << "retire-order";
-        }
-        state.kv_free(7);
+    sim::EngineState::Options opts;
+    opts.residency_budget = usable;
+    sim::EngineState state(machine, opts);
+    state.begin(weights);
+    while (state.step()) {
     }
+    state.finish();
+    ASSERT_EQ(state.resident_ops(), 1);  // weight entry, older
+    ASSERT_TRUE(state.kv_alloc(7, space));  // KV segment, newer
+
+    state.begin(fat);
+    while (state.step()) {
+    }
+    state.finish();
+    // The weight entry is older and goes first. (The fat op's own
+    // weights are admitted at its retire, so op 900 appears in the
+    // resident set.)
+    std::vector<int> ids = state.resident_op_ids();
+    EXPECT_TRUE(std::find(ids.begin(), ids.end(), 0) == ids.end());
+    EXPECT_TRUE(state.kv_resident(7));
+    EXPECT_EQ(state.resident_evictions(), 1);
+    EXPECT_EQ(state.kv_evictions(), 0);
+    state.kv_free(7);
 }
 
 // The satellite check: segment growth across a park/resume cycle. A

@@ -6,9 +6,8 @@
  * a degenerate decode-only trace reproduces the plain serve() path
  * bit-for-bit across all five design modes; preemption-on with no
  * high-priority traffic equals preemption-off), preemption actually
- * firing and cutting high-priority latency, and the residency
- * policies (frequency-aware vs retire-order eviction decisions on a
- * crafted workload).
+ * firing and cutting high-priority latency, and retire-order residency
+ * admission (a full budget admits and evicts nothing).
  */
 #include <gtest/gtest.h>
 
@@ -223,15 +222,14 @@ TEST(EngineParkTest, InterleavedAdmissionDoesNotLeakOccupancy)
 }
 
 // ---------------------------------------------------------------------------
-// Residency policies
+// Residency admission
 
-TEST(ResidencyPolicyTest, FrequencyAwareDisplacesLowWorthEntries)
+TEST(ResidencyTest, FullBudgetAdmitsNothingAndEvictsNothing)
 {
     sim::Machine machine(hw::ChipConfig::tiny(16));
     const double bw = machine.config().hbm_total_bw;
-    // Budget fits exactly two 8 KB entries. Ops 0 and 1 retire first
-    // with low worth (little HBM saved per resident byte); op 2
-    // retires last with 4x their worth.
+    // Budget fits exactly two 8 KB entries. Ops 0 and 1 retire first;
+    // op 2 retires last and saves 4x their HBM traffic per byte.
     const uint64_t space = 8 * 1024;
     sim::SimProgram prog;
     prog.ops.push_back(make_op(0, bw * 1e-4, 1e-4, space, space));
@@ -239,100 +237,17 @@ TEST(ResidencyPolicyTest, FrequencyAwareDisplacesLowWorthEntries)
     prog.ops.push_back(make_op(2, bw * 4e-4, 1e-4, space, space));
     prog.finalize_default_order();
 
-    // Retire-order: first-come-first-kept — op 2 finds the budget
-    // full and is not admitted.
-    sim::EngineState::Options retire;
-    retire.residency_budget = 2 * space;
-    retire.policy = sim::ResidencyPolicy::kRetireOrder;
-    sim::EngineState a(machine, retire);
-    a.begin(prog);
-    while (a.step()) {
-    }
-    a.finish();
-    EXPECT_EQ(a.resident_op_ids(), (std::vector<int>{0, 1}));
-    EXPECT_EQ(a.resident_evictions(), 0);
-
-    // Frequency-aware: op 2's worth (dram/space) beats op 0's, so the
-    // oldest low-worth entry is displaced at admission.
-    sim::EngineState::Options freq = retire;
-    freq.policy = sim::ResidencyPolicy::kFrequencyAware;
-    sim::EngineState b(machine, freq);
-    b.begin(prog);
-    while (b.step()) {
-    }
-    b.finish();
-    EXPECT_EQ(b.resident_op_ids(), (std::vector<int>{1, 2}));
-    EXPECT_EQ(b.resident_evictions(), 1);
-}
-
-TEST(ResidencyPolicyTest, InfeasibleDisplacementEvictsNothing)
-{
-    sim::Machine machine(hw::ChipConfig::tiny(16));
-    const double bw = machine.config().hbm_total_bw;
-    const uint64_t space = 8 * 1024;
-    // Budget fits two small entries. The big candidate (2x space,
-    // mid worth) could only fit by also displacing the higher-worth
-    // entry — infeasible, so nothing may be evicted for it.
-    sim::SimProgram prog;
-    prog.ops.push_back(make_op(0, bw * 1e-4, 1e-4, space, space));
-    prog.ops.push_back(make_op(1, bw * 8e-4, 1e-4, space, space));
-    prog.ops.push_back(
-        make_op(2, bw * 8e-4, 1e-4, 2 * space, 2 * space));
-    prog.finalize_default_order();
-
-    sim::EngineState::Options freq;
-    freq.residency_budget = 2 * space;
-    freq.policy = sim::ResidencyPolicy::kFrequencyAware;
-    sim::EngineState state(machine, freq);
+    // First come, first kept: op 2 finds the budget full and is not
+    // admitted, and nothing is displaced for it.
+    sim::EngineState::Options opts;
+    opts.residency_budget = 2 * space;
+    sim::EngineState state(machine, opts);
     state.begin(prog);
     while (state.step()) {
     }
     state.finish();
     EXPECT_EQ(state.resident_op_ids(), (std::vector<int>{0, 1}));
     EXPECT_EQ(state.resident_evictions(), 0);
-}
-
-TEST(ResidencyPolicyTest, ReuseCountProtectsHotEntriesUnderPressure)
-{
-    hw::ChipConfig cfg = hw::ChipConfig::tiny(16);
-    sim::Machine machine(cfg);
-    const double bw = cfg.hbm_total_bw;
-    const uint64_t usable = cfg.usable_sram_per_core();
-    const uint64_t space = usable / 4;
-
-    // Two equal-worth ops; a warm second run bumps both reuse counts,
-    // then a fat program squeezes SRAM so one must go.
-    sim::SimProgram warm2;
-    warm2.ops.push_back(make_op(0, bw * 1e-4, 1e-4, space, space));
-    warm2.ops.push_back(make_op(1, bw * 2e-4, 1e-4, space, space));
-    warm2.finalize_default_order();
-    sim::SimProgram fat;
-    fat.ops.push_back(
-        make_op(900, bw * 1e-4, 1e-4, space, usable - space - 1024));
-    fat.finalize_default_order();
-
-    sim::EngineState::Options freq;
-    freq.residency_budget = 2 * space;
-    freq.policy = sim::ResidencyPolicy::kFrequencyAware;
-    sim::EngineState state(machine, freq);
-    for (int iter = 0; iter < 2; ++iter) {
-        state.begin(warm2);
-        while (state.step()) {
-        }
-        state.finish();
-    }
-    ASSERT_EQ(state.resident_ops(), 2);
-    ASSERT_EQ(state.resident_hits(), 2);
-
-    state.begin(fat);
-    while (state.step()) {
-    }
-    state.finish();
-    // Pressure eviction took the lowest-worth entry: op 0 (half the
-    // dram_bytes of op 1 at equal space and reuse).
-    std::vector<int> ids = state.resident_op_ids();
-    EXPECT_TRUE(std::find(ids.begin(), ids.end(), 1) != ids.end());
-    EXPECT_TRUE(std::find(ids.begin(), ids.end(), 0) == ids.end());
 }
 
 // ---------------------------------------------------------------------------
@@ -496,29 +411,6 @@ TEST_F(DisaggTest, DecodeResidencySurvivesPrefillInterleaving)
     EXPECT_GT(rep.preloads_skipped, 0);
     EXPECT_LT(rep.steady_decode_preload, rep.first_decode_preload);
     EXPECT_FALSE(rep.memory_exceeded);
-}
-
-// The frequency-aware policy is selectable end-to-end and keeps the
-// report deterministic (two identical runs serialize identically).
-TEST_F(DisaggTest, FrequencyPolicyServesDeterministically)
-{
-    auto dc = testing::serving_compiler(
-        compiler::GraphKind::kDecode, compiler::Mode::kElkDyn, 128, &cache_);
-    auto requests = runtime::decode_requests(
-        runtime::ArrivalTrace::poisson(10, 2500.0, 11), 4);
-    runtime::ServerOptions sopts;
-    sopts.max_batch = 4;
-    sopts.residency_policy = sim::ResidencyPolicy::kFrequencyAware;
-    runtime::Server server(dc.machine(), sopts);
-    auto serve_once = [&] {
-        return server.serve(requests, nullptr,
-                            [&](int b) { return dc.program(b); });
-    };
-    auto a = serve_once();
-    auto b = serve_once();
-    EXPECT_EQ(a.serialize_bits(), b.serialize_bits());
-    EXPECT_EQ(a.requests, 10);
-    EXPECT_GT(a.preloads_skipped, 0);
 }
 
 // The engine replays a repeated iteration only when its last event

@@ -56,7 +56,7 @@ TEST(SharedPrefixTest, ShareReleaseTracksSharedBytes)
     EXPECT_EQ(state.kv_bytes(), 0u);
 }
 
-TEST(SharedPrefixTest, SharingForbidsFreeAndGrowButNotEviction)
+TEST(SharedPrefixTest, SharingForbidsFreeAndGrow)
 {
     sim::Machine machine(hw::ChipConfig::tiny(16));
     sim::EngineState state(machine);
@@ -65,25 +65,6 @@ TEST(SharedPrefixTest, SharingForbidsFreeAndGrowButNotEviction)
     state.kv_share(1);
     EXPECT_DEATH(state.kv_free(1), "shared segment");
     EXPECT_DEATH(state.kv_grow(1, 1024), "copy-on-extend");
-
-    // Eviction of an unpinned shared prefix is allowed: the segment
-    // stays owned and shared, sharers pay a refetch to stream it
-    // back. Its bytes leave the shared-resident accounting while
-    // spilled and return on fetch.
-    state.kv_evict(1);
-    EXPECT_FALSE(state.kv_resident(1));
-    EXPECT_EQ(state.kv_share_count(1), 1);
-    EXPECT_EQ(state.kv_shared_bytes(), 0u);
-    EXPECT_EQ(state.kv_evictions(), 1);
-
-    EXPECT_TRUE(state.kv_fetch(1));
-    EXPECT_TRUE(state.kv_resident(1));
-    EXPECT_EQ(state.kv_shared_bytes(), 4096u);
-
-    // Pinned shared prefixes are immovable.
-    state.kv_pin(1);
-    EXPECT_DEATH(state.kv_evict(1), "pinned segment");
-    state.kv_unpin(1);
     state.kv_release(1);
     state.kv_free(1);
 }
@@ -99,37 +80,23 @@ TEST(SharedPrefixTest, BudgetPressureSpillsSharedPrefixUnlessPinned)
     state.kv_share(1);
     ASSERT_TRUE(state.kv_alloc(2, 4096));
     // Admitting a third spills the oldest — shares do not protect a
-    // segment from the budget, only pins do.
+    // segment from the budget, only pins do. The spilled prefix stays
+    // owned and shared (sharers pay a refetch to stream it back); its
+    // bytes leave the shared-resident accounting while spilled and
+    // return on fetch.
     ASSERT_TRUE(state.kv_alloc(3, 4096));
     EXPECT_FALSE(state.kv_resident(1));
     EXPECT_EQ(state.kv_share_count(1), 1);
+    EXPECT_EQ(state.kv_shared_bytes(), 0u);
+    EXPECT_EQ(state.kv_evictions(), 1);
 
     // Pinned, the shared prefix survives the same pressure.
     ASSERT_TRUE(state.kv_fetch(1));  // spills 2 or 3
+    EXPECT_EQ(state.kv_shared_bytes(), 4096u);
     state.kv_pin(1);
     ASSERT_TRUE(state.kv_alloc(4, 4096));
     EXPECT_TRUE(state.kv_resident(1));
     state.kv_unpin(1);
-    state.kv_release(1);
-}
-
-TEST(SharedPrefixTest, FrequencyPolicyPrefersEvictingUnshared)
-{
-    sim::Machine machine(hw::ChipConfig::tiny(16));
-    sim::EngineState::Options opts;
-    opts.kv_budget = 8192;
-    opts.policy = sim::ResidencyPolicy::kFrequencyAware;
-    sim::EngineState state(machine, opts);
-
-    // Same size, same reuse: the sharer count is the tiebreaker, so
-    // the unshared segment is the cheaper victim even though the
-    // shared one is older.
-    ASSERT_TRUE(state.kv_alloc(1, 4096));
-    state.kv_share(1);
-    ASSERT_TRUE(state.kv_alloc(2, 4096));
-    ASSERT_TRUE(state.kv_alloc(3, 4096));
-    EXPECT_TRUE(state.kv_resident(1));
-    EXPECT_FALSE(state.kv_resident(2));
     state.kv_release(1);
 }
 
@@ -139,12 +106,9 @@ TEST(SharedPrefixDeathTest, MisuseDies)
     sim::EngineState state(machine);
     EXPECT_DEATH(state.kv_share(7), "unowned segment");
     EXPECT_DEATH(state.kv_release(7), "unowned segment");
-    EXPECT_DEATH(state.kv_evict(7), "unowned segment");
 
     ASSERT_TRUE(state.kv_alloc(1, 1024));
     EXPECT_DEATH(state.kv_release(1), "unshared segment");
-    state.kv_evict(1);
-    EXPECT_DEATH(state.kv_evict(1), "non-resident segment");
 }
 
 // ---------------------------------------------------------------------------

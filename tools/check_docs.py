@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checker (stdlib only; CI `docs` job).
 
-Seven classes of rot this catches:
+Eight classes of rot this catches:
 
  1. Relative markdown links whose target file no longer exists
     (`[text](docs/SERVING.md)`, `[x](../README.md#anchor)`), in every
@@ -43,6 +43,11 @@ Seven classes of rot this catches:
     must name a member declared (outside comments) in its body — so
     moving a method to another class without updating the docs fails
     CI. Option structs are left to rule 6.
+ 8. elkc help rot: every `--flag` in tools/elkc.cc's usage() help
+    text must be a flag elkc parses (an `arg("--x")` or
+    `strcmp(argv[i], "--x")` literal), and every flag it parses must
+    appear in usage() — so adding, renaming or retiring an elkc flag
+    without updating its help fails CI.
 
 Usage:
     tools/check_docs.py              # check, exit 1 on any failure
@@ -107,6 +112,12 @@ COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
 SYMBOL_REF_RE = re.compile(r"\b(?:\w+::)*([A-Za-z_]\w*)::([A-Za-z_]\w*)")
 CLASS_DECL_RE = re.compile(r"(?<!enum )\b(?:class|struct)\s+(\w+)[^;{()]*\{")
+# Rule 8: elkc's usage() body, the string literals in it, and the
+# flags its parsers match.
+USAGE_DEF_RE = re.compile(r"\busage\(const char\* \w+\)\s*\{")
+STRING_LITERAL_RE = re.compile(r'"((?:[^"\\\n]|\\.)*)"')
+PARSED_FLAG_RE = re.compile(
+    r'(?:\barg\(|strcmp\(argv\[i\],\s*)"(--[a-z][a-z0-9_-]*)"')
 
 
 def markdown_files():
@@ -296,6 +307,25 @@ def check_symbol_members(md_path, classes, errors):
                     )
 
 
+def check_usage(rel, src_text, errors):
+    """Rule 8 on a driver's source: the flags its usage() help names
+    and the flags it parses must be the same set."""
+    match = USAGE_DEF_RE.search(src_text)
+    if not match:
+        errors.append(f"{rel}: no usage() definition found")
+        return
+    body = body_after(src_text, match.end())
+    helped = set(DOC_FLAG_RE.findall(
+        "".join(STRING_LITERAL_RE.findall(body))))
+    parsed = set(PARSED_FLAG_RE.findall(src_text))
+    for flag in sorted(helped - parsed):
+        errors.append(f"{rel}: usage() names flag '{flag}' but no "
+                      "parser matches it")
+    for flag in sorted(parsed - helped):
+        errors.append(f"{rel}: parses flag '{flag}' but usage() never "
+                      "names it")
+
+
 def flag_checked(md_path):
     """User docs whose --flag mentions must resolve to parsed flags."""
     rel = os.path.relpath(md_path, REPO)
@@ -391,6 +421,9 @@ def main():
             check_markers(md, errors)
             if os.path.basename(md) in REPORT_TABLE_DOCS:
                 check_report_fields(md, runtime_src, errors)
+    elkc = os.path.join("tools", "elkc.cc")
+    with open(os.path.join(REPO, elkc), encoding="utf-8") as f:
+        check_usage(elkc, f.read(), errors)
 
     if list_only:
         print(" ".join(sorted(named)))

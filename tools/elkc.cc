@@ -90,8 +90,6 @@ usage(const char* argv0)
         "                    prompt is --seq tokens) or\n"
         "                    'geometric:MEAN' (seeded geometric tail\n"
         "                    of that mean, clamped to --seq)\n"
-        "  --policy P        residency policy: retire-order (default)\n"
-        "                    or frequency\n"
         "  --kv-budget KB    per-core KV residency budget in KB; each\n"
         "                    request's decode KV state then occupies\n"
         "                    SRAM next to resident weights (0 =\n"
@@ -216,7 +214,6 @@ serve_main(int argc, char** argv, const char* argv0)
     int prefill_batch = 4;
     std::string prompt_buckets_arg;
     std::string prompt_dist = "full";
-    std::string policy = "retire-order";
     int kv_budget_kb = 0;
     int kv_bytes_per_token = 0;
     int prefix_pop = 0;
@@ -287,8 +284,6 @@ serve_main(int argc, char** argv, const char* argv0)
             prompt_buckets_arg = v;
         } else if (const char* v = arg("--prompt-dist")) {
             prompt_dist = v;
-        } else if (const char* v = arg("--policy")) {
-            policy = v;
         } else if (const char* v = arg("--kv-budget")) {
             kv_budget_kb =
                 util::parse_int_arg(v, "--kv-budget", 0, 1 << 30);
@@ -366,14 +361,6 @@ serve_main(int argc, char** argv, const char* argv0)
     } else if (prompt_dist != "full") {
         util::fatal("unknown prompt distribution: " + prompt_dist +
                     " (expected 'full' or 'geometric:MEAN')");
-    }
-    sim::ResidencyPolicy residency_policy;
-    if (policy == "retire-order") {
-        residency_policy = sim::ResidencyPolicy::kRetireOrder;
-    } else if (policy == "frequency") {
-        residency_policy = sim::ResidencyPolicy::kFrequencyAware;
-    } else {
-        util::fatal("unknown residency policy: " + policy);
     }
     runtime::RouterPolicy router_policy;
     if (router == "rr") {
@@ -490,7 +477,6 @@ serve_main(int argc, char** argv, const char* argv0)
     sopts.max_prompt_len = seq;
     sopts.prompt_buckets = prompt_buckets;
     sopts.keep_resident = residency;
-    sopts.residency_policy = residency_policy;
     sopts.preempt = preempt;
     sopts.kv_budget = static_cast<uint64_t>(kv_budget_kb) * 1024;
     sopts.kv_bytes_per_token =
@@ -566,9 +552,8 @@ serve_main(int argc, char** argv, const char* argv0)
                     requests, tokens);
     }
     std::printf("scheduler  : prefill-frac %g, high-frac %g, "
-                "prompts %s, policy %s, preemption %s\n",
+                "prompts %s, preemption %s\n",
                 prefill_frac, high_frac, prompt_dist.c_str(),
-                sim::residency_policy_name(residency_policy).c_str(),
                 preempt ? "on" : "off");
     if (sopts.kv_budget > 0) {
         std::printf("kv         : budget %d KB/core, %llu bytes/token "

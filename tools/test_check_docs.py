@@ -1,5 +1,5 @@
-"""Tests of check_docs.py's binary-name, flag, option-member and symbol
-rules.
+"""Tests of check_docs.py's binary-name, flag, option-member, symbol
+and elkc-usage rules.
 
     python3 tools/test_check_docs.py
 """
@@ -135,6 +135,53 @@ class SymbolMemberTest(unittest.TestCase):
             "};\n")
         self.assertEqual(set(bodies), {"Request"})
         self.assertNotIn("nope", bodies["Request"])
+
+
+def usage_errors_for(src_text):
+    """The check_usage() errors for a driver source holding @p src_text."""
+    errors = []
+    check_docs.check_usage("elkc.cc", src_text, errors)
+    return errors
+
+
+# A driver whose help names --model and --jobs; the parser below it
+# is filled in per test.
+USAGE_SRC = """
+void
+usage(const char* argv0)
+{
+    std::printf(
+        "usage: %s [options]\\n"
+        "  --model NAME      built-in preset\\n"
+        "  --jobs N          worker threads (--model as above)\\n",
+        argv0);
+}
+"""
+
+
+class UsageTest(unittest.TestCase):
+    def test_real_elkc_usage_matches_its_parser(self):
+        path = os.path.join(check_docs.REPO, "tools", "elkc.cc")
+        with open(path, encoding="utf-8") as f:
+            self.assertEqual(usage_errors_for(f.read()), [])
+
+    def test_matching_help_and_parser_pass(self):
+        self.assertEqual(usage_errors_for(
+            USAGE_SRC + 'if (arg("--model")) {}\n'
+            'if (std::strcmp(argv[i], "--jobs") == 0) {}\n'), [])
+
+    def test_usage_line_naming_unparsed_flag_errors(self):
+        errors = usage_errors_for(USAGE_SRC + 'if (arg("--model")) {}\n')
+        self.assertEqual(len(errors), 1)
+        self.assertIn("'--jobs'", errors[0])
+
+    def test_parsed_flag_missing_from_usage_errors(self):
+        errors = usage_errors_for(
+            USAGE_SRC + 'if (arg("--model")) {}\n'
+            'if (arg("--jobs")) {}\n'
+            'if (arg("--verbose")) {}\n')
+        self.assertEqual(len(errors), 1)
+        self.assertIn("'--verbose'", errors[0])
 
 
 if __name__ == "__main__":
