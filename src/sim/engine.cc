@@ -14,25 +14,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Bit-exact equality of two timing vectors.
-bool
-same_timing(const std::vector<OpTiming>& a, const std::vector<OpTiming>& b)
-{
-    if (a.size() != b.size()) {
-        return false;
-    }
-    for (size_t i = 0; i < a.size(); ++i) {
-        const double x[] = {a[i].pre_start, a[i].pre_end, a[i].exec_start,
-                            a[i].exec_end};
-        const double y[] = {b[i].pre_start, b[i].pre_end, b[i].exec_start,
-                            b[i].exec_end};
-        if (a[i].op_id != b[i].op_id || std::memcmp(x, y, sizeof(x)) != 0) {
-            return false;
-        }
-    }
-    return true;
-}
-
 }  // namespace
 
 void
@@ -107,14 +88,15 @@ EngineState::done() const
 }
 
 void
-EngineState::reset_frame()
+EngineState::reset_frame(const SimProgram& program)
 {
+    clock_base_ += f_.t;  // previous program's span becomes history
     // Every serving iteration runs begin()/finish() on this state, so
     // the frame's heap blocks — the network's flow table and the
     // per-op vectors — are lifted out, cleared (capacity kept), and
     // put back into the otherwise default-constructed frame.
     std::optional<FluidNetwork> net = std::move(f_.net);
-    std::vector<OpTiming> timing = std::move(f_.result.timing);
+    std::vector<OpTiming> timing = std::move(f_.timing);
     std::vector<bool> preload_done = std::move(f_.preload_done);
     std::vector<bool> used_resident = std::move(f_.used_resident);
     f_ = Frame{};
@@ -125,9 +107,10 @@ EngineState::reset_frame()
     preload_done.clear();
     used_resident.clear();
     f_.net = std::move(net);
-    f_.result.timing = std::move(timing);
+    f_.timing = std::move(timing);
     f_.preload_done = std::move(preload_done);
     f_.used_resident = std::move(used_resident);
+    f_.program = &program;
 }
 
 void
@@ -149,7 +132,10 @@ EngineState::begin_memo(std::shared_ptr<const SimProgram> program,
     const SimProgram* p = program.get();
     bool known = false;
     for (const MemoEntry& m : memo_) {
-        known |= m.program.get() == p;
+        if (m.program.get() == p) {
+            known = true;
+            break;
+        }
     }
     if (!known) {
         p->validate();  // a held program was validated when recorded
@@ -165,15 +151,19 @@ EngineState::begin_memo(std::shared_ptr<const SimProgram> program,
             break;
         }
     }
-    load(*p);
-    f_.owner = std::move(program);
-    // now() at the run's last event is clock_base_ + t_final, and the
-    // clock only grows step by step: if that is before the watch, no
-    // step of the skipped run could have tripped the caller's watcher.
-    if (hit != nullptr && clock_base_ + hit->t_final < watch) {
+    // now() at the run's last event is now() + t_final (the sum the
+    // loaded run's clock_base_ + t_final computes), and the clock only
+    // grows step by step: if that is before the watch, no step of the
+    // skipped run could have tripped the caller's watcher. A replay
+    // needs no per-op state, so it skips load().
+    if (hit != nullptr && now() + hit->t_final < watch) {
+        reset_frame(*p);
+        f_.owner = std::move(program);
         replay(*hit);
         return true;
     }
+    load(*p);
+    f_.owner = std::move(program);
     if (hit == nullptr) {
         recording_ = true;
         rec_pressured_ = false;
@@ -188,46 +178,56 @@ EngineState::begin_memo(std::shared_ptr<const SimProgram> program,
     return false;
 }
 
+bool
+EngineState::drop_if_stale(size_t idx, const SimOp& op)
+{
+    const ResidentEntry& entry = resident_[idx].entry;
+    if (entry.pin_count != 0 || entry_matches(entry, op)) {
+        return false;
+    }
+    occupancy_ -= static_cast<double>(entry.space);
+    resident_bytes_ -= entry.space;
+    return true;
+}
+
 void
 EngineState::evict_stale(const SimProgram& program)
 {
     check_pool_invariants();
-    const int n = static_cast<int>(program.ops.size());
-
     // Evict resident entries this program would stale-hit: the op id
     // is present but was compiled to a different preload footprint /
     // HBM volume (e.g. a different batch bucket's plan). Entries for
     // op ids the program does not mention stay — they may belong to
     // another program class sharing the pool (prefill vs decode use
     // disjoint id spaces) — and pinned entries always stay: they are
-    // in use by a parked program. The program's (op_id, exec index)
-    // lookup lives in reused scratch; keeping the first exec index of
-    // a duplicated op id matches the old map's emplace semantics, and
-    // the in-order compaction preserves the pool's sort.
+    // in use by a parked program. The in-order compaction preserves
+    // the pool's sort.
     if (resident_.empty()) {
         return;
     }
+    // Each entry is looked up among the program's (op_id, exec index)
+    // pairs, sorted in reused scratch, so the lowest exec index of a
+    // duplicated id decides. A lowered program's ids already ascend,
+    // which leaves the pairs sorted as built.
+    const std::vector<SimOp>& ops = program.ops;
     begin_scratch_.clear();
-    for (int i = 0; i < n; ++i) {
-        begin_scratch_.emplace_back(program.ops[i].op_id, i);
+    for (int i = 0; i < static_cast<int>(ops.size()); ++i) {
+        begin_scratch_.emplace_back(ops[i].op_id, i);
     }
-    std::sort(begin_scratch_.begin(), begin_scratch_.end());
+    if (!std::is_sorted(begin_scratch_.begin(), begin_scratch_.end())) {
+        std::sort(begin_scratch_.begin(), begin_scratch_.end());
+    }
     size_t out = 0;
     for (size_t i = 0; i < resident_.size(); ++i) {
-        const ResidentSlot& slot = resident_[i];
-        auto hit = std::lower_bound(begin_scratch_.begin(),
-                                    begin_scratch_.end(),
-                                    std::pair<int, int>(slot.op_id, -1));
-        bool stale = hit != begin_scratch_.end() &&
-                     hit->first == slot.op_id &&
-                     !entry_matches(slot.entry, program.ops[hit->second]);
-        if (stale && slot.entry.pin_count == 0) {
-            occupancy_ -= static_cast<double>(slot.entry.space);
-            resident_bytes_ -= slot.entry.space;
+        auto hit = std::lower_bound(
+            begin_scratch_.begin(), begin_scratch_.end(),
+            std::pair<int, int>(resident_[i].op_id, -1));
+        if (hit != begin_scratch_.end() && hit->first == resident_[i].op_id &&
+            drop_if_stale(i, ops[hit->second])) {
             continue;
         }
         if (out != i) {
-            resident_[out] = slot;
+            resident_[out] = resident_[i];
         }
         ++out;
     }
@@ -238,20 +238,18 @@ void
 EngineState::load(const SimProgram& program)
 {
     const int n = static_cast<int>(program.ops.size());
-    clock_base_ += f_.t;  // previous program's span becomes history
-    reset_frame();
-    f_.program = &program;
+    reset_frame(program);
     if (!f_.net) {
         f_.net.emplace(machine_.capacities());
     }
-    f_.result.timing.assign(n, {});
+    f_.timing.assign(n, {});
     // Each op adds at most one flow per kind (HBM preload,
     // distribution, execute fetch, execute stream); reserving that
     // bound keeps the step loop from regrowing the flow table.
     int max_flows = 0;
     for (int i = 0; i < n; ++i) {
         const SimOp& op = program.ops[i];
-        f_.result.timing[i].op_id = op.op_id;
+        f_.timing[i].op_id = op.op_id;
         max_flows += (op.dram_bytes > 0.0) + (op.distribute_bytes > 0) +
                      (op.fetch_bytes > 0) + (op.exec_stream_dram > 0);
     }
@@ -746,18 +744,30 @@ EngineState::memo_key(const SimProgram* program)
     // only their order is ever compared). The occupancy is not part
     // of the key: memo_applies() guards it, and KV segments enter a
     // run only through it.
+    constexpr size_t kHead = 2;   // the budgets
+    constexpr size_t kWords = 5;  // per entry; the rank is the last
     memo_key_.assign({opts_.residency_budget, opts_.kv_budget});
+    rank_scratch_.clear();
     for (const ResidentSlot& slot : resident_) {
-        uint64_t rank = 0;
-        for (const ResidentSlot& other : resident_) {
-            rank += other.entry.seq < slot.entry.seq;
-        }
         uint64_t dram_bits;
         std::memcpy(&dram_bits, &slot.entry.dram_bytes, sizeof(dram_bits));
+        rank_scratch_.emplace_back(slot.entry.seq,
+                                   static_cast<int>(rank_scratch_.size()));
         memo_key_.insert(
             memo_key_.end(),
             {static_cast<uint64_t>(slot.op_id), slot.entry.space, dram_bits,
-             static_cast<uint64_t>(slot.entry.pin_count), rank});
+             static_cast<uint64_t>(slot.entry.pin_count), 0});
+    }
+    // An entry's rank is the number of entries with a lower seq: its
+    // position in seq order, shared by equal seqs.
+    std::sort(rank_scratch_.begin(), rank_scratch_.end());
+    uint64_t rank = 0;
+    for (size_t r = 0; r < rank_scratch_.size(); ++r) {
+        if (r > 0 && rank_scratch_[r].first != rank_scratch_[r - 1].first) {
+            rank = r;
+        }
+        memo_key_[kHead + kWords * rank_scratch_[r].second + kWords - 1] =
+            rank;
     }
     util::Fnv1a h;
     h.mix_value(program);
@@ -801,10 +811,7 @@ EngineState::replay(const MemoEntry& m)
     resident_seq_ += m.seq_delta;
     resident_hits_ += m.hits_delta;
     resident_evictions_ += m.evictions_delta;
-    std::vector<OpTiming> timing = std::move(f_.result.timing);
     f_.result = m.result;
-    timing.assign(m.timing->begin(), m.timing->end());
-    f_.result.timing = std::move(timing);
     f_.result.peak_sram_per_core = static_cast<uint64_t>(m.peak + shift);
     f_.t = m.t_final;
     f_.t_complete = m.t_final;
@@ -814,47 +821,17 @@ EngineState::replay(const MemoEntry& m)
     check_pool_invariants();
 }
 
-std::shared_ptr<const std::vector<OpTiming>>
-EngineState::intern_timing(const std::vector<OpTiming>& timing)
-{
-    util::Fnv1a h;
-    for (const OpTiming& t : timing) {
-        h.mix_value(t.op_id);
-        h.mix_value(t.pre_start);
-        h.mix_value(t.pre_end);
-        h.mix_value(t.exec_start);
-        h.mix_value(t.exec_end);
-    }
-    for (const InternedTiming& it : timings_) {
-        if (it.hash == h.value() && same_timing(*it.timing, timing)) {
-            return it.timing;
-        }
-    }
-    // Drop the vectors no memo entry holds any more.
-    timings_.erase(std::remove_if(timings_.begin(), timings_.end(),
-                                  [](const InternedTiming& it) {
-                                      return it.timing.use_count() == 1;
-                                  }),
-                   timings_.end());
-    timings_.push_back(
-        {h.value(), std::make_shared<const std::vector<OpTiming>>(timing)});
-    return timings_.back().timing;
-}
-
 void
-EngineState::record(SimResult& result)
+EngineState::record(const SimResult& result)
 {
     recording_ = false;
     MemoEntry m;
     m.program = f_.owner;
     m.hash = rec_hash_;
     m.key = memo_key_;
-    // A moved-from vector is empty: the entry's result holds no timing.
-    std::vector<OpTiming> timing = std::move(result.timing);
     m.result = result;
-    result.timing = std::move(timing);
-    m.timing = intern_timing(result.timing);
     m.t_final = f_.t_complete;
+    m.post.reserve(resident_.size());
     for (const ResidentSlot& slot : resident_) {
         MemoSlot ms;
         ms.op_id = slot.op_id;
@@ -923,7 +900,7 @@ EngineState::advance_transitions()
             int slot = program.issue_slot[f_.pre_r];
             if (f_.completed_execs >= slot) {
                 const SimOp& op = program.ops[op_idx];
-                f_.result.timing[op_idx].pre_start = f_.t;
+                f_.timing[op_idx].pre_start = f_.t;
                 const int res = resident_find(op.op_id);
                 if (res >= 0 &&
                     entry_matches(resident_[res].entry, op)) {
@@ -933,12 +910,12 @@ EngineState::advance_transitions()
                     // so pressure eviction cannot take it first.
                     ++resident_[res].entry.pin_count;
                     ++resident_hits_;
-                    f_.result.timing[op_idx].pre_end = f_.t;
+                    f_.timing[op_idx].pre_end = f_.t;
                     f_.preload_done[op_idx] = true;
                     f_.used_resident[op_idx] = true;
                     ++f_.pre_r;
                 } else if (op.dram_bytes <= 0.0) {
-                    f_.result.timing[op_idx].pre_end = f_.t;
+                    f_.timing[op_idx].pre_end = f_.t;
                     f_.preload_done[op_idx] = true;
                     occupancy_ += static_cast<double>(op.preload_space);
                     ++f_.pre_r;
@@ -970,9 +947,9 @@ EngineState::advance_transitions()
         // Preload flow completed.
         if (preload_active() && f_.pre_flow >= 0 &&
             !f_.net->flow_active(f_.pre_flow)) {
-            f_.result.timing[f_.pre_op].pre_end = f_.t;
+            f_.timing[f_.pre_op].pre_end = f_.t;
             f_.result.interconnect_stall += std::max(
-                0.0, (f_.t - f_.result.timing[f_.pre_op].pre_start) -
+                0.0, (f_.t - f_.timing[f_.pre_op].pre_start) -
                          standalone_preload(program.ops[f_.pre_op]));
             f_.preload_done[f_.pre_op] = true;
             f_.pre_op = -1;
@@ -985,7 +962,7 @@ EngineState::advance_transitions()
         if (f_.phase == ExecPhase::kWaitPreload && f_.exec_i < n &&
             f_.preload_done[f_.exec_i]) {
             const SimOp& op = program.ops[f_.exec_i];
-            f_.result.timing[f_.exec_i].exec_start = f_.t;
+            f_.timing[f_.exec_i].exec_start = f_.t;
             occupancy_ += static_cast<double>(op.exec_space) -
                           static_cast<double>(op.preload_space);
             relieve_pressure();
@@ -1033,7 +1010,7 @@ EngineState::advance_transitions()
             (f_.phase_flow < 0 || !f_.net->flow_active(f_.phase_flow)) &&
             (f_.stream_flow < 0 || !f_.net->flow_active(f_.stream_flow))) {
             const SimOp& op = program.ops[f_.exec_i];
-            f_.result.timing[f_.exec_i].exec_end = f_.t;
+            f_.timing[f_.exec_i].exec_end = f_.t;
             f_.result.interconnect_stall +=
                 std::max(0.0, (f_.t - f_.phase_start) - standalone_exec(op));
             retire_op(f_.exec_i);
@@ -1180,6 +1157,9 @@ EngineState::finish()
         record(f_.result);
     }
     SimResult out = std::move(f_.result);
+    if (f_.owner == nullptr) {  // loaded by begin(), not begin_memo()
+        out.timing = std::move(f_.timing);
+    }
     f_.result = SimResult{};
     f_.program = nullptr;
     f_.owner.reset();

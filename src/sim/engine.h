@@ -168,7 +168,9 @@ class EngineState {
      * caller then drives it to finish() by step() alone, unparked and
      * with no occupancy-moving KV call in between (see the KV section),
      * the run is recorded, unless pressure eviction fired while the
-     * pool held KV segments. The state keeps
+     * pool held KV segments. A run begun here, stepped or replayed,
+     * finishes with an empty SimResult::timing; begin() keeps it. A
+     * replay skips load()'s per-op set-up. The state keeps
      * @p program alive while it is loaded or parked, and while the
      * memo holds it; a program the memo holds is not validated again.
      * See docs/ENGINE.md, "Iteration memo".
@@ -177,6 +179,10 @@ class EngineState {
 
     /// Runs begin_memo() replayed from the memo since construction.
     int64_t replays() const { return replays_; }
+
+    /// Memo entries a state holds; a record beyond this overwrites
+    /// the oldest entry.
+    static constexpr size_t kMemoCapacity = 1024;
 
     /// True when no program is loaded or the loaded one has finished
     /// (every execute and preload complete).
@@ -417,8 +423,8 @@ class EngineState {
     /// pre-state's resident_seq_.
     struct MemoSlot {
         int op_id = -1;
+        int pre = -1;  // beside op_id: no padding after either
         ResidentEntry entry;
-        int pre = -1;
     };
 
     /// One memoized run: its key and everything stepping changed.
@@ -427,9 +433,7 @@ class EngineState {
         std::shared_ptr<const SimProgram> program;
         uint64_t hash = 0;
         std::vector<uint64_t> key;  ///< canonical pre-pool, see memo_key().
-        SimResult result;           ///< finish()'s return value, no timing.
-        /// result.timing, shared with every entry of equal content.
-        std::shared_ptr<const std::vector<OpTiming>> timing;
+        SimResult result;           ///< finish()'s return value (no timing).
         double t_final = 0.0;       ///< local clock at completion.
         std::vector<MemoSlot> post;
         uint64_t resident_bytes = 0;
@@ -444,12 +448,6 @@ class EngineState {
         uint64_t seq_delta = 0;
         int64_t hits_delta = 0;
         int64_t evictions_delta = 0;
-    };
-
-    /// A timing vector of the memo with its content hash.
-    struct InternedTiming {
-        uint64_t hash = 0;
-        std::shared_ptr<const std::vector<OpTiming>> timing;
     };
 
     /**
@@ -467,7 +465,11 @@ class EngineState {
         /// loaded or parked, and is what record() stores.
         std::shared_ptr<const SimProgram> owner;
         std::optional<FluidNetwork> net;
-        SimResult result;
+        SimResult result;  ///< everything but timing until finish().
+        /// Per-op phase timestamps; finish() hands them over only for
+        /// a begin() run. Kept for every run: interconnect_stall reads
+        /// pre_start.
+        std::vector<OpTiming> timing;
         double t = 0.0;  ///< local clock (zero at begin).
         int exec_i = 0;
         ExecPhase phase = ExecPhase::kDone;
@@ -534,14 +536,18 @@ class EngineState {
     /// running byte counters (resident_bytes_, kv_resident_bytes_)
     /// against full rescans. Compiled out under NDEBUG.
     void check_pool_invariants() const;
-    /// Rebuilds f_ for the next program, salvaging the previous
-    /// frame's heap blocks (flow table, per-op vectors).
-    void reset_frame();
+    /// Folds the previous program's span into the clock base and
+    /// rebuilds f_ for @p program, keeping the previous frame's heap
+    /// blocks (flow table, per-op vectors) emptied.
+    void reset_frame(const SimProgram& program);
     /// begin()'s stale eviction: drops unpinned entries whose op id
     /// @p program mentions with a different footprint or HBM volume.
+    /// The first exec index of a duplicated op id decides.
     void evict_stale(const SimProgram& program);
-    /// Folds the previous program's span into the clock base and
-    /// loads @p program into a fresh frame.
+    /// Drops the unpinned entry at @p idx when it is stale for @p op;
+    /// true when it did.
+    bool drop_if_stale(size_t idx, const SimOp& op);
+    /// reset_frame() plus the per-op state stepping needs.
     void load(const SimProgram& program);
     /// Fills memo_key_ with the weight pool's canonical form; returns
     /// its hash (mixed with @p program's address).
@@ -553,10 +559,7 @@ class EngineState {
     /// Completes the loaded frame from @p m (see begin_memo()).
     void replay(const MemoEntry& m);
     /// Stores the run that just finished with @p result.
-    void record(SimResult& result);
-    /// The memo's shared copy of @p timing (one per distinct content).
-    std::shared_ptr<const std::vector<OpTiming>>
-    intern_timing(const std::vector<OpTiming>& timing);
+    void record(const SimResult& result);
     /// Spills unpinned KV oldest first until @p need extra bytes
     /// fit the KV budget; false when pinned segments are in the way
     /// (or @p need alone exceeds the budget). @p excluded_id is never
@@ -607,22 +610,20 @@ class EngineState {
     int64_t kv_evictions_ = 0;
     double occupancy_ = 0.0;  ///< per-core bytes (incl. residents
                               ///< and resident KV segments).
-    /// begin()'s stale-eviction scratch: (op_id, exec index) of the
-    /// incoming program, sorted — reused so begin() stops allocating
-    /// a lookup structure per iteration.
+    /// evict_stale()'s scratch: the incoming program's (op_id, exec
+    /// index) pairs, sorted — reused so begin() allocates no lookup
+    /// structure per iteration.
     std::vector<std::pair<int, int>> begin_scratch_;
 
     // --- the iteration memo (see begin_memo()) ---
-    /// Entries beyond this overwrite the oldest.
-    static constexpr size_t kMemoCapacity = 256;
     std::vector<MemoEntry> memo_;
     size_t memo_next_ = 0;  ///< slot the next record takes once full.
     int64_t replays_ = 0;
     /// The key of the latest begin_memo() — the recording run's.
     std::vector<uint64_t> memo_key_;
     std::vector<ResidentSlot> replay_scratch_;  ///< replay()'s new pool.
-    /// The memo's timing vectors, each content once (intern_timing()).
-    std::vector<InternedTiming> timings_;
+    /// memo_key()'s (seq, pool index) pairs, sorted to rank recency.
+    std::vector<std::pair<uint64_t, int>> rank_scratch_;
     /// The loaded run is being recorded: begun by begin_memo() with no
     /// applicable memo hit, and since then only stepped.
     bool recording_ = false;

@@ -3,7 +3,8 @@
  * Heap allocations on the hot paths, counted by this binary's own
  * replacement of the global operator new: a passing check()/require()
  * with a literal message allocates nothing, a warmed EngineState runs
- * a program's step() loop allocation-free, and building a sim::Machine
+ * a program's step() loop allocation-free and replays a recorded run
+ * through begin_memo() → finish() allocation-free, and building a sim::Machine
  * (topology plus the sampled traffic analysis) costs a fixed handful
  * of allocations rather than one per sampled route. A failing literal
  * check still dies with its text.
@@ -12,6 +13,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "elk/inductive_scheduler.h"
@@ -124,6 +126,40 @@ TEST(AllocTest, WarmedEngineStepLoopAllocatesNothing)
         EXPECT_GT(steps, 0);
         EXPECT_EQ(during, 0) << "residency budget " << opts.residency_budget;
     }
+}
+
+TEST(AllocTest, WarmedMemoReplayAllocatesNothing)
+{
+    auto h = testing::CompilerHarness::tiny();
+    const compiler::InductiveScheduler sched(*h.library);
+    auto plan = sched.schedule_in_order(compiler::ScheduleOptions{});
+    ASSERT_TRUE(plan.has_value());
+    const auto program = std::make_shared<const sim::SimProgram>(
+        runtime::lower_to_sim(h.graph, *plan, h.ctx));
+    const sim::Machine machine(h.cfg);
+
+    sim::EngineState::Options retain;
+    retain.residency_budget = h.cfg.usable_sram_per_core();
+    sim::EngineState state(machine, retain);
+    auto run = [&] {
+        const bool replayed = state.begin_memo(program, 1e300);
+        while (state.step()) {
+        }
+        state.finish();
+        return replayed;
+    };
+    // The cold run and the first warm one record; later ones replay
+    // and size the replay's scratch.
+    for (int i = 0; i < 4; ++i) {
+        run();
+    }
+    ASSERT_GE(state.replays(), 2);
+
+    const long before = allocations();
+    const bool replayed = run();
+    const long during = allocations() - before;
+    EXPECT_TRUE(replayed);
+    EXPECT_EQ(during, 0);
 }
 
 /// Allocations made by constructing a sim::Machine for @p cfg.

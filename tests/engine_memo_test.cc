@@ -3,12 +3,15 @@
  * The engine's iteration memo (EngineState::begin_memo): a replayed
  * run leaves the state exactly where stepping would have — result
  * bits, clock, weight and KV pools and counters — across stale and
- * pressure eviction, KV segments that come, grow and go between runs, and a park/resume in the middle; the
+ * pressure eviction, KV segments that come, grow and go between runs,
+ * and a park/resume in the middle; its results carry no per-op timing
+ * while begin()'s do; a full memo overwrites its oldest entry; the
  * SRAM headroom guard is exact to the byte; a run that met pressure
  * replays only from a KV-free pool at its own occupancy; the watch
  * rule is strict; parked runs are never recorded; a freed program's
  * address never aliases a new program; and a program the state has
- * not seen is still validated.
+ * not seen is still validated. Stale eviction keeps the first exec
+ * index of a duplicated id, whether the op ids ascend or not.
  */
 #include <gtest/gtest.h>
 
@@ -16,6 +19,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -58,6 +62,14 @@ make_program(int first_id, const std::vector<uint64_t>& spaces,
     }
     prog->finalize_default_order();
     return prog;
+}
+
+/// @p r's bits without its per-op timing, which memo results omit.
+std::string
+untimed_bits(SimResult r)
+{
+    r.timing.clear();
+    return r.serialize_bits();
 }
 
 /// Three ops with one footprint and HBM volume.
@@ -141,6 +153,7 @@ struct ScheduleStats {
     int64_t replays = 0;
     int64_t kv_replays = 0;  ///< replays of runs begun with KV in SRAM.
     int64_t kv_evictions = 0;
+    std::vector<bool> replayed;  ///< per run of the schedule.
 };
 
 /// Runs @p schedule on two states — plain on one, through the memo on
@@ -156,12 +169,15 @@ expect_replay_exact(const Machine& machine, EngineState::Options opts,
         const int64_t before = b.replays();
         SimResult ra = drive(a, schedule[i], /*memo=*/false);
         SimResult rb = drive(b, schedule[i], /*memo=*/true);
+        stats.replayed.push_back(b.replays() > before);
         // A replayed run never touches the KV pool.
         if (b.replays() > before && b.kv_bytes() > 0) {
             ++stats.kv_replays;
         }
         SCOPED_TRACE(i);
-        EXPECT_EQ(ra.serialize_bits(), rb.serialize_bits());
+        EXPECT_EQ(ra.timing.size(), schedule[i].program->ops.size());
+        EXPECT_TRUE(rb.timing.empty());
+        EXPECT_EQ(untimed_bits(ra), rb.serialize_bits());
         expect_same_state(a, b);
         if (::testing::Test::HasFailure()) {
             break;
@@ -400,6 +416,103 @@ TEST_F(EngineMemoTest, PressureOverKvIsNotRecorded)
     EXPECT_EQ(stats.kv_evictions, 1);
 }
 
+// More distinct runs than the memo holds: each record past the
+// capacity overwrites the oldest entry. The first program's entry goes
+// first, so it steps again, and its new record overwrites the second
+// program's; the entries recorded after them still replay.
+TEST_F(EngineMemoTest, FullMemoOverwritesTheOldestEntry)
+{
+    const size_t capacity = EngineState::kMemoCapacity;
+    std::vector<std::shared_ptr<const SimProgram>> programs;
+    std::vector<Scheduled> schedule;
+    for (size_t i = 0; i <= capacity; ++i) {
+        programs.push_back(make_program(0, {4 * kKiB}, {1}, dram_, 6 * kKiB));
+        schedule.emplace_back(programs.back());
+    }
+    for (size_t i : {size_t{0}, size_t{2}, capacity, size_t{1}}) {
+        schedule.emplace_back(programs[i]);
+    }
+    // Zero budget: every run starts from the empty pool, so only the
+    // program tells the keys apart.
+    const ScheduleStats stats =
+        expect_replay_exact(machine_, EngineState::Options{}, schedule);
+    ASSERT_EQ(stats.replayed.size(), schedule.size());
+    EXPECT_EQ(stats.replays, 2);
+    EXPECT_EQ(std::vector<bool>(stats.replayed.end() - 4, stats.replayed.end()),
+              (std::vector<bool>{false, true, true, false}));
+}
+
+/// Op ids of @p state's pool right after begin() of @p program, on a
+/// pool holding ops 3, 5 and 9 at 4 KiB each.
+std::vector<int>
+resident_after_begin(const Machine& machine, const SimProgram& program)
+{
+    const double dram = machine.config().hbm_total_bw * 1e-5;
+    auto seed = std::make_shared<SimProgram>();
+    for (int id : {3, 5, 9}) {
+        seed->ops.push_back(make_op(id, dram, 1e-4, 4 * kKiB, 6 * kKiB));
+    }
+    seed->finalize_default_order();
+    EngineState::Options opts;
+    opts.residency_budget = 30 * kKiB;
+    EngineState state(machine, opts);
+    state.begin(*seed);
+    while (state.step()) {
+    }
+    state.finish();
+    EXPECT_EQ(state.resident_op_ids(), (std::vector<int>{3, 5, 9}));
+    state.begin(program);
+    EXPECT_EQ(state.resident_bytes(),
+              4 * kKiB * static_cast<uint64_t>(state.resident_ops()));
+    return state.resident_op_ids();
+}
+
+/// A program of (op id, preload space) pairs in exec order; a 4 KiB
+/// op matches the pool's entry for its id, a 3 KiB one is stale.
+SimProgram
+stale_probe(const Machine& machine,
+            const std::vector<std::pair<int, uint64_t>>& ops)
+{
+    const double dram = machine.config().hbm_total_bw * 1e-5;
+    SimProgram program;
+    for (const auto& [id, space] : ops) {
+        program.ops.push_back(make_op(id, dram, 1e-4, space, 6 * kKiB));
+    }
+    program.finalize_default_order();
+    return program;
+}
+
+// Stale eviction decides each entry by the first exec index of its op
+// id, whether the program's ids ascend (the lookup is built sorted) or
+// not (it is sorted first). The expected pools are what an engine that
+// always sorts the lookup leaves.
+TEST(EngineStaleEvictionTest, FirstExecIndexOfAnIdDecides)
+{
+    Machine machine(hw::ChipConfig::tiny(16));
+    const uint64_t match = 4 * kKiB;
+    const uint64_t stale = 3 * kKiB;
+    // Ascending with duplicates: 5 matches first, 9 is stale first.
+    EXPECT_EQ(resident_after_begin(
+                  machine, stale_probe(machine, {{5, match}, {5, stale},
+                                                 {9, stale}, {9, match}})),
+              (std::vector<int>{3, 5}));
+    // Ascending, ids above and between the pool's: nothing stale.
+    EXPECT_EQ(resident_after_begin(
+                  machine, stale_probe(machine, {{4, stale}, {9, match},
+                                                 {9, stale}, {12, stale}})),
+              (std::vector<int>{3, 5, 9}));
+    // 9, 5, 9: 9 matches first, 5 is stale.
+    EXPECT_EQ(resident_after_begin(
+                  machine, stale_probe(machine,
+                                       {{9, match}, {5, stale}, {9, stale}})),
+              (std::vector<int>{3, 9}));
+    // 5, 9, 3, 5: 5 and 3 are stale first, 9 matches.
+    EXPECT_EQ(resident_after_begin(
+                  machine, stale_probe(machine, {{5, stale}, {9, match},
+                                                 {3, stale}, {5, match}})),
+              (std::vector<int>{9}));
+}
+
 // The watch rule is strict: a hit replays only when the run's final
 // clock lies strictly before the watch, so a watcher firing exactly
 // at the last event still sees every step.
@@ -483,7 +596,7 @@ TEST(EngineMemoHeadroomTest, GuardIsExactToTheByte)
         kv(b);
         const SimResult ra = drive(a, Scheduled{prog}, /*memo=*/false);
         const SimResult rb = drive(b, Scheduled{prog}, /*memo=*/true);
-        EXPECT_EQ(ra.serialize_bits(), rb.serialize_bits());
+        EXPECT_EQ(untimed_bits(ra), rb.serialize_bits());
         expect_same_state(a, b);
         EXPECT_EQ(b.replays(), replays);
         return rb;
@@ -516,7 +629,7 @@ TEST(EngineMemoRecordTest, OverflowOnAnEmptyPoolReplays)
         state.begin_memo(prog, kInf);
         while (state.step()) {
         }
-        EXPECT_EQ(state.finish().serialize_bits(), plain.serialize_bits());
+        EXPECT_EQ(state.finish().serialize_bits(), untimed_bits(plain));
     }
     EXPECT_EQ(state.replays(), 2);
 }
@@ -543,7 +656,7 @@ TEST(EngineMemoRecordTest, DroppedProgramNeverAliasesANewOne)
     while (state.step()) {
     }
     const SimResult rq = state.finish();
-    EXPECT_EQ(rq.serialize_bits(), Engine(machine).run(*q).serialize_bits());
+    EXPECT_EQ(rq.serialize_bits(), untimed_bits(Engine(machine).run(*q)));
     EXPECT_EQ(state.replays(), 0);
 }
 
