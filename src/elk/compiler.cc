@@ -1,10 +1,8 @@
 #include "elk/compiler.h"
 
 #include <chrono>
-#include <optional>
 #include <utility>
 
-#include "elk/plan_cache.h"
 #include "util/logging.h"
 
 namespace elk::compiler {
@@ -50,22 +48,6 @@ Compiler::compile(const CompileOptions& opts) const
     CompileState state = state_;  // shares the analysis products
     state.opts = opts;
 
-    // Plan-cache consult: on a hit the cached plan becomes the state's
-    // product and every scheduling pass disables itself (the
-    // cached_plan hook), leaving only the cheap analysis/finalize
-    // stages to run below.
-    std::optional<PlanKey> cache_key;
-    std::shared_ptr<const CompileResult> cache_hit;
-    if (plan_cache_ != nullptr) {
-        cache_key = make_plan_key(*state_.graph, *state_.cfg, opts);
-        cache_hit = plan_cache_->lookup(*cache_key);
-        if (cache_hit) {
-            state.cached_plan = std::shared_ptr<const ExecutionPlan>(
-                cache_hit, &cache_hit->plan);
-            state.plan = cache_hit->plan;
-        }
-    }
-
     pipeline_.run(state);
     if (!state.plan.has_value()) {
         util::panic("compile: the pipeline produced no ExecutionPlan for "
@@ -75,18 +57,7 @@ Compiler::compile(const CompileOptions& opts) const
 
     CompileResult result;
     result.plan = std::move(*state.plan);
-    if (cache_hit) {
-        // Search statistics describe the original search, not the
-        // (skipped) cached compile.
-        result.stats = cache_hit->stats;
-        result.from_cache = true;
-    } else {
-        result.stats = state.stats;
-        if (cache_key) {
-            plan_cache_->insert(
-                *cache_key, std::make_shared<CompileResult>(result));
-        }
-    }
+    result.stats = state.stats;
     auto t1 = std::chrono::steady_clock::now();
     result.compile_seconds =
         std::chrono::duration<double>(t1 - t0).count();

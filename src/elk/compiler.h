@@ -33,16 +33,11 @@
 
 namespace elk::compiler {
 
-class PlanCache;
-
 /// Result of one compilation.
 struct CompileResult {
     ExecutionPlan plan;
     SearchStats stats;
     double compile_seconds = 0.0;
-    /// True when the plan came from the PlanCache (the scheduling
-    /// passes were skipped via the CompileState::cached_plan hook).
-    bool from_cache = false;
 };
 
 /// The compiler; one instance per (graph, chip) pair.
@@ -66,19 +61,10 @@ class Compiler {
              std::shared_ptr<const sim::Machine> machine = nullptr);
 
     /// Compiles an execution plan for the requested design by running
-    /// the scheduling passes of the pipeline. With a plan cache
-    /// attached, a hit skips them (CompileState::cached_plan hook)
-    /// and a miss stores the freshly compiled result. Safe to call
+    /// the scheduling passes of the pipeline. Safe to call
     /// concurrently: each call works on a private copy of the state,
     /// whose analysis products are immutable.
     CompileResult compile(const CompileOptions& opts = {}) const;
-
-    /**
-     * Attaches a compiled-plan cache (thread-safe, shared across
-     * compilers and threads; the serving runtime's amortization
-     * point). @p cache must outlive the compiler; nullptr detaches.
-     */
-    void set_plan_cache(PlanCache* cache) { plan_cache_ = cache; }
 
     /// Plan library (Table 2 statistics, tests).
     const PlanLibrary& library() const { return *state_.library; }
@@ -100,7 +86,6 @@ class Compiler {
     CompilerPipeline pipeline_;
     std::unique_ptr<util::ThreadPool> pool_;
     CompileState state_;  ///< analysis products shared by compiles.
-    PlanCache* plan_cache_ = nullptr;  ///< non-owning, optional.
 };
 
 }  // namespace elk::compiler

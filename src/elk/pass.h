@@ -114,12 +114,6 @@ struct CompileState {
     // --- plan-library products ---
     std::shared_ptr<const PlanLibrary> library;
 
-    /// Plan-cache hook: when the driver resolves the compile from a
-    /// cached plan it sets this (and copies it into `plan`); every
-    /// scheduling pass then disables itself, so a cache hit runs only
-    /// the analysis/finalize stages.
-    std::shared_ptr<const ExecutionPlan> cached_plan;
-
     // --- per-compile products ---
     /// Scheduler knobs tuned by schedule-elk's offline sweep; the
     /// preload-order-search pass schedules candidates with them.

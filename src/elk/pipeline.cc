@@ -196,7 +196,7 @@ class BasicSchedulePass : public Pass {
     bool
     enabled(const CompileState& state) const override
     {
-        return state.opts.mode == Mode::kBasic && !state.cached_plan;
+        return state.opts.mode == Mode::kBasic;
     }
 
     void
@@ -373,7 +373,7 @@ class StaticSchedulePass : public Pass {
     bool
     enabled(const CompileState& state) const override
     {
-        return state.opts.mode == Mode::kStatic && !state.cached_plan;
+        return state.opts.mode == Mode::kStatic;
     }
 
     void
@@ -393,9 +393,8 @@ class ElkSchedulePass : public Pass {
     bool
     enabled(const CompileState& state) const override
     {
-        return (state.opts.mode == Mode::kElkDyn ||
-                state.opts.mode == Mode::kElkFull) &&
-               !state.cached_plan;
+        return state.opts.mode == Mode::kElkDyn ||
+               state.opts.mode == Mode::kElkFull;
     }
 
     void
@@ -498,7 +497,7 @@ class PreloadOrderSearchPass : public Pass {
     bool
     enabled(const CompileState& state) const override
     {
-        return state.opts.mode == Mode::kElkFull && !state.cached_plan;
+        return state.opts.mode == Mode::kElkFull;
     }
 
     void
@@ -585,7 +584,7 @@ class IdealSchedulePass : public Pass {
     bool
     enabled(const CompileState& state) const override
     {
-        return state.opts.mode == Mode::kIdeal && !state.cached_plan;
+        return state.opts.mode == Mode::kIdeal;
     }
 
     void

@@ -102,7 +102,7 @@ make_plan_key(const graph::Graph& graph, const hw::ChipConfig& cfg,
     return key;
 }
 
-std::shared_ptr<const CompileResult>
+std::shared_ptr<const sim::SimProgram>
 PlanCache::lookup(const PlanKey& key)
 {
     std::lock_guard<std::mutex> lock(mu_);
@@ -117,10 +117,10 @@ PlanCache::lookup(const PlanKey& key)
 
 void
 PlanCache::insert(const PlanKey& key,
-                  std::shared_ptr<const CompileResult> result)
+                  std::shared_ptr<const sim::SimProgram> program)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.emplace(key, std::move(result));
+    entries_.emplace(key, std::move(program));
     stats_.entries = static_cast<int>(entries_.size());
 }
 
@@ -137,7 +137,7 @@ PlanCache::keys() const
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<std::string> out;
     out.reserve(entries_.size());
-    for (const auto& [key, result] : entries_) {
+    for (const auto& [key, program] : entries_) {
         out.push_back(key.to_string());
     }
     return out;

@@ -1,14 +1,16 @@
 /**
  * @file
- * Compiled-plan cache for the serving runtime.
+ * Compiled-program cache for the serving runtime.
  *
  * Compilation is per (model, mode, batch, chip) and deterministic, so
- * the serving stack caches ExecutionPlans under a structural key and
- * skips the scheduling passes on a hit (the CompileState::cached_plan
- * hook — see pass.h). The cache is thread-safe: replica-level sweeps
- * (arrival rate x batch grids) share one cache across worker threads,
- * and because plans are bit-identical at any job count it never
- * matters which worker filled an entry first.
+ * ServingCompiler::program() caches each bucket's finished simulator
+ * program — compiled, lowered and op-id namespaced — under a
+ * structural key, and a hit skips the whole compile chain: no
+ * Compiler is built and the very object another instance compiled is
+ * returned. The cache is thread-safe: several serving compilers may
+ * share one across worker threads, and because programs are
+ * bit-identical at any job count it never matters which worker filled
+ * an entry first.
  */
 #ifndef ELK_ELK_PLAN_CACHE_H
 #define ELK_ELK_PLAN_CACHE_H
@@ -20,13 +22,17 @@
 #include <string>
 #include <vector>
 
-#include "elk/compiler.h"
+#include "elk/pass.h"
 #include "graph/graph.h"
 #include "hw/chip_config.h"
+#include "sim/engine.h"
 
 namespace elk::compiler {
 
-/// Structural cache key: what the produced plan depends on.
+/// Structural cache key: what the produced program depends on. It
+/// holds no cost model: only ServingCompiler consults the cache, and
+/// it always compiles with the analytic model, so a program compiled
+/// under a fitted model can never be served for this key.
 struct PlanKey {
     std::string model;    ///< graph name + operator-signature digest.
     std::string chip;     ///< chip configuration signature.
@@ -61,7 +67,7 @@ PlanKey make_plan_key(const graph::Graph& graph,
                       const hw::ChipConfig& cfg,
                       const CompileOptions& opts);
 
-/// Thread-safe (key -> CompileResult) store with hit/miss counters.
+/// Thread-safe (key -> lowered program) store with hit/miss counters.
 class PlanCache {
   public:
     /// Lifetime counters, returned by stats().
@@ -71,13 +77,13 @@ class PlanCache {
         int entries = 0;     ///< distinct keys currently cached.
     };
 
-    /// Cached result for @p key, or nullptr; counts a hit or miss.
-    std::shared_ptr<const CompileResult> lookup(const PlanKey& key);
+    /// Cached program for @p key, or nullptr; counts a hit or miss.
+    std::shared_ptr<const sim::SimProgram> lookup(const PlanKey& key);
 
-    /// Stores @p result under @p key (first insert wins; results are
-    /// bit-identical by the determinism contract, so ties are moot).
+    /// Stores @p program under @p key (first insert wins; programs
+    /// are bit-identical by the determinism contract).
     void insert(const PlanKey& key,
-                std::shared_ptr<const CompileResult> result);
+                std::shared_ptr<const sim::SimProgram> program);
 
     /// Snapshot of the lifetime hit/miss/entry counters.
     Stats stats() const;
@@ -89,7 +95,7 @@ class PlanCache {
 
   private:
     mutable std::mutex mu_;
-    std::map<PlanKey, std::shared_ptr<const CompileResult>> entries_;
+    std::map<PlanKey, std::shared_ptr<const sim::SimProgram>> entries_;
     Stats stats_;
 };
 

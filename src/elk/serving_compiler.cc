@@ -85,27 +85,36 @@ ServingCompiler::program(int batch, int prompt_len)
         serving_opts_.kind == GraphKind::kPrefill
             ? graph::build_forward_graph(model_, batch, prompt_len)
             : graph::build_decode_graph(model_, batch, seq_);
-    Compiler compiler(graph, cfg_, nullptr, jobs_, compile_machine_);
-    compiler.set_plan_cache(cache_);
-    CompileResult compiled = compiler.compile(opts_);
-    sim::SimProgram lowered =
-        runtime::lower_to_sim(graph, compiled.plan, compiler.context());
-    // Namespacing happens after lowering so the plan cache still keys
-    // on the structural graph (the offset never changes the plan).
-    // Prefill programs get the family offset plus a per-band
-    // sub-namespace per length bucket (see kPrefillIdOffset).
-    int offset = 0;
-    if (serving_opts_.kind == GraphKind::kPrefill) {
-        offset = (1 + ceil_log2(prompt_len)) * kPrefillIdOffset;
-        util::check(graph.size() < kPrefillIdOffset,
-                    "ServingCompiler: graph too large for the prefill "
-                    "id namespace scheme");
+    // A cache hit is the finished program: the key's graph name and
+    // seq fix the op-id namespace below, so no Compiler is built.
+    PlanKey plan_key;
+    std::shared_ptr<const sim::SimProgram> program;
+    if (cache_ != nullptr) {
+        plan_key = make_plan_key(graph, cfg_, opts_);
+        program = cache_->lookup(plan_key);
     }
-    for (sim::SimOp& op : lowered.ops) {
-        op.op_id += offset;
+    if (!program) {
+        Compiler compiler(graph, cfg_, nullptr, jobs_, compile_machine_);
+        sim::SimProgram lowered = runtime::lower_to_sim(
+            graph, compiler.compile(opts_).plan, compiler.context());
+        // Prefill programs get the family offset plus a per-band
+        // sub-namespace per length bucket (see kPrefillIdOffset).
+        int offset = 0;
+        if (serving_opts_.kind == GraphKind::kPrefill) {
+            offset = (1 + ceil_log2(prompt_len)) * kPrefillIdOffset;
+            util::check(graph.size() < kPrefillIdOffset,
+                        "ServingCompiler: graph too large for the "
+                        "prefill id namespace scheme");
+        }
+        for (sim::SimOp& op : lowered.ops) {
+            op.op_id += offset;
+        }
+        program =
+            std::make_shared<const sim::SimProgram>(std::move(lowered));
+        if (cache_ != nullptr) {
+            cache_->insert(plan_key, program);
+        }
     }
-    auto program =
-        std::make_shared<const sim::SimProgram>(std::move(lowered));
     entries_.emplace(key, program);
     compile_seconds_ += std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)

@@ -5,16 +5,19 @@
  * The Server asks for "the program for bucket (batch, prompt_len)"
  * once per iteration; this facade runs the whole chain behind that
  * call once per bucket — graph construction, Compiler analysis, the
- * (PlanCache-backed) compile, and lowering to the simulator program —
- * and memoizes only the lowered program. The bucket's graph and
- * Compiler (with its worker threads) are gone once it is lowered, so
- * a long serve holds no idle compile threads; with glibc malloc each
- * such thread can pin its own arena. Returning the same SimProgram
- * object for a repeated bucket is what lets the engine keep weights
- * resident across iterations. The chip is analyzed once, at
- * construction: every bucket's Compiler shares that one immutable
- * sim::Machine, which is also the machine serving runs on (except in
- * Ideal mode, which serves on its own split-fabric machine).
+ * compile, and lowering to the simulator program — and memoizes only
+ * the lowered program. An attached PlanCache is consulted once per
+ * bucket, after graph construction: a hit returns the very program
+ * another instance compiled, and no Compiler is built. The bucket's
+ * graph and Compiler (with its worker threads) are gone once it is
+ * lowered, so a long serve holds no idle compile threads; with glibc
+ * malloc each such thread can pin its own arena. Returning the same
+ * SimProgram object for a repeated bucket is what lets the engine
+ * keep weights resident across iterations. The chip is analyzed
+ * once, at construction: every bucket's Compiler shares that one
+ * immutable sim::Machine, which is also the machine serving runs on
+ * (except in Ideal mode, which serves on its own split-fabric
+ * machine).
  *
  * A serving compiler builds one graph family: decode steps
  * (GraphKind::kDecode, one token per request against a KV cache of
@@ -28,12 +31,14 @@
  * and every prefill length bucket can share one EngineState residency
  * pool without op-id aliasing.
  *
- * Thread-safe: replica sweeps share one instance (and its PlanCache)
- * across worker threads. The per-iteration lookup of an
+ * Thread-safe: replica sweeps share one instance across worker
+ * threads. The per-iteration lookup of an
  * already-compiled bucket — the overwhelmingly common case once the
  * grid is warm — takes a shared (reader) lock only; a miss upgrades
  * to the exclusive lock and double-checks before compiling, so each
- * bucket is still compiled exactly once.
+ * bucket is still compiled exactly once. The PlanCache is only
+ * consulted under that exclusive lock; it is reached from several
+ * threads only when several serving compilers share one cache.
  */
 #ifndef ELK_ELK_SERVING_COMPILER_H
 #define ELK_ELK_SERVING_COMPILER_H
@@ -119,8 +124,9 @@ class ServingCompiler {
     const sim::Machine& machine() const { return *machine_; }
 
     /// Accumulated wall-clock seconds of every bucket's whole compile
-    /// chain in program(): graph build, the Compiler's analysis and
-    /// plan library, the (plan-cache-backed) compile, and lowering.
+    /// chain in program(): graph build, then either a plan-cache hit
+    /// or the Compiler's analysis and plan library, the compile, and
+    /// lowering.
     double compile_seconds() const;
 
     /// Design-mode name of the compiled plans.

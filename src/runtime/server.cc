@@ -66,6 +66,9 @@ finalize_prompt_buckets(std::vector<int>& buckets, int max)
     util::require(buckets.back() == max,
                   "Server: largest prompt bucket must equal "
                   "max_prompt_len");
+    util::require(std::adjacent_find(buckets.begin(), buckets.end()) ==
+                      buckets.end(),
+                  "Server: prompt buckets must be distinct lengths");
 }
 
 /// Rejects a Request trace the disaggregated scheduler cannot serve

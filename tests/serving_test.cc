@@ -4,11 +4,11 @@
  * bit-identical, across all five design modes on the quickstart
  * model), cross-program weight residency with pressure eviction, the
  * Server's iteration-level batching and report determinism, the
- * compiled-plan cache, and the arrival-trace generators.
+ * compiled-program cache, and the arrival-trace generators.
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <tuple>
 
 #include "elk/plan_cache.h"
 #include "elk/serving_compiler.h"
@@ -363,60 +363,6 @@ TEST_F(ServerTest, OpenLoopLeavesIdleGapsBetweenArrivals)
 // ---------------------------------------------------------------------------
 // Plan cache
 
-TEST(PlanCacheTest, SecondCompileHitsAndMatchesBitExactly)
-{
-    auto harness_graph = graph::build_decode_graph(testing::tiny_llm(),
-                                                   8, 512);
-    hw::ChipConfig cfg = testing::tiny_chip();
-    compiler::PlanCache cache;
-    compiler::Compiler comp(harness_graph, cfg);
-    comp.set_plan_cache(&cache);
-
-    compiler::CompileOptions opts;
-    opts.mode = compiler::Mode::kElkFull;
-    opts.max_orders = 6;
-    auto first = comp.compile(opts);
-    auto second = comp.compile(opts);
-    EXPECT_FALSE(first.from_cache);
-    EXPECT_TRUE(second.from_cache);
-    EXPECT_EQ(first.plan.serialize_bits(), second.plan.serialize_bits());
-    EXPECT_EQ(first.stats.orders_tested, second.stats.orders_tested);
-    auto stats = cache.stats();
-    EXPECT_EQ(stats.hits, 1);
-    EXPECT_EQ(stats.misses, 1);
-    EXPECT_EQ(stats.entries, 1);
-
-    // A different mode is a different key.
-    opts.mode = compiler::Mode::kBasic;
-    auto basic = comp.compile(opts);
-    EXPECT_FALSE(basic.from_cache);
-    EXPECT_EQ(cache.stats().entries, 2);
-}
-
-TEST(PlanCacheTest, CachedPlanHookDisablesSchedulingPasses)
-{
-    auto pipeline = compiler::CompilerPipeline::standard();
-    compiler::CompileState probe;
-    probe.opts.mode = compiler::Mode::kElkFull;
-    auto without = pipeline.enabled_passes(probe);
-    EXPECT_NE(std::find(without.begin(), without.end(), "schedule-elk"),
-              without.end());
-
-    probe.cached_plan =
-        std::make_shared<const compiler::ExecutionPlan>();
-    auto with = pipeline.enabled_passes(probe);
-    EXPECT_EQ(std::find(with.begin(), with.end(), "schedule-elk"),
-              with.end());
-    EXPECT_EQ(std::find(with.begin(), with.end(),
-                        "preload-order-search"),
-              with.end());
-    // Analysis and finalize still run.
-    EXPECT_NE(std::find(with.begin(), with.end(), "plan-library"),
-              with.end());
-    EXPECT_NE(std::find(with.begin(), with.end(), "finalize"),
-              with.end());
-}
-
 TEST(PlanCacheTest, KeyDistinguishesModelChipModeAndKnobs)
 {
     auto g1 = graph::build_decode_graph(testing::tiny_llm(), 8, 512);
@@ -435,6 +381,10 @@ TEST(PlanCacheTest, KeyDistinguishesModelChipModeAndKnobs)
     EXPECT_GT(batch.batch, base.batch);
     auto chip = compiler::make_plan_key(g1, c2, opts);
     EXPECT_TRUE(base < chip || chip < base);
+    compiler::CompileOptions basic = opts;
+    basic.mode = compiler::Mode::kBasic;
+    auto mode = compiler::make_plan_key(g1, c1, basic);
+    EXPECT_TRUE(base < mode || mode < base);
     opts.max_orders += 1;
     auto knobs = compiler::make_plan_key(g1, c1, opts);
     EXPECT_TRUE(base < knobs || knobs < base);
@@ -453,9 +403,30 @@ TEST(ServingCompilerTest, SharedCacheAmortizesAcrossInstances)
     EXPECT_EQ(cache.stats().hits, 0);
     auto pb = b.program(4);
     EXPECT_EQ(cache.stats().hits, 1);
-    ASSERT_EQ(pa->ops.size(), pb->ops.size());
+    EXPECT_EQ(cache.stats().misses, 1);
+    EXPECT_EQ(cache.stats().entries, 1);
+    // A hit is the finished program the other instance compiled.
+    EXPECT_EQ(pa.get(), pb.get());
     // Memoization returns the identical object within an instance.
     EXPECT_EQ(pa.get(), a.program(4).get());
+
+    // Without a cache the bucket compiles to bit-identical ops.
+    compiler::ServingCompiler solo(testing::tiny_llm(), 512,
+                                   testing::tiny_chip(), copts, nullptr);
+    auto ps = solo.program(4);
+    auto fields = [](const sim::SimOp& op) {
+        return std::tie(op.op_id, op.name, op.dram_bytes,
+                        op.delivery_bytes, op.preload_space,
+                        op.distribute_bytes, op.distribute_local_time,
+                        op.exec_local_time, op.fetch_bytes,
+                        op.exec_stream_dram, op.exec_space, op.flops);
+    };
+    ASSERT_EQ(ps->ops.size(), pa->ops.size());
+    for (size_t i = 0; i < ps->ops.size(); ++i) {
+        EXPECT_TRUE(fields(ps->ops[i]) == fields(pa->ops[i])) << "op " << i;
+    }
+    EXPECT_EQ(ps->preload_order, pa->preload_order);
+    EXPECT_EQ(ps->issue_slot, pa->issue_slot);
 }
 
 // Many threads race program() on one ServingCompiler: the first

@@ -308,6 +308,13 @@ TEST(ServerInputDeathTest, BadBucketsAndRequestsExitWithWordedFatal)
                 ::testing::ExitedWithCode(1),
                 "\\[elk FATAL\\] Server: largest prompt bucket must equal");
 
+    // A repeated length is one bucket, not a ladder: chunked prefill
+    // would pad every chunk to it.
+    sopts.prompt_buckets = {kSeq, kSeq};
+    EXPECT_EXIT(runtime::Server(machine, sopts),
+                ::testing::ExitedWithCode(1),
+                "\\[elk FATAL\\] Server: prompt buckets must be distinct");
+
     sopts.prompt_buckets.clear();
     runtime::Server server(machine, sopts);
     std::vector<runtime::Request> requests(1);

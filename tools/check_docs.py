@@ -39,10 +39,12 @@ Eight classes of rot this catches:
     the docs fails CI.
  7. Stale symbol references: a backticked `Name::member` (the last
     two components of a `::` chain) in README.md or docs/*.md, where
-    `Name` is a class or struct declared in src/runtime/*.{h,cc},
-    must name a member declared (outside comments) in its body — so
-    moving a method to another class without updating the docs fails
-    CI. Option structs are left to rule 6.
+    `Name` is a class or struct declared in src/**/*.{h,cc}, must name
+    a member declared (outside comments) in its body — so moving or
+    deleting a method without updating the docs fails CI. Option
+    structs are left to rule 6, and a name declared more than once
+    (two structs called `Options`) is skipped: the short name does
+    not say which body is meant.
  8. elkc help rot: every `--flag` in tools/elkc.cc's usage() help
     text must be a flag elkc parses (an `arg("--x")` or
     `strcmp(argv[i], "--x")` literal), and every flag it parses must
@@ -242,34 +244,40 @@ def struct_bodies(src_text):
 
 
 def class_bodies(src_text):
-    """Class/struct name -> its body with comments stripped, for every
-    class or struct (not enum class) defined in @p src_text."""
+    """(name, body with comments stripped) of every class or struct
+    (not enum class) defined in @p src_text, in order."""
     text = COMMENT_RE.sub("", src_text)
-    return {m.group(1): body_after(text, m.end())
-            for m in CLASS_DECL_RE.finditer(text)}
+    return [(m.group(1), body_after(text, m.end()))
+            for m in CLASS_DECL_RE.finditer(text)]
 
 
-def runtime_classes():
-    """class_bodies() over every src/runtime/*.{h,cc}."""
-    bodies = {}
-    directory = os.path.join(REPO, "src", "runtime")
-    for name in sorted(os.listdir(directory)):
-        if name.endswith((".h", ".cc")):
-            with open(os.path.join(directory, name),
-                      encoding="utf-8") as f:
-                bodies.update(class_bodies(f.read()))
-    return bodies
+def source_texts(exts):
+    """The text of every src/**/* file ending in one of @p exts."""
+    for root, _, files in sorted(os.walk(os.path.join(REPO, "src"))):
+        for name in sorted(files):
+            if name.endswith(exts):
+                with open(os.path.join(root, name),
+                          encoding="utf-8") as f:
+                    yield f.read()
+
+
+def src_classes():
+    """Class/struct name -> body over every src/**/*.{h,cc}, leaving
+    out names declared more than once."""
+    bodies, repeated = {}, set()
+    for text in source_texts((".h", ".cc")):
+        for name, body in class_bodies(text):
+            if name in bodies:
+                repeated.add(name)
+            bodies[name] = body
+    return {k: v for k, v in bodies.items() if k not in repeated}
 
 
 def header_structs():
     """struct_bodies() over every src/**/*.h."""
     bodies = {}
-    for root, _, files in os.walk(os.path.join(REPO, "src")):
-        for name in sorted(files):
-            if name.endswith(".h"):
-                with open(os.path.join(root, name),
-                          encoding="utf-8") as f:
-                    bodies.update(struct_bodies(f.read()))
+    for text in source_texts((".h",)):
+        bodies.update(struct_bodies(text))
     return bodies
 
 
@@ -289,8 +297,8 @@ def check_option_members(md_path, bodies, errors):
 
 
 def check_symbol_members(md_path, classes, errors):
-    """Every backticked Class::member, Class a src/runtime class, must
-    name a member that class declares."""
+    """Every backticked Class::member, Class a class in @p classes,
+    must name a member that class declares."""
     rel = os.path.relpath(md_path, REPO)
     with open(md_path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
@@ -303,7 +311,7 @@ def check_symbol_members(md_path, classes, errors):
                         continue
                     errors.append(
                         f"{rel}:{lineno}: names '{owner}::{member}' but "
-                        f"src/runtime's {owner} declares no such member"
+                        f"{owner} in src/ declares no such member"
                     )
 
 
@@ -401,7 +409,7 @@ def main():
     flags = known_flags()
     runtime_src = runtime_source()
     bodies = header_structs()
-    classes = runtime_classes()
+    classes = src_classes()
     errors = []
     named = set()
     for md in markdown_files():

@@ -53,8 +53,8 @@ def member_errors_for(text):
 
 
 def symbol_errors_for(text):
-    """The check_symbol_members() errors against src/runtime's classes."""
-    classes = check_docs.runtime_classes()
+    """The check_symbol_members() errors against src/'s classes."""
+    classes = check_docs.src_classes()
     return run_check(
         lambda path, errors: check_docs.check_symbol_members(
             path, classes, errors),
@@ -121,18 +121,31 @@ class SymbolMemberTest(unittest.TestCase):
         self.assertEqual(len(symbol_errors_for(
             "the executor (`DisaggRun::execute`)\n")), 1)
 
-    def test_only_backticked_runtime_classes_are_checked(self):
+    def test_classes_outside_src_runtime_are_checked(self):
+        self.assertEqual(symbol_errors_for(
+            "`Compiler::compile()`, `compiler::PlanCache::keys()` and "
+            "`sim::EngineState::begin_memo`\n"), [])
+        # The Compiler holds no plan cache.
+        self.assertEqual(len(symbol_errors_for(
+            "`Compiler::attach_plan_cache()` attaches one\n")), 1)
+
+    def test_name_declared_twice_is_skipped(self):
+        # EngineState::Options and cost's Options share the short name.
+        self.assertEqual(symbol_errors_for(
+            "`ServingCompiler::Options::kind`, `Options::nope`\n"), [])
+
+    def test_only_backticked_known_classes_are_checked(self):
         self.assertEqual(symbol_errors_for(
             "DisaggRun::execute outside backticks, "
-            "`Engine::nope` outside src/runtime\n"), [])
+            "`Nowhere::nope` naming no class under src/\n"), [])
 
     def test_enum_class_is_not_a_class(self):
-        bodies = check_docs.class_bodies(
+        bodies = dict(check_docs.class_bodies(
             "enum class Phase { kPrefill };\n"
             "struct Request {\n"
             "    // int nope = 0;\n"
             "    Phase phase;\n"
-            "};\n")
+            "};\n"))
         self.assertEqual(set(bodies), {"Request"})
         self.assertNotIn("nope", bodies["Request"])
 
